@@ -66,6 +66,16 @@ def _int_values_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--suite", default="all", choices=("all", *SUITE_DEFAULTS))
     cmd.add_argument("--primes", type=_int_values_arg, metavar="A..B|LIST",
@@ -80,7 +90,8 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--variant", default="corrected", choices=("corrected", "literal"))
     cmd.add_argument("--max-index", type=int, default=None,
                      help="cap on the largest summation bound n*p^alpha")
-    cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
+    cmd.add_argument("--jobs", type=_jobs_arg, default=1,
+                     help="worker processes (at most one per CPU and per case)")
     cmd.add_argument("--seed", type=int, default=0, help="seed for synthesized sequences")
     cmd.add_argument("--oracle-cutoff", type=int, default=DEFAULT_SETTINGS.oracle_cutoff,
                      help="largest index evaluated on the exact oracle path")

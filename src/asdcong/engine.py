@@ -13,6 +13,7 @@ ill-posed there rather than false.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -36,7 +37,13 @@ from .padic import (
     from_rational,
     required_guard,
 )
-from .series import SeriesSpec, apery, central_binomial_stream, s_sum_exact, s_sum_mod
+from .series import (
+    SeriesSpec,
+    apery,
+    central_binomial_stream,
+    s_sum_exact,
+    s_sum_mod_with_checkpoints,
+)
 
 SUITES = (
     "thm-main",
@@ -476,29 +483,32 @@ def _central_binomial_at(ctx: PadicCtx, k: int) -> PadicApprox:
     return value
 
 
-def _series_sides_mod(case: CongruenceCase, ctx: PadicCtx) -> tuple[PadicApprox, PadicApprox]:
+def _series_sides_mod(
+    case: CongruenceCase, ctx: PadicCtx, partial_sums: dict[int, int]
+) -> tuple[PadicApprox, PadicApprox]:
     p = ctx.p
     m = _series_m(case)
-    spec = SeriesSpec(m, case.variant)
     sym = legendre(m * (m - 4), p)
+
+    def s_sum(N: int) -> PadicApprox:
+        return PadicApprox.from_residue(ctx, partial_sums[N])
+
     if case.suite == "thm-main":
-        lhs = s_sum_mod(case.n * p**case.alpha, spec, ctx)
-        rhs = from_rational(sym, ctx).mul(s_sum_mod(case.n * p ** (case.alpha - 1), spec, ctx))
+        lhs = s_sum(case.n * p**case.alpha)
+        rhs = from_rational(sym, ctx).mul(s_sum(case.n * p ** (case.alpha - 1)))
         return lhs, rhs
     if case.suite == "thm-m4":
-        lhs = s_sum_mod(case.n * p**case.alpha, spec, ctx)
-        rhs = from_rational(p, ctx).mul(s_sum_mod(case.n * p ** (case.alpha - 1), spec, ctx))
+        lhs = s_sum(case.n * p**case.alpha)
+        rhs = from_rational(p, ctx).mul(s_sum(case.n * p ** (case.alpha - 1)))
         return lhs, rhs
     if case.suite == "eq-mod-p":
-        return s_sum_mod(p, spec, ctx), from_rational(sym, ctx)
+        return s_sum(p), from_rational(sym, ctx)
     if case.suite == "eq-mod-p2":
         rhs = from_rational(sym, ctx).add(lucas_u_mod(p - sym, LucasParams(m - 2), ctx))
-        return s_sum_mod(p, spec, ctx), rhs
+        return s_sum(p), rhs
     if case.suite == "eq-sun-asd":
         M = case.n * p ** (case.alpha - 1)
-        lhs = s_sum_mod(case.n * p**case.alpha, spec, ctx).sub(
-            from_rational(sym, ctx).mul(s_sum_mod(M, spec, ctx))
-        )
+        lhs = s_sum(case.n * p**case.alpha).sub(from_rational(sym, ctx).mul(s_sum(M)))
         # C(2M-1, M-1) = C(2M, M) / 2, and 2 is a unit here.
         half_cb = _central_binomial_at(ctx, M).div(from_rational(2, ctx))
         factor = PadicApprox.from_residue(ctx, M * pow(m, -(M - 1), ctx.modulus))
@@ -507,7 +517,74 @@ def _series_sides_mod(case: CongruenceCase, ctx: PadicCtx) -> tuple[PadicApprox,
     raise ValueError(f"{case.suite} has no modular series evaluator")
 
 
-def _evaluate_series_case(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
+# ---------------------------------------------------------------------------
+# Sweep planner: one modular stream per (p, m, variant)
+# ---------------------------------------------------------------------------
+
+StreamKey = tuple[int, int, str]
+#: One pass over S_N(m) mod p^prec: (p, m, variant), prec, and the sorted N
+#: at which it reads out S_N.
+Stream = tuple[StreamKey, int, tuple[int, ...]]
+
+
+def _working_precision(case: CongruenceCase) -> int:
+    return required_guard(_case_index(case), _required_exponent(case), case.p)
+
+
+def _stream_key(case: CongruenceCase, settings: EngineSettings) -> StreamKey | None:
+    """The series (p, m, variant) a case reads on the modular path, if any."""
+    if case.suite not in SERIES_SUITES:
+        return None
+    m = _series_m(case)
+    if m % case.p == 0 or settings.path_for(_case_index(case)) == "oracle":
+        return None
+    return case.p, m, case.variant
+
+
+def _stream_points(case: CongruenceCase) -> tuple[int, ...]:
+    """The term counts N at which a series case reads S_N."""
+    if case.suite in ("eq-mod-p", "eq-mod-p2"):
+        return (case.p,)
+    return case.n * case.p**case.alpha, case.n * case.p ** (case.alpha - 1)
+
+
+def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> list[Stream]:
+    """One stream per series the cases read, largest first.
+
+    Every case of a (p, m, variant) reads prefixes of the same series, so one
+    pass at the highest working precision among them serves them all: each
+    case reduces the residue to its own precision, which gives the value a
+    stream at that precision would have.
+    """
+    precs: dict[StreamKey, int] = {}
+    points: dict[StreamKey, set[int]] = {}
+    for case in cases:
+        key = _stream_key(case, settings)
+        if key is None:
+            continue
+        precs[key] = max(precs.get(key, 1), _working_precision(case))
+        points.setdefault(key, set()).update(_stream_points(case))
+    streams = [(key, precs[key], tuple(sorted(points[key]))) for key in precs]
+    return sorted(streams, key=lambda s: (s[2][-1], s[1], s[0]), reverse=True)
+
+
+def _stream_sums(stream: Stream) -> dict[int, int]:
+    (p, m, variant), prec, points = stream
+    ctx = PadicCtx(p, prec)
+    _, taken = s_sum_mod_with_checkpoints(points[-1], SeriesSpec(m, variant), ctx, points)
+    return {N: value.residue() for N, value in taken.items()}
+
+
+def _run_streams(
+    streams: Sequence[Stream], pool: ProcessPoolExecutor | None = None
+) -> dict[StreamKey, dict[int, int]]:
+    sums = map(_stream_sums, streams) if pool is None else pool.map(_stream_sums, streams)
+    return {stream[0]: value for stream, value in zip(streams, sums)}
+
+
+def _evaluate_series_case(
+    case: CongruenceCase, settings: EngineSettings, partial_sums: dict[int, int] | None
+) -> CaseResult:
     p = case.p
     m = _series_m(case)
     required = _required_exponent(case)
@@ -527,8 +604,8 @@ def _evaluate_series_case(case: CongruenceCase, settings: EngineSettings) -> Cas
         verdict = rat_congruent(lhs, rhs, p, required)
         oracle = _oracle_achieved(verdict.achieved)
     if path in ("modular", "both"):
-        ctx = PadicCtx(p, required_guard(_case_index(case), required, p))
-        mod_lhs, mod_rhs = _series_sides_mod(case, ctx)
+        ctx = PadicCtx(p, _working_precision(case))
+        mod_lhs, mod_rhs = _series_sides_mod(case, ctx, partial_sums)
         modular = _modular_achieved(mod_lhs.sub(mod_rhs))
         if lhs is None:
             lhs, rhs = mod_lhs, mod_rhs
@@ -683,11 +760,6 @@ def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings) -> CaseR
 
 
 _DISPATCH = {
-    "thm-main": _evaluate_series_case,
-    "thm-m4": _evaluate_series_case,
-    "eq-mod-p": _evaluate_series_case,
-    "eq-mod-p2": _evaluate_series_case,
-    "eq-sun-asd": _evaluate_series_case,
     "eq-apery": _evaluate_eq_apery,
     "lemma-2-1-i": _evaluate_lemma_2_1,
     "lemma-2-1-ii": _evaluate_lemma_2_1,
@@ -699,10 +771,25 @@ _DISPATCH = {
 }
 
 
-def evaluate_case(case: CongruenceCase, settings: EngineSettings = DEFAULT_SETTINGS) -> CaseResult:
-    """Evaluate one case; degeneracies become errored results, never raises."""
+def evaluate_case(
+    case: CongruenceCase,
+    settings: EngineSettings = DEFAULT_SETTINGS,
+    partial_sums: dict[int, int] | None = None,
+) -> CaseResult:
+    """Evaluate one case; degeneracies become errored results, never raises.
+
+    On the modular path a series case reads S_N mod p^E (E at least its
+    working precision) from `partial_sums`, keyed by N.  run_cases passes
+    them from the streams it shares across the sweep; without them the case
+    is planned and streamed on its own.
+    """
     try:
-        return _DISPATCH[case.suite](case, settings)
+        if case.suite not in SERIES_SUITES:
+            return _DISPATCH[case.suite](case, settings)
+        if partial_sums is None:
+            sums = _run_streams(_plan_streams([case], settings))
+            partial_sums = sums.get(_stream_key(case, settings))
+        return _evaluate_series_case(case, settings, partial_sums)
     except (NotPIntegralError, PrecisionExhaustedError, ZeroDivisionError) as exc:
         return CaseResult(case, _required_exponent(case), None, False, error=str(exc))
 
@@ -1007,9 +1094,13 @@ def enumerate_cases(
     return cases
 
 
-def _pool_eval(payload: tuple[CongruenceCase, EngineSettings]) -> CaseResult:
-    case, settings = payload
-    return evaluate_case(case, settings)
+def pool_size(jobs: int, units: int) -> int:
+    """Worker processes worth starting: no more than asked for, CPUs, or work units."""
+    return max(1, min(jobs, os.cpu_count() or 1, units))
+
+
+def _pool_eval(payload: tuple[CongruenceCase, EngineSettings, dict[int, int] | None]) -> CaseResult:
+    return evaluate_case(*payload)
 
 
 def run_cases(
@@ -1017,14 +1108,22 @@ def run_cases(
     settings: EngineSettings = DEFAULT_SETTINGS,
     jobs: int = 1,
 ) -> list[CaseResult]:
-    """Evaluate cases (optionally on a process pool) and sort deterministically."""
-    if jobs > 1 and len(cases) > 1:
-        payloads = [(c, settings) for c in cases]
-        chunk = max(1, len(cases) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """Evaluate cases (optionally on a process pool) and sort deterministically.
+
+    The modular series values are streamed first, once per (p, m, variant);
+    on a pool the streams are mapped, largest first, before the cases.
+    """
+    streams = _plan_streams(cases, settings)
+    workers = pool_size(jobs, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            sums = _run_streams(streams, pool)
+            payloads = [(c, settings, sums.get(_stream_key(c, settings))) for c in cases]
+            chunk = max(1, len(cases) // (workers * 8))
             results = list(pool.map(_pool_eval, payloads, chunksize=chunk))
     else:
-        results = [evaluate_case(c, settings) for c in cases]
+        sums = _run_streams(streams)
+        results = [evaluate_case(c, settings, sums.get(_stream_key(c, settings))) for c in cases]
     return sorted(results, key=lambda result: result.case.sort_key())
 
 

@@ -100,32 +100,48 @@ def central_binomial_stream(ctx: PadicCtx, k_max: int) -> Iterator[PadicApprox]:
 def s_sum_mod_with_checkpoints(
     N: int, spec: SeriesSpec, ctx: PadicCtx, checkpoints: Sequence[int] = ()
 ) -> tuple[PadicApprox, dict[int, PadicApprox]]:
-    """S_N mod p^prec, plus the partial sums at the requested term counts."""
+    """S_N mod p^prec, plus the partial sums at the requested term counts.
+
+    Inverse-free: term k is p^v * T / D, where v is the exact valuation of
+    C(2k,k), T the product over j < k of the p-free part of ±2(2j+1) and D
+    the product of m times the p-free part of j+1, both mod p^prec.  The
+    running sum is kept as A / D, so the only modular inverse is one
+    pow(D, -1) per reported partial sum.  Needs p not dividing m.
+    """
     if N < 0:
         raise ValueError(f"term count must be >= 0, got {N}")
-    if spec.m % ctx.p == 0:
+    p, prec, mod, m = ctx.p, ctx.prec, ctx.modulus, spec.m
+    if m % p == 0:
         raise NotPIntegralError(
-            f"series terms at m = {spec.m} are not p-integral for p = {ctx.p}"
+            f"series terms at m = {m} are not p-integral for p = {p}"
         )
-    p, mod = ctx.p, ctx.modulus
-    z = pow(spec.m, -1, mod)
-    if spec.variant == "literal":
-        z = mod - z
+    sign = -1 if spec.variant == "literal" else 1
     wanted = {c for c in checkpoints if 0 <= c <= N}
-    taken: dict[int, PadicApprox] = {}
-    acc = 0
-    zpow = 1
-    stream = _central_binomial_vu(ctx, N - 1) if N else iter(())
-    for k, (v, u) in enumerate(stream):
-        if k in wanted:
-            taken[k] = PadicApprox.from_residue(ctx, acc)
-        pv = p**v if v < ctx.prec else 0
-        acc = (acc + pv * u % mod * zpow) % mod
-        zpow = zpow * z % mod
-    final = PadicApprox.from_residue(ctx, acc)
-    if N in wanted:
-        taken[N] = final
-    return final, taken
+    sums: dict[int, int] = {}
+    a, t, d, v, pv = 0, 1, 1, 0, 1
+    k = 0
+    for stop in sorted(wanted | {N}):
+        for k in range(k, stop):
+            a += pv * t
+            num, den = sign * (4 * k + 2), k + 1
+            if num % p == 0 or den % p == 0:
+                while num % p == 0:
+                    num //= p
+                    v += 1
+                while den % p == 0:
+                    den //= p
+                    v -= 1
+                # v falls as well as rises, so p^v is recomputed exactly
+                # rather than carried as a residue that would stick at 0.
+                pv = p**v if v < prec else 0
+            dm = den * m
+            a = a * dm % mod
+            d = d * dm % mod
+            t = t * num % mod
+        k = stop
+        sums[stop] = a * pow(d, -1, mod) % mod
+    taken = {c: PadicApprox.from_residue(ctx, sums[c]) for c in wanted}
+    return PadicApprox.from_residue(ctx, sums[N]), taken
 
 
 def s_sum_mod(N: int, spec: SeriesSpec, ctx: PadicCtx) -> PadicApprox:

@@ -105,6 +105,11 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--primes", "bogus"])
         assert exc.value.code == 2
+        for command in ("verify", "scan"):
+            for jobs in ("0", "-5", "two"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--suite", "eq-mod-p", "--jobs", jobs])
+                assert exc.value.code == 2
 
     def test_byte_identical_reports(self, tmp_path):
         args = [

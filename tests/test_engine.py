@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from asdcong.engine import (
     check_theorem_m4,
     enumerate_cases,
     fermat_quotient_factor,
+    pool_size,
     run_cases,
     run_suite,
     series_asd_spec,
@@ -33,7 +35,10 @@ from asdcong.engine import (
     synthesize_block_sequence,
 )
 from asdcong.exactcore import INF, vp
-from asdcong.lucas import LucasParams, lucas_u
+from asdcong.lucas import LucasParams, legendre, lucas_u
+from asdcong.padic import PadicCtx, from_rational, required_guard
+from asdcong.report import Report
+from asdcong.series import SeriesSpec, s_sum_mod
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
@@ -394,6 +399,25 @@ class TestDualPath:
                 assert oracle.achieved.kind == "infinite" or oracle.achieved.value >= bound
 
 
+def per_case_modular_valuation(case):
+    """The modular verdict from streams of the case's own, at its own precision."""
+    p, n, a = case.p, case.n, case.alpha
+    m = 4 if case.suite == "thm-m4" else case.m
+    spec = SeriesSpec(m, case.variant)
+    sym = legendre(m * (m - 4), p)
+    hi, lo = n * p**a, n * p ** (a - 1)
+    required = a + 1 if case.suite == "eq-sun-asd" else 2 * a
+    ctx = PadicCtx(p, required_guard(hi, required, p))
+    factor = p if case.suite == "thm-m4" else sym
+    diff = s_sum_mod(hi, spec, ctx) - from_rational(factor, ctx) * s_sum_mod(lo, spec, ctx)
+    if case.suite == "eq-sun-asd":
+        rhs = Fraction(lo, m ** (lo - 1)) * math.comb(2 * lo - 1, lo - 1) * lucas_u(p - sym, LucasParams(m - 2))
+        diff = diff - from_rational(rhs, ctx)
+    if diff.is_zero_class():
+        return AchievedValuation.at_least(diff.prec)
+    return AchievedValuation.exact(diff.v)
+
+
 class TestSweeps:
     def test_enumeration_filters(self):
         cases = enumerate_cases("thm-main")
@@ -459,6 +483,49 @@ class TestSweeps:
             "error",
         }
         assert doc["summary"]["min_margin_by_suite"]["eq-apery"] == 0  # exactly 3 vs 3
+
+    def test_pool_size(self):
+        cpus = os.cpu_count() or 1
+        assert pool_size(1, 100) == 1
+        assert pool_size(10**6, 100) == min(cpus, 100)
+        assert pool_size(10**6, 1) == 1
+        assert pool_size(2, 0) == 1
+        assert pool_size(0, 100) == pool_size(-5, 100) == 1
+
+    def test_shared_streams(self):
+        # Cases of one (p, m, variant) at different working precisions share
+        # one stream; each must see what a stream of its own would give.
+        cases = [
+            CongruenceCase("thm-main", p=3, m=m, n=n, alpha=a, variant="corrected")
+            for m in (1, 2)
+            for n in (1, 2, 3)
+            for a in range(1, 6)
+        ]
+        cases += [
+            CongruenceCase("thm-m4", p=p, n=n, alpha=a, variant=variant)
+            for p in (3, 5)
+            for n in (1, 2)
+            for a in (1, 2, 3)
+            for variant in ("corrected", "literal")
+        ]
+        cases += [
+            CongruenceCase("eq-sun-asd", p=3, m=m, n=n, alpha=a, variant="corrected")
+            for m in (-4, 1, 2, 4)
+            for n in (1, 2)
+            for a in (1, 2)
+        ]
+        precs = {}
+        for c in cases:
+            index = c.n * c.p**c.alpha
+            required = c.alpha + 1 if c.suite == "eq-sun-asd" else 2 * c.alpha
+            precs.setdefault((c.p, c.m, c.variant), set()).add(required_guard(index, required, c.p))
+        assert len(precs[(3, 1, "corrected")]) > 1
+
+        serial, parallel = (run_cases(cases, MODULAR_ONLY, jobs) for jobs in (1, 2))
+        assert Report.from_results({}, serial).to_json_text() == Report.from_results({}, parallel).to_json_text()
+        for result in serial:
+            assert result.path == "modular"
+            assert result.achieved == per_case_modular_valuation(result.case)
 
     def test_sorting_stability(self):
         cases = enumerate_cases("eq-mod-p", SweepRanges(primes=(5, 3), m_values=(2, -2, 1)))

@@ -73,24 +73,33 @@ class TestSSumMod:
             s_sum_mod(4, SeriesSpec(10), PadicCtx(5, 2))
 
     def test_matches_oracle(self):
-        for p, prec in ((3, 5), (5, 4), (7, 3)):
+        # (3, 2) at N = 3^6: valuations of C(2k,k) rise past prec and fall back.
+        for p, prec, extra in ((3, 5, ()), (5, 4, ()), (7, 3, ()), (3, 2, (3**6,))):
             ctx = PadicCtx(p, prec)
-            for m in (1, 2, 3, 4, -5, 9):
+            for m in (1, 2, 3, 4, -1, -5, 9):
                 if m % p == 0:
                     continue
                 for variant in ("corrected", "literal"):
                     spec = SeriesSpec(m, variant)
-                    for N in (0, 1, 2, p, 3 * p**2, 500):
+                    for N in (0, 1, 2, p, 3 * p**2, 500, *extra):
                         expected = from_rational(s_sum_exact(N, spec), ctx)
                         assert s_sum_mod(N, spec, ctx) == expected
 
     def test_checkpoints(self):
-        ctx = PadicCtx(7, 4)
-        spec = SeriesSpec(3)
-        final, parts = s_sum_mod_with_checkpoints(300, spec, ctx, (0, 50, 300))
-        assert parts[0].is_zero_class()
-        assert parts[50] == from_rational(s_sum_exact(50, spec), ctx)
-        assert parts[300] == final == from_rational(s_sum_exact(300, spec), ctx)
+        cases = (
+            (PadicCtx(7, 4), SeriesSpec(3), 300, (0, 50, 300)),
+            (PadicCtx(3, 2), SeriesSpec(-2, "literal"), 3**6, (-1, 0, 13, 3**5, 3**5 + 1, 3**6 + 1)),
+            (PadicCtx(3, 3), SeriesSpec(4), 40, range(41)),
+            (PadicCtx(5, 2), SeriesSpec(-7, "literal"), 40, range(41)),
+        )
+        for ctx, spec, N, checkpoints in cases:
+            final, parts = s_sum_mod_with_checkpoints(N, spec, ctx, checkpoints)
+            assert set(parts) == {c for c in checkpoints if 0 <= c <= N}
+            assert final == from_rational(s_sum_exact(N, spec), ctx)
+            for c, value in parts.items():
+                assert value == from_rational(s_sum_exact(c, spec), ctx)
+            if 0 in parts:
+                assert parts[0].is_zero_class()
 
 
 class TestCentralBinomialStream:
