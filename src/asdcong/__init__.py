@@ -5,12 +5,9 @@ from ._version import __version__
 from .exactcore import (
     INF,
     CongruenceVerdict,
-    ExactInt,
-    ExactRat,
     NotPIntegralError,
     binomial,
     is_prime,
-    pochhammer,
     rat_congruent,
     vp,
 )
@@ -22,26 +19,15 @@ from .padic import (
     from_rational,
     required_guard,
 )
-from .lucas import LucasParams, jacobi, legendre, lucas_period, lucas_u, lucas_u_mod
-from .series import (
-    HyperSpec,
-    SeriesSpec,
-    apery,
-    central_binomial_stream,
-    hyper_truncated_exact,
-    s_sum_exact,
-    s_sum_mod,
-)
+from .lucas import LucasParams, jacobi, legendre, lucas_u, lucas_u_mod
+from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod
 from .engine import (
     AchievedValuation,
-    AsdSpec,
     CaseResult,
     CongruenceCase,
     EngineSettings,
     SUITES,
     SweepRanges,
-    apery_asd_spec,
-    asd_check,
     check_apery,
     check_eq_mod_p,
     check_eq_mod_p2,
@@ -50,7 +36,6 @@ from .engine import (
     check_lemma_2_1,
     check_lemma_2_3,
     check_lemma_2_4,
-    check_lemma_2_5,
     check_theorem_main,
     check_theorem_m4,
     enumerate_cases,
@@ -58,7 +43,6 @@ from .engine import (
     fermat_quotient_factor,
     run_cases,
     run_suite,
-    series_asd_spec,
     sun_tauraso_lhs,
     sun_tauraso_rhs,
     synthesize_block_sequence,

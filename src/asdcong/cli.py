@@ -15,18 +15,9 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .engine import (
-    DEFAULT_SETTINGS,
-    EngineSettings,
-    SUITE_DEFAULTS,
-    SweepRanges,
-    enumerate_cases,
-    run_cases,
-    run_suite,
-)
+from .engine import DEFAULT_SETTINGS, SUITES, EngineSettings, SweepRanges, run_suite
 from .lucas import LucasParams, lucas_u, lucas_u_mod
 from .padic import PadicCtx, from_rational
-from .report import Report
 from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod
 
 
@@ -66,18 +57,23 @@ def _int_values_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _jobs_arg(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _int_at_least(low: int):
+    """An argparse type for integers >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--suite", default="all", choices=("all", *SUITE_DEFAULTS))
+    cmd.add_argument("--suite", default="all", choices=("all", *SUITES))
     cmd.add_argument("--primes", type=_int_values_arg, metavar="A..B|LIST",
                      help="candidate primes; non-(odd-prime) values are skipped")
     cmd.add_argument("--m", type=_int_values_arg, metavar="LIST",
@@ -86,11 +82,12 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--alpha", type=_int_values_arg, metavar="A..B|LIST")
     cmd.add_argument("--s", type=_int_values_arg, metavar="A..B|LIST")
     cmd.add_argument("--l", type=_int_values_arg, metavar="A..B|LIST")
-    cmd.add_argument("--trials", type=int, help="trial count for synthesized-sequence suites")
+    cmd.add_argument("--trials", type=_int_at_least(0),
+                     help="trial count for synthesized-sequence suites")
     cmd.add_argument("--variant", default="corrected", choices=("corrected", "literal"))
     cmd.add_argument("--max-index", type=int, default=None,
                      help="cap on the largest summation bound n*p^alpha")
-    cmd.add_argument("--jobs", type=_jobs_arg, default=1,
+    cmd.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="worker processes (at most one per CPU and per case)")
     cmd.add_argument("--seed", type=int, default=0, help="seed for synthesized sequences")
     cmd.add_argument("--oracle-cutoff", type=int, default=DEFAULT_SETTINGS.oracle_cutoff,
@@ -119,8 +116,8 @@ def _settings_from_args(args: argparse.Namespace) -> EngineSettings:
     )
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    report = run_suite(
+def _run_sweep(args: argparse.Namespace):
+    return run_suite(
         args.suite,
         ranges=_ranges_from_args(args),
         variant=args.variant,
@@ -128,6 +125,10 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         jobs=args.jobs,
         settings=_settings_from_args(args),
     )
+
+
+def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    report = _run_sweep(args)
     text = report.to_json_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -154,24 +155,10 @@ def _result_line(result) -> str:
 
 
 def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    ranges = _ranges_from_args(args)
-    settings = _settings_from_args(args)
-    suites = list(SUITE_DEFAULTS) if args.suite == "all" else [args.suite]
-    cases = []
-    for suite in suites:
-        cases.extend(enumerate_cases(suite, ranges, args.variant, args.max_index))
-    cases.sort(key=lambda c: c.sort_key())
-    hits = 0
-    chunk_size = 64
-    for start in range(0, len(cases), chunk_size):
-        for result in run_cases(cases[start : start + chunk_size], settings, args.jobs):
-            if result.error is None and result.passed:
-                continue
-            print(_result_line(result))
-            hits += 1
-            if args.stop_after and hits >= args.stop_after:
-                return 1
-    return 1 if hits else 0
+    failures = _run_sweep(args).failures()
+    for result in failures[: args.stop_after or None]:
+        print(_result_line(result))
+    return 1 if failures else 0
 
 
 def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -232,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="run sweeps, print failures/errors only")
     _add_sweep_flags(scan)
-    scan.add_argument("--stop-after", type=int, default=0, metavar="F",
-                      help="stop after F failures (0 = never)")
+    scan.add_argument("--stop-after", type=_int_at_least(0), default=0, metavar="F",
+                      help="print at most F failures (0 = all)")
     scan.set_defaults(func=cmd_scan)
 
     ev = sub.add_parser("eval", help="print one value, exact or modulo p^e")

@@ -1,9 +1,10 @@
 """Congruence cases and their dual-path evaluation.
 
-Every congruence statement the package knows about is a suite of cases.  A
-case is evaluated on the exact-rational oracle path, on the modular residue
-pipeline, or on both; when both run they must agree (disagreement is a bug
-detector and aborts the sweep, it is never reported as a mere failure).
+Every congruence statement the package knows about is a suite of cases,
+described by one `Suite` record in `SUITES`.  A case is evaluated on the
+exact-rational oracle path, on the modular residue pipeline, or on both; when
+both run they must agree (disagreement is a bug detector and aborts the
+sweep, it is never reported as a mere failure).
 
 Verdict semantics: a case passes when the p-adic valuation of LHS - RHS
 reaches the required exponent.  Degenerate inputs (e.g. p dividing the series
@@ -18,6 +19,9 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 from .exactcore import (
@@ -37,32 +41,7 @@ from .padic import (
     from_rational,
     required_guard,
 )
-from .series import (
-    SeriesSpec,
-    apery,
-    central_binomial_stream,
-    s_sum_exact,
-    s_sum_mod_with_checkpoints,
-)
-
-SUITES = (
-    "thm-main",
-    "thm-m4",
-    "eq-apery",
-    "eq-mod-p",
-    "eq-mod-p2",
-    "eq-sun-asd",
-    "lemma-2-1-i",
-    "lemma-2-1-ii",
-    "lemma-2-1-iii",
-    "lemma-2-2",
-    "lemma-2-3",
-    "lemma-2-4",
-    "lemma-2-5",
-)
-
-#: Suites evaluated through both the exact oracle and the residue pipeline.
-SERIES_SUITES = ("thm-main", "thm-m4", "eq-mod-p", "eq-mod-p2", "eq-sun-asd")
+from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod_with_checkpoints
 
 
 class EngineSelfCheckError(RuntimeError):
@@ -155,22 +134,7 @@ def _check_paths_agree(case: CongruenceCase, oracle: AchievedValuation, modular:
 # Cases and results
 # ---------------------------------------------------------------------------
 
-_SUITE_FIELDS = {
-    "thm-main": ("p", "m", "n", "alpha", "variant"),
-    "thm-m4": ("p", "n", "alpha", "variant"),
-    "eq-apery": ("p", "n", "alpha"),
-    "eq-mod-p": ("p", "m", "variant"),
-    "eq-mod-p2": ("p", "m", "variant"),
-    "eq-sun-asd": ("p", "m", "n", "alpha", "variant"),
-    "lemma-2-1-i": ("p", "n", "alpha", "k"),
-    "lemma-2-1-ii": ("p", "n", "alpha", "k"),
-    "lemma-2-1-iii": ("p", "n", "alpha", "k"),
-    "lemma-2-2": ("m", "n"),
-    "lemma-2-3": ("p", "m", "alpha", "s"),
-    "lemma-2-4": ("p", "m", "n", "alpha", "s", "l"),
-    "lemma-2-5": ("p", "alpha", "l", "trial"),
-    "asd-custom": ("p", "n", "alpha"),
-}
+_PARAMS = ("p", "m", "n", "alpha", "s", "l", "k", "variant", "trial")
 
 _SORT_SENTINEL = -(2**62)
 
@@ -180,8 +144,8 @@ class CongruenceCase:
     """One fully-instantiated congruence instance.
 
     Only the fields applicable to the suite may be set; construction
-    validates applicability and the structural preconditions (primality,
-    ranges, parity of k for the binomial-transfer parts, alpha >= s, ...).
+    validates applicability, the structural preconditions (primality,
+    ranges, 0 <= k <= n p^alpha, ...) and the suite's own rule.
     """
 
     suite: str
@@ -196,10 +160,11 @@ class CongruenceCase:
     trial: int | None = None
 
     def __post_init__(self) -> None:
-        if self.suite not in _SUITE_FIELDS:
+        if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        wanted = _SUITE_FIELDS[self.suite]
-        for f in ("p", "m", "n", "alpha", "s", "l", "k", "variant", "trial"):
+        suite = SUITES[self.suite]
+        wanted = suite.fields
+        for f in _PARAMS:
             value = getattr(self, f)
             if f in wanted and value is None:
                 raise ValueError(f"suite {self.suite} requires parameter {f}")
@@ -207,33 +172,25 @@ class CongruenceCase:
                 raise ValueError(f"suite {self.suite} does not take parameter {f}")
         if self.p is not None:
             require_odd_prime(self.p)
-        if self.suite == "eq-apery" and self.p < 5:
-            raise ValueError("the Apery congruence needs p >= 5")
         for f in ("n", "alpha"):
             value = getattr(self, f)
             if value is not None and value < 1:
                 raise ValueError(f"{f} must be >= 1, got {value}")
-        if self.s is not None and not 1 <= self.s <= self.alpha:
-            raise ValueError(f"need 1 <= s <= alpha, got s={self.s}, alpha={self.alpha}")
         if self.l is not None and self.l < 0:
             raise ValueError(f"l must be >= 0, got {self.l}")
         if self.trial is not None and self.trial < 0:
             raise ValueError(f"trial must be >= 0, got {self.trial}")
         if self.variant is not None and self.variant not in ("corrected", "literal"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.m is not None:
-            if self.suite in ("thm-main", "lemma-2-4") and self.m not in (1, 2, 3):
-                raise ValueError(f"suite {self.suite} needs m in {{1,2,3}}, got {self.m}")
-            if self.m == 0:
-                raise ValueError("m must be nonzero")
+        if self.m == 0:
+            raise ValueError("m must be nonzero")
         if self.k is not None:
             top = self.p**self.alpha * self.n
             if not 0 <= self.k <= top:
                 raise ValueError(f"need 0 <= k <= {top}, got k={self.k}")
-            if self.suite == "lemma-2-1-i" and self.k % self.p != 0:
-                raise ValueError(f"part (i) needs p | k, got k={self.k}")
-            if self.suite == "lemma-2-1-ii" and self.k % self.p == 0:
-                raise ValueError(f"part (ii) needs p not dividing k, got k={self.k}")
+        reason = suite.rule(self) if suite.rule is not None else None
+        if reason:
+            raise ValueError(f"suite {self.suite} {reason}")
 
     def sort_key(self) -> tuple:
         def key(x):
@@ -253,10 +210,7 @@ class CongruenceCase:
         )
 
     def params_dict(self) -> dict:
-        out = {}
-        for f in _SUITE_FIELDS[self.suite]:
-            out[f] = getattr(self, f)
-        return out
+        return {f: getattr(self, f) for f in SUITES[self.suite].fields}
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params_dict().items())
@@ -312,44 +266,82 @@ class EngineSettings:
 DEFAULT_SETTINGS = EngineSettings()
 
 
-def _required_exponent(case: CongruenceCase) -> int | float:
-    suite = case.suite
-    if suite in ("thm-main", "thm-m4", "lemma-2-1-i", "lemma-2-1-ii"):
-        return 2 * case.alpha
-    if suite == "eq-apery":
-        return 3 * case.alpha
-    if suite == "eq-mod-p":
-        return 1
-    if suite == "eq-mod-p2":
-        return 2
-    if suite == "eq-sun-asd":
-        return case.alpha + 1
-    if suite in ("lemma-2-1-iii", "lemma-2-5"):
-        return case.alpha
-    if suite == "lemma-2-2":
-        return INF
-    if suite in ("lemma-2-3", "lemma-2-4"):
-        return case.s
-    raise ValueError(f"no required exponent for suite {suite!r}")
+@dataclass(frozen=True)
+class SweepRanges:
+    """Parameter ranges for a sweep; None fields fall back to suite defaults."""
+
+    primes: tuple[int, ...] | None = None
+    m_values: tuple[int, ...] | None = None
+    n_values: tuple[int, ...] | None = None
+    alpha_values: tuple[int, ...] | None = None
+    s_values: tuple[int, ...] | None = None
+    l_values: tuple[int, ...] | None = None
+    trials: int | None = None
 
 
-def _case_index(case: CongruenceCase) -> int:
-    """Largest summation bound the case touches; drives the path choice."""
-    if case.suite in ("thm-main", "thm-m4", "eq-sun-asd", "eq-apery"):
-        return case.n * case.p**case.alpha
-    if case.suite in ("eq-mod-p", "eq-mod-p2"):
-        return case.p
-    if case.suite.startswith("lemma-2-1"):
-        return case.n * case.p**case.alpha
-    if case.suite == "lemma-2-2":
-        return case.n
-    if case.suite == "lemma-2-3":
-        return case.p**case.alpha
-    if case.suite == "lemma-2-4":
-        return max(case.n * case.p**case.alpha, (case.l + 1) * case.p**case.s)
-    if case.suite == "lemma-2-5":
-        return (case.l + 1) * case.p**case.alpha
-    return 0
+# ---------------------------------------------------------------------------
+# Suite records
+# ---------------------------------------------------------------------------
+
+#: (lhs, rhs) of a case as exact rationals.
+Sides = Callable[[CongruenceCase], tuple[Fraction, Fraction]]
+#: (lhs, rhs) of a series case modulo p^E, given S_N mod p^E by N.
+ModularSides = Callable[
+    [CongruenceCase, PadicCtx, Callable[[int], PadicApprox]], tuple[PadicApprox, PadicApprox]
+]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """Everything the engine knows about one statement.
+
+    `index` is the largest summation bound a case touches: it picks the
+    evaluation path and is what the sweep's index cap bounds.  The verdict
+    compares vp(lhs - rhs) from `exact` with `required`, unless the statement
+    is of another kind and brings its own `evaluate`.  A series suite (one
+    with `modular`) reads S_N(m) mod p^E at the term counts `points` from the
+    sweep's shared stream, and is checked on either path or both.
+
+    `index` and `rule` read only the case's parameters: the enumerator
+    applies them to a candidate's values before it builds the case.
+    """
+
+    fields: tuple[str, ...]
+    required: Callable[[CongruenceCase], int | float]
+    index: Callable[[CongruenceCase], int]
+    defaults: SweepRanges
+    cap: int
+    exact: Sides | None = None
+    evaluate: Callable[[CongruenceCase, EngineSettings], CaseResult] | None = None
+    modular: ModularSides | None = None
+    points: Callable[[CongruenceCase], tuple[int, ...]] | None = None
+    #: A condition beyond the shared ones: returns why a case breaks it.
+    rule: Callable[[CongruenceCase], str | None] | None = None
+    #: The series base when the statement fixes it rather than taking m.
+    m: int | None = None
+    #: Why the statement is ill-posed when p | m (such cases are errored).
+    p_divides_m: str | None = None
+
+
+def _top(case) -> int:
+    return case.n * case.p**case.alpha
+
+
+def _scaled(case) -> tuple[int, int]:
+    """n p^alpha and n p^(alpha-1): the term counts a scaling law compares."""
+    return _top(case), case.n * case.p ** (case.alpha - 1)
+
+
+def _m_in_1_2_3(case) -> str | None:
+    if case.m not in (1, 2, 3):
+        return f"needs m in {{1,2,3}}, got {case.m}"
+    return None
+
+
+def _s_at_most_alpha(case) -> str | None:
+    if not 1 <= case.s <= case.alpha:
+        return f"needs 1 <= s <= alpha, got s={case.s}, alpha={case.alpha}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -379,142 +371,330 @@ def sun_tauraso_rhs(m: int, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Generic two-term scaling congruence
+# Series suites: exact and modular sides
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsdSpec:
-    """A sequence with a claimed scaling law a_{idx(n,a)} ≡ λ a_{idx(n,a-1)} mod p^{e(a)}."""
-
-    sequence: Callable[[int], Fraction]
-    multiplier: Fraction
-    exponent: Callable[[int], int]
-    index_map: Callable[[int, int], int]
-    label: str = ""
+def _statement_m(case: CongruenceCase) -> int | None:
+    """The case's m, or the series base its suite fixes in place of one."""
+    return SUITES[case.suite].m if case.m is None else case.m
 
 
-def asd_check(spec: AsdSpec, p: int, n: int, alpha: int) -> CaseResult:
-    """Evaluate vp(a_hi - λ a_lo) against the scaling law's exponent function."""
-    case = CongruenceCase("asd-custom", p=p, n=n, alpha=alpha)
-    required = spec.exponent(alpha)
-    try:
-        lhs = Fraction(spec.sequence(spec.index_map(n, alpha)))
-        rhs = spec.multiplier * Fraction(spec.sequence(spec.index_map(n, alpha - 1)))
-        verdict = rat_congruent(lhs, rhs, p, required)
-    except NotPIntegralError as exc:
-        return CaseResult(case, required, None, False, error=str(exc))
-    achieved = _oracle_achieved(verdict.achieved)
-    return CaseResult(case, required, achieved, verdict.holds, lhs=lhs, rhs=rhs)
+def _series_spec(case: CongruenceCase) -> SeriesSpec:
+    return SeriesSpec(_statement_m(case), case.variant)
 
 
-def apery_asd_spec(p: int) -> AsdSpec:
-    """Apery numbers at indices n p^alpha - 1, multiplier 1, exponent 3 alpha."""
-    if p < 5:
-        raise ValueError("the Apery congruence needs p >= 5")
-    require_odd_prime(p)
-    return AsdSpec(
-        sequence=lambda i: Fraction(apery(i)),
-        multiplier=Fraction(1),
-        exponent=lambda a: 3 * a,
-        index_map=lambda n, a: n * p**a - 1,
-        label=f"apery@p={p}",
-    )
+def _symbol(case: CongruenceCase) -> int:
+    """(m(m-4)/p)."""
+    m = _statement_m(case)
+    return legendre(m * (m - 4), case.p)
 
 
-def series_asd_spec(p: int, m: int, variant: str = "corrected") -> AsdSpec:
-    """S_N(m) at N = n p^alpha, multiplier (m(m-4)/p), exponent 2 alpha."""
-    require_odd_prime(p)
-    spec = SeriesSpec(m, variant)
-    return AsdSpec(
-        sequence=lambda i: s_sum_exact(i, spec),
-        multiplier=Fraction(legendre(m * (m - 4), p)),
-        exponent=lambda a: 2 * a,
-        index_map=lambda n, a: n * p**a,
-        label=f"series@p={p},m={m},{variant}",
-    )
+def _lucas_term(case: CongruenceCase) -> tuple[int, LucasParams]:
+    """The index and parameters of u_{p - (m(m-4)/p)}(m-2, 1)."""
+    return case.p - _symbol(case), LucasParams(_statement_m(case) - 2)
 
 
-# ---------------------------------------------------------------------------
-# Series suites: oracle and modular sides
-# ---------------------------------------------------------------------------
+def _scaling_exact(
+    multiplier: Callable[[CongruenceCase], int], case: CongruenceCase
+) -> tuple[Fraction, Fraction]:
+    spec = _series_spec(case)
+    hi, lo = _scaled(case)
+    return s_sum_exact(hi, spec), multiplier(case) * s_sum_exact(lo, spec)
 
 
-def _series_m(case: CongruenceCase) -> int:
-    return 4 if case.suite == "thm-m4" else case.m
-
-
-def _series_sides_exact(case: CongruenceCase) -> tuple[Fraction, Fraction]:
-    p = case.p
-    m = _series_m(case)
-    spec = SeriesSpec(m, case.variant)
-    sym = legendre(m * (m - 4), p)
-    if case.suite == "thm-main":
-        return (
-            s_sum_exact(case.n * p**case.alpha, spec),
-            sym * s_sum_exact(case.n * p ** (case.alpha - 1), spec),
-        )
-    if case.suite == "thm-m4":
-        return (
-            s_sum_exact(case.n * p**case.alpha, spec),
-            p * s_sum_exact(case.n * p ** (case.alpha - 1), spec),
-        )
-    if case.suite == "eq-mod-p":
-        return s_sum_exact(p, spec), Fraction(sym)
-    if case.suite == "eq-mod-p2":
-        u = lucas_u(p - sym, LucasParams(m - 2))
-        return s_sum_exact(p, spec), Fraction(sym + u)
-    if case.suite == "eq-sun-asd":
-        M = case.n * p ** (case.alpha - 1)
-        lhs = s_sum_exact(case.n * p**case.alpha, spec) - sym * s_sum_exact(M, spec)
-        rhs = (
-            Fraction(M, m ** (M - 1))
-            * binomial(2 * M - 1, M - 1)
-            * lucas_u(p - sym, LucasParams(m - 2))
-        )
-        return lhs, rhs
-    raise ValueError(f"{case.suite} has no exact series evaluator")
-
-
-def _central_binomial_at(ctx: PadicCtx, k: int) -> PadicApprox:
-    value = None
-    for value in central_binomial_stream(ctx, k):
-        pass
-    return value
-
-
-def _series_sides_mod(
-    case: CongruenceCase, ctx: PadicCtx, partial_sums: dict[int, int]
+def _scaling_modular(
+    multiplier: Callable[[CongruenceCase], int], case, ctx, s_sum
 ) -> tuple[PadicApprox, PadicApprox]:
-    p = ctx.p
-    m = _series_m(case)
-    sym = legendre(m * (m - 4), p)
+    hi, lo = _scaled(case)
+    return s_sum(hi), from_rational(multiplier(case), ctx).mul(s_sum(lo))
 
-    def s_sum(N: int) -> PadicApprox:
-        return PadicApprox.from_residue(ctx, partial_sums[N])
 
-    if case.suite == "thm-main":
-        lhs = s_sum(case.n * p**case.alpha)
-        rhs = from_rational(sym, ctx).mul(s_sum(case.n * p ** (case.alpha - 1)))
-        return lhs, rhs
-    if case.suite == "thm-m4":
-        lhs = s_sum(case.n * p**case.alpha)
-        rhs = from_rational(p, ctx).mul(s_sum(case.n * p ** (case.alpha - 1)))
-        return lhs, rhs
-    if case.suite == "eq-mod-p":
-        return s_sum(p), from_rational(sym, ctx)
-    if case.suite == "eq-mod-p2":
-        rhs = from_rational(sym, ctx).add(lucas_u_mod(p - sym, LucasParams(m - 2), ctx))
-        return s_sum(p), rhs
-    if case.suite == "eq-sun-asd":
-        M = case.n * p ** (case.alpha - 1)
-        lhs = s_sum(case.n * p**case.alpha).sub(from_rational(sym, ctx).mul(s_sum(M)))
-        # C(2M-1, M-1) = C(2M, M) / 2, and 2 is a unit here.
-        half_cb = _central_binomial_at(ctx, M).div(from_rational(2, ctx))
-        factor = PadicApprox.from_residue(ctx, M * pow(m, -(M - 1), ctx.modulus))
-        rhs = factor.mul(half_cb).mul(lucas_u_mod(p - sym, LucasParams(m - 2), ctx))
-        return lhs, rhs
-    raise ValueError(f"{case.suite} has no modular series evaluator")
+def _mod_p_exact(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    return s_sum_exact(case.p, _series_spec(case)), Fraction(_symbol(case))
+
+
+def _mod_p_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
+    return s_sum(case.p), from_rational(_symbol(case), ctx)
+
+
+def _mod_p2_exact(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    return s_sum_exact(case.p, _series_spec(case)), Fraction(_symbol(case) + lucas_u(*_lucas_term(case)))
+
+
+def _mod_p2_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
+    return s_sum(case.p), from_rational(_symbol(case), ctx).add(lucas_u_mod(*_lucas_term(case), ctx))
+
+
+def _sun_asd_exact(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    spec = _series_spec(case)
+    hi, M = _scaled(case)
+    lhs = s_sum_exact(hi, spec) - _symbol(case) * s_sum_exact(M, spec)
+    rhs = Fraction(M, spec.m ** (M - 1)) * binomial(2 * M - 1, M - 1) * lucas_u(*_lucas_term(case))
+    return lhs, rhs
+
+
+def _sun_asd_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
+    spec = _series_spec(case)
+    hi, M = _scaled(case)
+    lhs = s_sum(hi).sub(from_rational(_symbol(case), ctx).mul(s_sum(M)))
+    # Term M of the series is sign^M C(2M,M) / m^M and C(2M-1, M-1) is half
+    # of C(2M, M), so M C(2M-1, M-1) / m^(M-1) = M m sign^M (S_{M+1} - S_M) / 2.
+    factor = from_rational(Fraction(M * spec.m * spec.sign**M, 2), ctx)
+    rhs = s_sum(M + 1).sub(s_sum(M)).mul(factor).mul(lucas_u_mod(*_lucas_term(case), ctx))
+    return lhs, rhs
+
+
+def _sun_asd_points(case: CongruenceCase) -> tuple[int, ...]:
+    hi, M = _scaled(case)
+    return hi, M, M + 1
+
+
+# ---------------------------------------------------------------------------
+# Oracle-only suites
+# ---------------------------------------------------------------------------
+
+
+def _apery_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    top, low = _scaled(case)
+    return Fraction(apery(top - 1)), Fraction(apery(low - 1))
+
+
+def _lemma_2_1_i(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    top, low = _scaled(case)
+    return Fraction(binomial(top, case.k)), Fraction(binomial(low, case.k // case.p))
+
+
+def _lemma_2_1_ii(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    (top, low), p, k = _scaled(case), case.p, case.k
+    rhs = Fraction(top, k) * binomial(low - 1, (k - 1) // p) * (-1) ** (k - 1 - (k - 1) // p)
+    return Fraction(binomial(top, k)), rhs
+
+
+def _lemma_2_1_iii(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    (top, low), p, k = _scaled(case), case.p, case.k
+    return Fraction(binomial(top - 1, k)), Fraction(binomial(low - 1, k // p) * (-1) ** (k - k // p))
+
+
+def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
+    lhs = sun_tauraso_lhs(case.m, case.n)
+    rhs = sun_tauraso_rhs(case.m, case.n)
+    equal = lhs == rhs
+    achieved = AchievedValuation.infinite() if equal else AchievedValuation.exact(0)
+    return CaseResult(case, INF, achieved, equal, lhs=lhs, rhs=rhs)
+
+
+def _lemma_2_3_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    return (
+        fermat_quotient_factor(case.m, case.p, case.alpha),
+        fermat_quotient_factor(case.m, case.p, case.s),
+    )
+
+
+def _lemma_2_4_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+    p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
+    params = LucasParams(m - 2)
+    lhs = Fraction(0)
+    for k in range(l * p**s, (l + 1) * p**s):
+        if k == 0 or k % p == 0:
+            continue
+        lhs += Fraction((-1) ** k * lucas_u(p**a * n - k, params), k)
+    tail = lucas_u(p ** (a - s) * n - l, params) + lucas_u(p ** (a - s) * n - l - 1, params)
+    rhs = _symbol(case) ** s * -fermat_quotient_factor(m, p, a) * (-1) ** l * tail
+    return lhs, rhs
+
+
+def synthesize_block_sequence(p: int, alpha: int, l: int, rng: random.Random) -> dict[int, int]:
+    """Random integers on block l at scale p^alpha whose level-s block sums
+    vanish mod p^s for every 1 <= s <= alpha.
+
+    Adjustment goes innermost level first; at level s the excess is already a
+    multiple of p^(s-1), so fixing one entry per block preserves the finer
+    levels.
+    """
+    lo = l * p**alpha
+    seq = {k: rng.randrange(-999, 1000) for k in range(lo, lo + p**alpha)}
+    for s in range(1, alpha + 1):
+        size = p**s
+        for b0 in range(lo, lo + p**alpha, size):
+            excess = sum(seq[k] for k in range(b0, b0 + size)) % p**s
+            seq[b0 + size - 1] -= excess
+    return seq
+
+
+def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
+    """One synthesized block-vanishing sequence; the weighted block sum is
+    checked mod p^alpha for every m' in {1,2,3} and n' in {1,2}."""
+    p, a, l = case.p, case.alpha, case.l
+    rng = random.Random(f"{settings.seed}:{p}:{a}:{l}:{case.trial}")
+    seq = synthesize_block_sequence(p, a, l, rng)
+    worst: int | float = INF
+    for mm in (1, 2, 3):
+        for nn in (1, 2):
+            total = sum(
+                value * binomial(mm * p**a * nn - 1, k) * (-1) ** k
+                for k, value in seq.items()
+            )
+            worst = min(worst, vp(Fraction(total), p))
+    achieved = AchievedValuation.infinite() if worst == INF else AchievedValuation.exact(worst)
+    return CaseResult(case, a, achieved, achieved.satisfies(a))
+
+
+# ---------------------------------------------------------------------------
+# The registry: one record per statement
+# ---------------------------------------------------------------------------
+
+_PRIMES = (3, 5, 7, 11, 13)
+_SMALL_PRIMES = (3, 5, 7)
+_M_AROUND_ZERO = tuple(range(-10, 11))
+_SERIES_ILL_POSED = "series values are not p-integral"
+
+
+def _lemma_2_1(
+    sides: Sides,
+    required: Callable[[CongruenceCase], int],
+    rule: Callable[[CongruenceCase], str | None] | None = None,
+) -> Suite:
+    """One part of Lemma 2.1; the three parts share fields, index and grid."""
+    return Suite(
+        fields=("p", "n", "alpha", "k"),
+        required=required,
+        index=_top,
+        defaults=SweepRanges(primes=_SMALL_PRIMES, n_values=(1, 2), alpha_values=(1, 2)),
+        cap=10_000,
+        exact=sides,
+        rule=rule,
+    )
+
+
+# Desk-scale default grids, one per suite; together they form the default
+# verification sweep.
+SUITES: dict[str, Suite] = {
+    # S_{n p^a}(m) ≡ (m(m-4)/p) S_{n p^(a-1)}(m) mod p^(2a), m in {1,2,3}.
+    "thm-main": Suite(
+        fields=("p", "m", "n", "alpha", "variant"),
+        required=lambda c: 2 * c.alpha,
+        index=_top,
+        defaults=SweepRanges(primes=_PRIMES, m_values=(1, 2, 3), n_values=(1, 2, 3), alpha_values=(1, 2, 3)),
+        cap=10_000,
+        exact=partial(_scaling_exact, _symbol),
+        modular=partial(_scaling_modular, _symbol),
+        points=_scaled,
+        rule=_m_in_1_2_3,
+        p_divides_m=_SERIES_ILL_POSED,
+    ),
+    # S_{n p^a}(4) ≡ p S_{n p^(a-1)}(4) mod p^(2a).
+    "thm-m4": Suite(
+        fields=("p", "n", "alpha", "variant"),
+        required=lambda c: 2 * c.alpha,
+        index=_top,
+        defaults=SweepRanges(primes=_PRIMES, n_values=(1, 2, 3), alpha_values=(1, 2, 3)),
+        cap=10_000,
+        exact=partial(_scaling_exact, attrgetter("p")),
+        modular=partial(_scaling_modular, attrgetter("p")),
+        points=_scaled,
+        m=4,
+        p_divides_m=_SERIES_ILL_POSED,
+    ),
+    # A_{n p^a - 1} ≡ A_{n p^(a-1) - 1} mod p^(3a), p >= 5.
+    "eq-apery": Suite(
+        fields=("p", "n", "alpha"),
+        required=lambda c: 3 * c.alpha,
+        index=_top,
+        defaults=SweepRanges(primes=(5, 7, 11), n_values=(1, 2), alpha_values=(1, 2)),
+        cap=200,
+        exact=_apery_sides,
+        rule=lambda c: f"needs p >= 5, got p={c.p}" if c.p < 5 else None,
+    ),
+    # S_p(m) ≡ (m(m-4)/p) mod p.
+    "eq-mod-p": Suite(
+        fields=("p", "m", "variant"),
+        required=lambda c: 1,
+        index=lambda c: c.p,
+        defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO),
+        cap=10_000,
+        exact=_mod_p_exact,
+        modular=_mod_p_modular,
+        points=lambda c: (c.p,),
+        p_divides_m=_SERIES_ILL_POSED,
+    ),
+    # S_p(m) ≡ (m(m-4)/p) + u_{p-(m(m-4)/p)}(m-2, 1) mod p^2.
+    "eq-mod-p2": Suite(
+        fields=("p", "m", "variant"),
+        required=lambda c: 2,
+        index=lambda c: c.p,
+        defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO),
+        cap=10_000,
+        exact=_mod_p2_exact,
+        modular=_mod_p2_modular,
+        points=lambda c: (c.p,),
+        p_divides_m=_SERIES_ILL_POSED,
+    ),
+    # The mod p^(a+1) refinement with the binomial-weighted Lucas correction.
+    "eq-sun-asd": Suite(
+        fields=("p", "m", "n", "alpha", "variant"),
+        required=lambda c: c.alpha + 1,
+        index=_top,
+        defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO, n_values=(1, 2), alpha_values=(1, 2)),
+        cap=1_000,
+        exact=_sun_asd_exact,
+        modular=_sun_asd_modular,
+        points=_sun_asd_points,
+        p_divides_m=_SERIES_ILL_POSED,
+    ),
+    # The binomial transfer congruences, parts (i)-(iii).
+    "lemma-2-1-i": _lemma_2_1(
+        _lemma_2_1_i,
+        lambda c: 2 * c.alpha,
+        lambda c: f"needs p | k, got k={c.k}" if c.k % c.p != 0 else None,
+    ),
+    "lemma-2-1-ii": _lemma_2_1(
+        _lemma_2_1_ii,
+        lambda c: 2 * c.alpha,
+        lambda c: f"needs p not dividing k, got k={c.k}" if c.k % c.p == 0 else None,
+    ),
+    "lemma-2-1-iii": _lemma_2_1(_lemma_2_1_iii, lambda c: c.alpha),
+    # The exact identity m^(n-1) S_n(m) = sum_{k<n} C(2n,k) u_{n-k}(m-2, 1).
+    "lemma-2-2": Suite(
+        fields=("m", "n"),
+        required=lambda c: INF,
+        index=lambda c: c.n,
+        defaults=SweepRanges(m_values=_M_AROUND_ZERO, n_values=tuple(range(1, 101))),
+        cap=10_000,
+        evaluate=_evaluate_lemma_2_2,
+    ),
+    # Fermat-quotient factors at levels alpha and s agree mod p^s.
+    "lemma-2-3": Suite(
+        fields=("p", "m", "alpha", "s"),
+        required=lambda c: c.s,
+        index=lambda c: c.p**c.alpha,
+        defaults=SweepRanges(primes=_SMALL_PRIMES, m_values=(2, 3, 5, 7), alpha_values=(1, 2, 3, 4)),
+        cap=10_000,
+        exact=_lemma_2_3_sides,
+        rule=_s_at_most_alpha,
+        p_divides_m="quotient is not p-integral",
+    ),
+    # Block sums of (-1)^k u_{p^a n - k}/k against the scaled Lucas pair, mod p^s.
+    "lemma-2-4": Suite(
+        fields=("p", "m", "n", "alpha", "s", "l"),
+        required=lambda c: c.s,
+        index=lambda c: max(_top(c), (c.l + 1) * c.p**c.s),
+        defaults=SweepRanges(primes=_SMALL_PRIMES, m_values=(1, 2, 3), n_values=(1, 2), alpha_values=(1, 2, 3)),
+        cap=10_000,
+        exact=_lemma_2_4_sides,
+        rule=lambda c: _m_in_1_2_3(c) or _s_at_most_alpha(c),
+        p_divides_m="the scaling factor is not p-integral",
+    ),
+    # Block-vanishing sequences feeding the alternating binomial-weighted sum.
+    "lemma-2-5": Suite(
+        fields=("p", "alpha", "l", "trial"),
+        required=lambda c: c.alpha,
+        index=lambda c: (c.l + 1) * c.p**c.alpha,
+        defaults=SweepRanges(primes=(3, 5), alpha_values=(1, 2), l_values=(0,), trials=100),
+        cap=10_000,
+        evaluate=_evaluate_lemma_2_5,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +708,19 @@ Stream = tuple[StreamKey, int, tuple[int, ...]]
 
 
 def _working_precision(case: CongruenceCase) -> int:
-    return required_guard(_case_index(case), _required_exponent(case), case.p)
+    suite = SUITES[case.suite]
+    return required_guard(suite.index(case), suite.required(case), case.p)
 
 
 def _stream_key(case: CongruenceCase, settings: EngineSettings) -> StreamKey | None:
     """The series (p, m, variant) a case reads on the modular path, if any."""
-    if case.suite not in SERIES_SUITES:
+    suite = SUITES[case.suite]
+    if suite.modular is None:
         return None
-    m = _series_m(case)
-    if m % case.p == 0 or settings.path_for(_case_index(case)) == "oracle":
+    m = _statement_m(case)
+    if m % case.p == 0 or settings.path_for(suite.index(case)) == "oracle":
         return None
     return case.p, m, case.variant
-
-
-def _stream_points(case: CongruenceCase) -> tuple[int, ...]:
-    """The term counts N at which a series case reads S_N."""
-    if case.suite in ("eq-mod-p", "eq-mod-p2"):
-        return (case.p,)
-    return case.n * case.p**case.alpha, case.n * case.p ** (case.alpha - 1)
 
 
 def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> list[Stream]:
@@ -563,7 +738,7 @@ def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> 
         if key is None:
             continue
         precs[key] = max(precs.get(key, 1), _working_precision(case))
-        points.setdefault(key, set()).update(_stream_points(case))
+        points.setdefault(key, set()).update(SUITES[case.suite].points(case))
     streams = [(key, precs[key], tuple(sorted(points[key]))) for key in precs]
     return sorted(streams, key=lambda s: (s[2][-1], s[1], s[0]), reverse=True)
 
@@ -583,29 +758,23 @@ def _run_streams(
 
 
 def _evaluate_series_case(
-    case: CongruenceCase, settings: EngineSettings, partial_sums: dict[int, int] | None
+    case: CongruenceCase, required: int, settings: EngineSettings, partial_sums: dict[int, int] | None
 ) -> CaseResult:
-    p = case.p
-    m = _series_m(case)
-    required = _required_exponent(case)
-    if m % p == 0:
-        return CaseResult(
-            case,
-            required,
-            None,
-            False,
-            error=f"p = {p} divides m = {m}: series values are not p-integral",
-        )
-    path = settings.path_for(_case_index(case))
+    suite = SUITES[case.suite]
+    path = settings.path_for(suite.index(case))
     lhs = rhs = None
     oracle = modular = None
     if path in ("oracle", "both"):
-        lhs, rhs = _series_sides_exact(case)
-        verdict = rat_congruent(lhs, rhs, p, required)
+        lhs, rhs = suite.exact(case)
+        verdict = rat_congruent(lhs, rhs, case.p, required)
         oracle = _oracle_achieved(verdict.achieved)
     if path in ("modular", "both"):
-        ctx = PadicCtx(p, _working_precision(case))
-        mod_lhs, mod_rhs = _series_sides_mod(case, ctx, partial_sums)
+        ctx = PadicCtx(case.p, _working_precision(case))
+
+        def s_sum(N: int) -> PadicApprox:
+            return PadicApprox.from_residue(ctx, partial_sums[N])
+
+        mod_lhs, mod_rhs = suite.modular(case, ctx, s_sum)
         modular = _modular_achieved(mod_lhs.sub(mod_rhs))
         if lhs is None:
             lhs, rhs = mod_lhs, mod_rhs
@@ -623,154 +792,6 @@ def _evaluate_series_case(
     )
 
 
-# ---------------------------------------------------------------------------
-# Oracle-only suites
-# ---------------------------------------------------------------------------
-
-
-def _oracle_result(case, lhs: Fraction, rhs: Fraction) -> CaseResult:
-    required = _required_exponent(case)
-    verdict = rat_congruent(lhs, rhs, case.p, required)
-    achieved = _oracle_achieved(verdict.achieved)
-    return CaseResult(case, required, achieved, verdict.holds, lhs=lhs, rhs=rhs)
-
-
-def _evaluate_eq_apery(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
-    p = case.p
-    lhs = Fraction(apery(case.n * p**case.alpha - 1))
-    rhs = Fraction(apery(case.n * p ** (case.alpha - 1) - 1))
-    return _oracle_result(case, lhs, rhs)
-
-
-def _evaluate_lemma_2_1(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
-    p, n, a, k = case.p, case.n, case.alpha, case.k
-    top = p**a * n
-    low = p ** (a - 1) * n
-    if case.suite == "lemma-2-1-i":
-        lhs = Fraction(binomial(top, k))
-        rhs = Fraction(binomial(low, k // p))
-    elif case.suite == "lemma-2-1-ii":
-        lhs = Fraction(binomial(top, k))
-        rhs = Fraction(top, k) * binomial(low - 1, (k - 1) // p) * (-1) ** (k - 1 - (k - 1) // p)
-    else:
-        lhs = Fraction(binomial(top - 1, k))
-        rhs = Fraction(binomial(low - 1, k // p) * (-1) ** (k - k // p))
-    return _oracle_result(case, lhs, rhs)
-
-
-def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
-    lhs = sun_tauraso_lhs(case.m, case.n)
-    rhs = sun_tauraso_rhs(case.m, case.n)
-    equal = lhs == rhs
-    achieved = AchievedValuation.infinite() if equal else AchievedValuation.exact(0)
-    return CaseResult(case, INF, achieved, equal, lhs=lhs, rhs=rhs)
-
-
-def _evaluate_lemma_2_3(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
-    if case.m % case.p == 0:
-        return CaseResult(
-            case,
-            _required_exponent(case),
-            None,
-            False,
-            error=f"p = {case.p} divides m = {case.m}: quotient is not p-integral",
-        )
-    lhs = fermat_quotient_factor(case.m, case.p, case.alpha)
-    rhs = fermat_quotient_factor(case.m, case.p, case.s)
-    return _oracle_result(case, lhs, rhs)
-
-
-def _evaluate_lemma_2_4(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
-    p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
-    if m % p == 0:
-        return CaseResult(
-            case,
-            _required_exponent(case),
-            None,
-            False,
-            error=f"p = {p} divides m = {m}: the scaling factor is not p-integral",
-        )
-    params = LucasParams(m - 2)
-    lhs = Fraction(0)
-    for k in range(l * p**s, (l + 1) * p**s):
-        if k == 0 or k % p == 0:
-            continue
-        lhs += Fraction((-1) ** k * lucas_u(p**a * n - k, params), k)
-    sym = legendre(m * (m - 4), p)
-    tail = lucas_u(p ** (a - s) * n - l, params) + lucas_u(p ** (a - s) * n - l - 1, params)
-    rhs = sym**s * -fermat_quotient_factor(m, p, a) * (-1) ** l * tail
-    return _oracle_result(case, lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# Block-vanishing sequences (lemma-2-5)
-# ---------------------------------------------------------------------------
-
-
-def synthesize_block_sequence(
-    p: int,
-    alpha: int,
-    l: int,
-    rng: random.Random,
-    levels: Sequence[int] | None = None,
-) -> dict[int, int]:
-    """Random integers on block l at scale p^alpha whose level-s block sums
-    vanish mod p^s for each requested level (default: every 1 <= s <= alpha).
-
-    Adjustment goes innermost level first; at level s the excess is already a
-    multiple of p^(s-1), so fixing one entry per block preserves the finer
-    levels.
-    """
-    lo = l * p**alpha
-    seq = {k: rng.randrange(-999, 1000) for k in range(lo, lo + p**alpha)}
-    for s in sorted(levels if levels is not None else range(1, alpha + 1)):
-        if not 1 <= s <= alpha:
-            raise ValueError(f"levels must lie in [1, alpha], got {s}")
-        size = p**s
-        for b0 in range(lo, lo + p**alpha, size):
-            excess = sum(seq[k] for k in range(b0, b0 + size)) % p**s
-            seq[b0 + size - 1] -= excess
-    return seq
-
-
-def _lemma_2_5_trial(
-    case: CongruenceCase,
-    seed: int,
-    m_values: Sequence[int] = (1, 2, 3),
-    n_values: Sequence[int] = (1, 2),
-    levels: Sequence[int] | None = None,
-) -> CaseResult:
-    p, a, l = case.p, case.alpha, case.l
-    rng = random.Random(f"{seed}:{p}:{a}:{l}:{case.trial}")
-    seq = synthesize_block_sequence(p, a, l, rng, levels)
-    worst: int | float = INF
-    for mm in m_values:
-        for nn in n_values:
-            total = sum(
-                value * binomial(mm * p**a * nn - 1, k) * (-1) ** k
-                for k, value in seq.items()
-            )
-            worst = min(worst, vp(Fraction(total), p))
-    achieved = AchievedValuation.infinite() if worst == INF else AchievedValuation.exact(worst)
-    return CaseResult(case, a, achieved, achieved.satisfies(a))
-
-
-def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
-    return _lemma_2_5_trial(case, settings.seed)
-
-
-_DISPATCH = {
-    "eq-apery": _evaluate_eq_apery,
-    "lemma-2-1-i": _evaluate_lemma_2_1,
-    "lemma-2-1-ii": _evaluate_lemma_2_1,
-    "lemma-2-1-iii": _evaluate_lemma_2_1,
-    "lemma-2-2": _evaluate_lemma_2_2,
-    "lemma-2-3": _evaluate_lemma_2_3,
-    "lemma-2-4": _evaluate_lemma_2_4,
-    "lemma-2-5": _evaluate_lemma_2_5,
-}
-
-
 def evaluate_case(
     case: CongruenceCase,
     settings: EngineSettings = DEFAULT_SETTINGS,
@@ -783,15 +804,26 @@ def evaluate_case(
     them from the streams it shares across the sweep; without them the case
     is planned and streamed on its own.
     """
+    suite = SUITES[case.suite]
+    required = suite.required(case)
+    m = _statement_m(case)
+    if suite.p_divides_m is not None and m % case.p == 0:
+        error = f"p = {case.p} divides m = {m}: {suite.p_divides_m}"
+        return CaseResult(case, required, None, False, error=error)
     try:
-        if case.suite not in SERIES_SUITES:
-            return _DISPATCH[case.suite](case, settings)
+        if suite.evaluate is not None:
+            return suite.evaluate(case, settings)
+        if suite.modular is None:
+            lhs, rhs = suite.exact(case)
+            verdict = rat_congruent(lhs, rhs, case.p, required)
+            achieved = _oracle_achieved(verdict.achieved)
+            return CaseResult(case, required, achieved, verdict.holds, lhs=lhs, rhs=rhs)
         if partial_sums is None:
             sums = _run_streams(_plan_streams([case], settings))
             partial_sums = sums.get(_stream_key(case, settings))
-        return _evaluate_series_case(case, settings, partial_sums)
+        return _evaluate_series_case(case, required, settings, partial_sums)
     except (NotPIntegralError, PrecisionExhaustedError, ZeroDivisionError) as exc:
-        return CaseResult(case, _required_exponent(case), None, False, error=str(exc))
+        return CaseResult(case, required, None, False, error=str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -880,79 +912,9 @@ def check_lemma_2_4(
     return evaluate_case(case, settings)
 
 
-def check_lemma_2_5(
-    p: int,
-    alpha: int,
-    l: int = 0,
-    n_upper: int = 2,
-    block_exponents: Sequence[int] | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    m_upper: int = 3,
-) -> list[CaseResult]:
-    """Trials of the block-vanishing hypothesis feeding the weighted conclusion.
-
-    Each trial synthesizes a sequence whose level-s block sums vanish mod p^s
-    (levels default to all 1..alpha) and checks the alternating binomial-
-    weighted block sum mod p^alpha over the (m', n') grid.
-    """
-    require_odd_prime(p)
-    results = []
-    for trial in range(trials):
-        case = CongruenceCase("lemma-2-5", p=p, alpha=alpha, l=l, trial=trial)
-        results.append(
-            _lemma_2_5_trial(
-                case,
-                seed,
-                m_values=range(1, m_upper + 1),
-                n_values=range(1, n_upper + 1),
-                levels=block_exponents,
-            )
-        )
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepRanges:
-    """Parameter ranges for a sweep; None fields fall back to suite defaults."""
-
-    primes: tuple[int, ...] | None = None
-    m_values: tuple[int, ...] | None = None
-    n_values: tuple[int, ...] | None = None
-    alpha_values: tuple[int, ...] | None = None
-    s_values: tuple[int, ...] | None = None
-    l_values: tuple[int, ...] | None = None
-    trials: int | None = None
-
-
-# Desk-scale default grids, one per suite; together they form the default
-# verification sweep.
-SUITE_DEFAULTS: dict[str, tuple[SweepRanges, int]] = {
-    "thm-main": (
-        SweepRanges(primes=(3, 5, 7, 11, 13), m_values=(1, 2, 3), n_values=(1, 2, 3), alpha_values=(1, 2, 3)),
-        10_000,
-    ),
-    "thm-m4": (SweepRanges(primes=(3, 5, 7, 11, 13), n_values=(1, 2, 3), alpha_values=(1, 2, 3)), 10_000),
-    "eq-apery": (SweepRanges(primes=(5, 7, 11), n_values=(1, 2), alpha_values=(1, 2)), 200),
-    "eq-mod-p": (SweepRanges(primes=(3, 5, 7, 11, 13), m_values=tuple(range(-10, 11))), 10_000),
-    "eq-mod-p2": (SweepRanges(primes=(3, 5, 7, 11, 13), m_values=tuple(range(-10, 11))), 10_000),
-    "eq-sun-asd": (
-        SweepRanges(primes=(3, 5, 7, 11, 13), m_values=tuple(range(-10, 11)), n_values=(1, 2), alpha_values=(1, 2)),
-        1_000,
-    ),
-    "lemma-2-1-i": (SweepRanges(primes=(3, 5, 7), n_values=(1, 2), alpha_values=(1, 2)), 10_000),
-    "lemma-2-1-ii": (SweepRanges(primes=(3, 5, 7), n_values=(1, 2), alpha_values=(1, 2)), 10_000),
-    "lemma-2-1-iii": (SweepRanges(primes=(3, 5, 7), n_values=(1, 2), alpha_values=(1, 2)), 10_000),
-    "lemma-2-2": (SweepRanges(m_values=tuple(range(-10, 11)), n_values=tuple(range(1, 101))), 10_000),
-    "lemma-2-3": (SweepRanges(primes=(3, 5, 7), m_values=(2, 3, 5, 7), alpha_values=(1, 2, 3, 4)), 10_000),
-    "lemma-2-4": (SweepRanges(primes=(3, 5, 7), m_values=(1, 2, 3), n_values=(1, 2), alpha_values=(1, 2, 3)), 10_000),
-    "lemma-2-5": (SweepRanges(primes=(3, 5), alpha_values=(1, 2), l_values=(0,), trials=100), 10_000),
-}
 
 
 def _merge_ranges(given: SweepRanges | None, defaults: SweepRanges) -> SweepRanges:
@@ -977,120 +939,48 @@ def enumerate_cases(
 ) -> list[CongruenceCase]:
     """All valid cases of a suite over the given (or default) grids.
 
-    Inapplicable combinations (p | m, index cap exceeded, s > alpha, ...) are
-    skipped here; they are not errors, they are simply not instances of the
-    statement.
+    Inapplicable combinations (m = 0, p | m, a suite rule broken, index cap
+    exceeded) are skipped here; they are not errors, they are simply not
+    instances of the statement.  Without given values, s runs over 1..alpha,
+    l over 0..2p, k over 0..n p^alpha and trial over 0..trials-1.
     """
-    if suite not in SUITE_DEFAULTS:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    defaults, default_cap = SUITE_DEFAULTS[suite]
-    r = _merge_ranges(ranges, defaults)
-    cap = default_cap if max_index is None else max_index
-    series_variant = variant if suite in SERIES_SUITES else None
+    record = SUITES[suite]
+    r = _merge_ranges(ranges, record.defaults)
+    cap = record.cap if max_index is None else max_index
+    values = {
+        "p": lambda c: _odd_primes(r.primes),
+        "m": lambda c: r.m_values,
+        "n": lambda c: r.n_values,
+        "alpha": lambda c: r.alpha_values,
+        "s": lambda c: r.s_values or range(1, c.alpha + 1),
+        "l": lambda c: range(2 * c.p + 1) if r.l_values is None else r.l_values,
+        # Past the cap no k passes the index test, so the loop is skipped.
+        "k": lambda c: range(_top(c) + 1) if _top(c) <= cap else (),
+        "trial": lambda c: range(r.trials or 0),
+        "variant": lambda c: (variant,),
+    }
+    c = SimpleNamespace(**dict.fromkeys(_PARAMS))
     cases: list[CongruenceCase] = []
 
-    if suite in ("thm-main", "thm-m4"):
-        for p in _odd_primes(r.primes):
-            for m in r.m_values if suite == "thm-main" else (4,):
-                if suite == "thm-main" and (m not in (1, 2, 3) or m % p == 0):
-                    continue
-                for n in r.n_values:
-                    for a in r.alpha_values:
-                        if n * p**a > cap:
-                            continue
-                        kw = {"m": m} if suite == "thm-main" else {}
-                        cases.append(
-                            CongruenceCase(suite, p=p, n=n, alpha=a, variant=series_variant, **kw)
-                        )
-    elif suite == "eq-apery":
-        for p in _odd_primes(r.primes):
-            if p < 5:
-                continue
-            for n in r.n_values:
-                for a in r.alpha_values:
-                    if n * p**a > cap:
-                        continue
-                    cases.append(CongruenceCase(suite, p=p, n=n, alpha=a))
-    elif suite in ("eq-mod-p", "eq-mod-p2"):
-        for p in _odd_primes(r.primes):
-            if p > cap:
-                continue
-            for m in r.m_values:
-                if m == 0 or m % p == 0:
-                    continue
-                cases.append(CongruenceCase(suite, p=p, m=m, variant=series_variant))
-    elif suite == "eq-sun-asd":
-        for p in _odd_primes(r.primes):
-            for m in r.m_values:
-                if m == 0 or m % p == 0:
-                    continue
-                for n in r.n_values:
-                    for a in r.alpha_values:
-                        if n * p**a > cap:
-                            continue
-                        cases.append(CongruenceCase(suite, p=p, m=m, n=n, alpha=a, variant=series_variant))
-    elif suite.startswith("lemma-2-1"):
-        part = suite.rsplit("-", 1)[1]
-        for p in _odd_primes(r.primes):
-            for n in r.n_values:
-                for a in r.alpha_values:
-                    top = n * p**a
-                    if top > cap:
-                        continue
-                    for k in range(top + 1):
-                        if part == "i" and k % p != 0:
-                            continue
-                        if part == "ii" and k % p == 0:
-                            continue
-                        cases.append(CongruenceCase(suite, p=p, n=n, alpha=a, k=k))
-    elif suite == "lemma-2-2":
-        for m in r.m_values:
-            if m == 0:
-                continue
-            for n in r.n_values:
-                if n > cap:
-                    continue
-                cases.append(CongruenceCase(suite, m=m, n=n))
-    elif suite == "lemma-2-3":
-        for p in _odd_primes(r.primes):
-            for m in r.m_values:
-                if m == 0 or m % p == 0:
-                    continue
-                for a in r.alpha_values:
-                    if p**a > cap:
-                        continue
-                    for s in r.s_values or range(1, a + 1):
-                        if not 1 <= s <= a:
-                            continue
-                        cases.append(CongruenceCase(suite, p=p, m=m, alpha=a, s=s))
-    elif suite == "lemma-2-4":
-        for p in _odd_primes(r.primes):
-            for m in r.m_values:
-                if m not in (1, 2, 3) or m % p == 0:
-                    continue
-                for a in r.alpha_values:
-                    if p**a > cap:
-                        continue
-                    for s in r.s_values or range(1, a + 1):
-                        if not 1 <= s <= a:
-                            continue
-                        for n in r.n_values:
-                            if n * p**a > cap:
-                                continue
-                            for l in r.l_values if r.l_values is not None else range(2 * p + 1):
-                                if (l + 1) * p**s > cap:
-                                    continue
-                                cases.append(
-                                    CongruenceCase(suite, p=p, m=m, n=n, alpha=a, s=s, l=l)
-                                )
-    elif suite == "lemma-2-5":
-        for p in _odd_primes(r.primes):
-            for a in r.alpha_values:
-                for l in r.l_values if r.l_values is not None else (0,):
-                    if (l + 1) * p**a > cap:
-                        continue
-                    for trial in range(r.trials or 0):
-                        cases.append(CongruenceCase(suite, p=p, alpha=a, l=l, trial=trial))
+    def admitted() -> bool:
+        if c.m is not None and (c.m == 0 or c.p is not None and c.m % c.p == 0):
+            return False
+        if record.rule is not None and record.rule(c):
+            return False
+        return record.index(c) <= cap
+
+    def walk(i: int) -> None:
+        name = record.fields[i]
+        for value in values[name](c):
+            setattr(c, name, value)
+            if i + 1 < len(record.fields):
+                walk(i + 1)
+            elif admitted():
+                cases.append(CongruenceCase(suite, **vars(c)))
+
+    walk(0)
     return cases
 
 
@@ -1140,7 +1030,7 @@ def run_suite(
     from .report import Report
 
     settings = settings or replace(DEFAULT_SETTINGS, seed=seed)
-    suites = list(SUITE_DEFAULTS) if suite == "all" else [suite]
+    suites = list(SUITES) if suite == "all" else [suite]
     cases: list[CongruenceCase] = []
     for one in suites:
         cases.extend(enumerate_cases(one, ranges, variant, max_index))

@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives: binomials, rising factorials, p-adic valuations.
+"""Exact arithmetic primitives: binomials, p-adic valuations, rational congruence.
 
 Everything in this module is ground truth for the rest of the package: plain
 Python integers (arbitrary precision) and ``fractions.Fraction`` (always in
@@ -11,10 +11,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-# The oracle number types.  Python ints are unbounded; Fraction keeps the
-# lowest-terms / positive-denominator invariants for us.
-ExactInt = int
-ExactRat = Fraction
 RatLike = Union[int, Fraction]
 
 #: Valuation of zero.
@@ -80,17 +76,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def pochhammer(a: RatLike, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise ValueError(f"pochhammer requires k >= 0, got k = {k}")
-    a = Fraction(a)
-    acc = Fraction(1)
-    for i in range(k):
-        acc *= a + i
-    return acc
 
 
 def vp_int(n: int, p: int) -> int:

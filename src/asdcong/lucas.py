@@ -102,11 +102,3 @@ def lucas_u_mod(n: int, params: LucasParams, ctx: PadicCtx) -> PadicApprox:
         return PadicApprox.from_residue(ctx, orbit[n % len(orbit)])
     un, _ = _u_pair_mod(n, params.a, params.b, ctx.modulus)
     return PadicApprox.from_residue(ctx, un)
-
-
-def lucas_period(m: int) -> int:
-    """Exact period of n -> u_n(m-2, 1) for m in {1, 2, 3}."""
-    periods = {1: 3, 2: 4, 3: 6}
-    if m not in periods:
-        raise ValueError(f"u_n(m-2, 1) is periodic only for m in {{1,2,3}}, got {m}")
-    return periods[m]

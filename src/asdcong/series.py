@@ -1,5 +1,5 @@
-"""Summation objects: central-binomial partial sums, truncated hypergeometric
-evaluation, Apery numbers, and the modular central-binomial stream.
+"""Summation objects: central-binomial partial sums, exact and streamed
+modulo p^E, and Apery numbers.
 
 The flagship sum is S_N(m) = sum_{k=0}^{N-1} C(2k,k) / m^k.  Two sign
 conventions are first-class: "corrected" (the one the whole congruence family
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .exactcore import NotPIntegralError, RatLike, binomial
+from .exactcore import NotPIntegralError, binomial
 from .padic import PadicApprox, PadicCtx
 
 VARIANTS = ("corrected", "literal")
@@ -33,68 +33,23 @@ class SeriesSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
-
-@dataclass(frozen=True)
-class HyperSpec:
-    """Truncated hypergeometric data: sum_{k<=N} prod (a_i)_k / (prod (b_j)_k k!) z^k."""
-
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    z: Fraction
-
-    def __init__(self, upper: Sequence[RatLike], lower: Sequence[RatLike], z: RatLike):
-        object.__setattr__(self, "upper", tuple(Fraction(a) for a in upper))
-        object.__setattr__(self, "lower", tuple(Fraction(b) for b in lower))
-        object.__setattr__(self, "z", Fraction(z))
+    @property
+    def sign(self) -> int:
+        """The sign of the ratio between consecutive terms."""
+        return -1 if self.variant == "literal" else 1
 
 
 def s_sum_exact(N: int, spec: SeriesSpec) -> Fraction:
     """Exact S_N: the sum of the first N terms (empty sum for N = 0)."""
     if N < 0:
         raise ValueError(f"term count must be >= 0, got {N}")
-    sign = -1 if spec.variant == "literal" else 1
+    sign = spec.sign
     total = Fraction(0)
     term = Fraction(1)
     for k in range(N):
         total += term
         term *= Fraction(sign * 2 * (2 * k + 1), (k + 1) * spec.m)
     return total
-
-
-def _central_binomial_vu(ctx: PadicCtx, k_max: int) -> Iterator[tuple[int, int]]:
-    """(v, unit mod p^prec) of C(2k,k) for k = 0..k_max, unit tracked exactly.
-
-    The ratio C(2k+2,k+1)/C(2k,k) = 2(2k+1)/(k+1) is split into p-power and
-    unit parts, so no precision is ever lost to division: the valuation is an
-    exact integer and the unit a full-precision residue.
-    """
-    p, mod = ctx.p, ctx.modulus
-    v, u = 0, 1
-    for k in range(k_max + 1):
-        yield v, u
-        if k == k_max:
-            break
-        num, den = 2 * k + 1, k + 1
-        dv = 0
-        while num % p == 0:
-            num //= p
-            dv += 1
-        while den % p == 0:
-            den //= p
-            dv -= 1
-        v += dv
-        u = u * 2 * num % mod * pow(den, -1, mod) % mod
-
-
-def central_binomial_stream(ctx: PadicCtx, k_max: int) -> Iterator[PadicApprox]:
-    """C(2k,k) mod p^prec for k = 0..k_max, O(1) ring operations per step."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    for v, u in _central_binomial_vu(ctx, k_max):
-        if v >= ctx.prec:
-            yield PadicApprox.zero(ctx)
-        else:
-            yield PadicApprox(ctx, v, u % ctx.p ** (ctx.prec - v), ctx.prec)
 
 
 def s_sum_mod_with_checkpoints(
@@ -115,7 +70,7 @@ def s_sum_mod_with_checkpoints(
         raise NotPIntegralError(
             f"series terms at m = {m} are not p-integral for p = {p}"
         )
-    sign = -1 if spec.variant == "literal" else 1
+    sign = spec.sign
     wanted = {c for c in checkpoints if 0 <= c <= N}
     sums: dict[int, int] = {}
     a, t, d, v, pv = 0, 1, 1, 0, 1
@@ -148,31 +103,6 @@ def s_sum_mod(N: int, spec: SeriesSpec, ctx: PadicCtx) -> PadicApprox:
     """S_N mod p^prec via the streaming ratio recurrence; needs p not dividing m."""
     final, _ = s_sum_mod_with_checkpoints(N, spec, ctx)
     return final
-
-
-def hyper_truncated_exact(spec: HyperSpec, N: int) -> Fraction:
-    """Exact truncated hypergeometric sum over k = 0..N (inclusive)."""
-    if N < 0:
-        raise ValueError(f"truncation index must be >= 0, got {N}")
-    for b in spec.lower:
-        if b.denominator == 1 and -(N - 1) <= b <= 0:
-            raise ValueError(
-                f"lower parameter {b} makes a Pochhammer factor vanish within range"
-            )
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(N + 1):
-        total += term
-        if k == N:
-            break
-        num = Fraction(1)
-        for a in spec.upper:
-            num *= a + k
-        den = Fraction(k + 1)
-        for b in spec.lower:
-            den *= b + k
-        term *= spec.z * num / den
-    return total
 
 
 def apery(n: int) -> int:

@@ -105,10 +105,11 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--primes", "bogus"])
         assert exc.value.code == 2
+        bad = [("--jobs", "0"), ("--jobs", "-5"), ("--jobs", "two"), ("--trials", "-3"), ("--trials", "x")]
         for command in ("verify", "scan"):
-            for jobs in ("0", "-5", "two"):
+            for flag, value in bad + ([("--stop-after", "-1")] if command == "scan" else []):
                 with pytest.raises(SystemExit) as exc:
-                    main([command, "--suite", "eq-mod-p", "--jobs", jobs])
+                    main([command, "--suite", "eq-mod-p", flag, value])
                 assert exc.value.code == 2
 
     def test_byte_identical_reports(self, tmp_path):
@@ -175,21 +176,13 @@ class TestScan:
         assert capsys.readouterr().out == ""
 
     def test_stop_after(self, capsys):
-        code = main(
-            [
-                "scan",
-                "--suite",
-                "thm-main",
-                "--variant",
-                "literal",
-                "--primes",
-                "3..20",
-                "--stop-after",
-                "2",
-            ]
-        )
-        assert code == 1
-        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+        args = ["scan", "--suite", "thm-main", "--variant", "literal", "--primes", "3..20", "--alpha", "1..2"]
+        assert main(args) == 1
+        full = capsys.readouterr().out.splitlines()
+        assert len(full) > 5
+        for stop in (1, 2, 5):
+            assert main(args + ["--stop-after", str(stop)]) == 1
+            assert capsys.readouterr().out.splitlines() == full[:stop]
 
     def test_no_cases_scan(self, capsys):
         code = main(["scan", "--suite", "eq-apery", "--primes", "3..3"])

@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from asdcong.engine import (
+    SUITES,
     AchievedValuation,
-    AsdSpec,
     CongruenceCase,
     EngineSettings,
     SweepRanges,
-    apery_asd_spec,
-    asd_check,
     check_apery,
     check_eq_mod_p,
     check_eq_mod_p2,
@@ -21,7 +19,6 @@ from asdcong.engine import (
     check_lemma_2_1,
     check_lemma_2_3,
     check_lemma_2_4,
-    check_lemma_2_5,
     check_theorem_main,
     check_theorem_m4,
     enumerate_cases,
@@ -29,7 +26,6 @@ from asdcong.engine import (
     pool_size,
     run_cases,
     run_suite,
-    series_asd_spec,
     sun_tauraso_lhs,
     sun_tauraso_rhs,
     synthesize_block_sequence,
@@ -91,37 +87,6 @@ class TestCaseValidation:
             CongruenceCase("lemma-2-1-ii", p=3, n=1, alpha=1, k=3)
         with pytest.raises(ValueError):
             check_lemma_2_1(3, 1, 1, 0, "iv")
-
-
-class TestAsdCheck:
-    def test_apery_spec_exact_valuation(self):
-        result = asd_check(apery_asd_spec(5), 5, 1, 1)
-        assert result.passed
-        assert result.achieved == AchievedValuation.exact(3)  # 33000 = 2^3*3*5^3*11
-
-    def test_constant_sequence(self):
-        spec = AsdSpec(
-            sequence=lambda i: Fraction(7),
-            multiplier=Fraction(1),
-            exponent=lambda a: 2,
-            index_map=lambda n, a: n * 5**a,
-        )
-        result = asd_check(spec, 5, 3, 2)
-        assert result.passed and result.achieved == AchievedValuation.infinite()
-
-    def test_series_spec(self):
-        result = asd_check(series_asd_spec(5, 1), 5, 1, 1)
-        assert result.passed and result.required_exponent == 2
-
-    def test_non_integral_sequence(self):
-        spec = AsdSpec(
-            sequence=lambda i: Fraction(1, 5),
-            multiplier=Fraction(1),
-            exponent=lambda a: 1,
-            index_map=lambda n, a: n,
-        )
-        result = asd_check(spec, 5, 1, 1)
-        assert result.error is not None and not result.passed
 
 
 class TestTheoremMain:
@@ -364,13 +329,14 @@ class TestLemma25:
 
     def test_trials_pass(self):
         for p, alpha in ((3, 1), (3, 2), (5, 2)):
-            results = check_lemma_2_5(p, alpha, trials=25, seed=42)
+            ranges = SweepRanges(primes=(p,), alpha_values=(alpha,), trials=25)
+            results = run_suite("lemma-2-5", ranges, seed=42).results
             assert len(results) == 25
             assert all(r.passed for r in results)
 
     def test_seed_determinism(self):
-        a = check_lemma_2_5(3, 2, trials=5, seed=9)
-        b = check_lemma_2_5(3, 2, trials=5, seed=9)
+        ranges = SweepRanges(primes=(3,), alpha_values=(2,), trials=5)
+        a, b = (run_suite("lemma-2-5", ranges, seed=9).results for _ in range(2))
         assert [r.achieved for r in a] == [r.achieved for r in b]
 
 
@@ -428,6 +394,25 @@ class TestSweeps:
 
         capped = enumerate_cases("thm-main", max_index=100)
         assert capped and all(c.n * c.p**c.alpha <= 100 for c in capped)
+
+    def test_default_case_counts(self):
+        counts = {suite: len(enumerate_cases(suite)) for suite in SUITES}
+        assert counts == {
+            "thm-main": 126,
+            "thm-m4": 45,
+            "eq-apery": 11,
+            "eq-mod-p": 88,
+            "eq-mod-p2": 88,
+            "eq-sun-asd": 352,
+            "lemma-2-1-i": 66,
+            "lemma-2-1-ii": 240,
+            "lemma-2-1-iii": 306,
+            "lemma-2-2": 2000,
+            "lemma-2-3": 90,
+            "lemma-2-4": 1104,
+            "lemma-2-5": 400,
+        }
+        assert sum(counts.values()) == 4916
 
     def test_lemma_2_4_default_l_range(self):
         cases = enumerate_cases(
@@ -509,10 +494,11 @@ class TestSweeps:
             for variant in ("corrected", "literal")
         ]
         cases += [
-            CongruenceCase("eq-sun-asd", p=3, m=m, n=n, alpha=a, variant="corrected")
+            CongruenceCase("eq-sun-asd", p=3, m=m, n=n, alpha=a, variant=variant)
             for m in (-4, 1, 2, 4)
             for n in (1, 2)
             for a in (1, 2)
+            for variant in ("corrected", "literal")
         ]
         precs = {}
         for c in cases:

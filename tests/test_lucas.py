@@ -7,7 +7,6 @@ from asdcong.lucas import (
     LucasParams,
     jacobi,
     legendre,
-    lucas_period,
     lucas_u,
     lucas_u_mod,
 )
@@ -78,8 +77,7 @@ class TestLucasExact:
                     assert lucas_u(p * l, params) == sym * lucas_u(l, params)
 
     def test_periodicity(self):
-        for m in (1, 2, 3):
-            period = lucas_period(m)
+        for m, period in ((1, 3), (2, 4), (3, 6)):
             params = LucasParams(m - 2)
             for n in range(-100, 101):
                 assert lucas_u(n + period, params) == lucas_u(n, params)
@@ -89,18 +87,6 @@ class TestLucasExact:
             table = naive_u_table(a, 1, 10**9, 60)
             for n in range(60):
                 assert lucas_u(n, LucasParams(a)) % 10**9 == table[n]
-
-
-class TestLucasPeriod:
-    def test_values(self):
-        assert lucas_period(1) == 3
-        assert lucas_period(2) == 4
-        assert lucas_period(3) == 6
-
-    def test_rejects_other_m(self):
-        for m in (0, 4, 5, -1):
-            with pytest.raises(ValueError):
-                lucas_period(m)
 
 
 class TestLucasMod:

@@ -5,16 +5,7 @@ import pytest
 
 from asdcong.exactcore import NotPIntegralError, vp
 from asdcong.padic import PadicCtx, from_rational
-from asdcong.series import (
-    HyperSpec,
-    SeriesSpec,
-    apery,
-    central_binomial_stream,
-    hyper_truncated_exact,
-    s_sum_exact,
-    s_sum_mod,
-    s_sum_mod_with_checkpoints,
-)
+from asdcong.series import SeriesSpec, apery, s_sum_exact, s_sum_mod, s_sum_mod_with_checkpoints
 
 
 def brute_s_sum(N, m, sign=1):
@@ -102,57 +93,33 @@ class TestSSumMod:
                 assert parts[0].is_zero_class()
 
 
+def central_binomials_mod(p, prec, k_max):
+    """C(2k,k) mod p^prec for k <= k_max, read off the modular stream of
+    S_N(1) as the term S_{k+1} - S_k."""
+    ctx = PadicCtx(p, prec)
+    _, sums = s_sum_mod_with_checkpoints(k_max + 1, SeriesSpec(1), ctx, range(k_max + 2))
+    return [sums[k + 1] - sums[k] for k in range(k_max + 1)]
+
+
 class TestCentralBinomialStream:
     def test_examples(self):
-        ctx = PadicCtx(5, 2)
-        values = list(central_binomial_stream(ctx, 3))
+        values = central_binomials_mod(5, 2, 3)
         assert values[0].residue() == 1
         assert (values[3].v, values[3].u) == (1, 4)  # C(6,3) = 20 = 5 * 4
 
     def test_matches_exact_binomials(self):
         for p in (3, 5, 7):
             ctx = PadicCtx(p, 4)
-            for k, approx in enumerate(central_binomial_stream(ctx, 2000)):
+            for k, approx in enumerate(central_binomials_mod(p, 4, 2000)):
                 assert approx == from_rational(math.comb(2 * k, k), ctx)
 
     def test_kummer_carry_valuations(self):
-        # The tracked valuation is the carry count of k + k in base p.
+        # The stream's exact valuation is the carry count of k + k in base p.
         for p in (3, 5, 7):
-            ctx = PadicCtx(p, 25)  # deep enough that no valuation saturates
-            for k, approx in enumerate(central_binomial_stream(ctx, 2000)):
+            # deep enough that no valuation saturates
+            for k, approx in enumerate(central_binomials_mod(p, 25, 2000)):
                 assert approx.v == carries_adding_k_plus_k(k, p)
                 assert approx.v == vp(math.comb(2 * k, k), p)
-
-
-class TestHyperTruncated:
-    def test_examples(self):
-        half = Fraction(1, 2)
-        assert hyper_truncated_exact(HyperSpec([half], [], 1), 0) == 1
-        assert hyper_truncated_exact(HyperSpec([half], [], 4), 4) == 99
-        assert hyper_truncated_exact(HyperSpec([half], [], 1), 2) == Fraction(15, 8)
-
-    def test_pochhammer_bridge(self):
-        # 1F0[1/2; 4/m] truncated at N-1 equals the N-term central sum.
-        for m in (1, 2, 3, 4, 5):
-            spec = HyperSpec([Fraction(1, 2)], [], Fraction(4, m))
-            for N in range(1, 301):
-                assert hyper_truncated_exact(spec, N - 1) == s_sum_exact(N, SeriesSpec(m))
-
-    def test_multi_parameter(self):
-        # 2F1[1, 1; 2 | z] truncated: sum z^k/(k+1).
-        spec = HyperSpec([1, 1], [2], Fraction(1, 3))
-        expected = sum(Fraction(1, 3) ** k / (k + 1) for k in range(6))
-        assert hyper_truncated_exact(spec, 5) == expected
-
-    def test_vanishing_lower_parameter(self):
-        spec = HyperSpec([Fraction(1, 2)], [-2], 1)
-        assert hyper_truncated_exact(spec, 2) is not None
-        with pytest.raises(ValueError):
-            hyper_truncated_exact(spec, 3)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            hyper_truncated_exact(HyperSpec([1], [], 1), -1)
 
 
 class TestApery:
