@@ -72,16 +72,29 @@ def _int_at_least(low: int):
     return parse
 
 
+def _int_values_at_least(low: int):
+    """An argparse type for value lists whose every value is >= low."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        values = _int_values_arg(text)
+        for value in values:
+            if value < low:
+                raise argparse.ArgumentTypeError(f"values must be >= {low}, got {value}")
+        return values
+
+    return parse
+
+
 def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--suite", default="all", choices=("all", *SUITES))
     cmd.add_argument("--primes", type=_int_values_arg, metavar="A..B|LIST",
                      help="candidate primes; non-(odd-prime) values are skipped")
     cmd.add_argument("--m", type=_int_values_arg, metavar="LIST",
                      help="series bases / identity parameters where applicable")
-    cmd.add_argument("--n", type=_int_values_arg, metavar="A..B|LIST")
-    cmd.add_argument("--alpha", type=_int_values_arg, metavar="A..B|LIST")
+    cmd.add_argument("--n", type=_int_values_at_least(1), metavar="A..B|LIST")
+    cmd.add_argument("--alpha", type=_int_values_at_least(1), metavar="A..B|LIST")
     cmd.add_argument("--s", type=_int_values_arg, metavar="A..B|LIST")
-    cmd.add_argument("--l", type=_int_values_arg, metavar="A..B|LIST")
+    cmd.add_argument("--l", type=_int_values_at_least(0), metavar="A..B|LIST")
     cmd.add_argument("--trials", type=_int_at_least(0),
                      help="trial count for synthesized-sequence suites")
     cmd.add_argument("--variant", default="corrected", choices=("corrected", "literal"))

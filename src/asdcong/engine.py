@@ -20,6 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
+from itertools import islice
+from math import lcm
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
@@ -33,7 +35,7 @@ from .exactcore import (
     require_odd_prime,
     vp,
 )
-from .lucas import LucasParams, legendre, lucas_u, lucas_u_mod
+from .lucas import LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
 from .padic import (
     PadicApprox,
     PadicCtx,
@@ -41,7 +43,7 @@ from .padic import (
     from_rational,
     required_guard,
 )
-from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod_with_checkpoints
+from .series import SeriesSpec, _scaled_sum, apery, s_sum_exact, s_sum_mod_with_checkpoints
 
 
 class EngineSelfCheckError(RuntimeError):
@@ -361,13 +363,17 @@ def fermat_quotient_factor(m: int, p: int, alpha: int) -> Fraction:
 
 def sun_tauraso_lhs(m: int, n: int) -> Fraction:
     """m^(n-1) * sum_{k<n} C(2k,k)/m^k."""
-    return m ** (n - 1) * s_sum_exact(n, SeriesSpec(m))
+    return Fraction(_scaled_sum(n, SeriesSpec(m)))
 
 
 def sun_tauraso_rhs(m: int, n: int) -> Fraction:
     """sum_{k<n} C(2n,k) u_{n-k}(m-2, 1)."""
-    params = LucasParams(m - 2)
-    return Fraction(sum(binomial(2 * n, k) * lucas_u(n - k, params) for k in range(n)))
+    u = list(islice(_u_values(LucasParams(m - 2)), n + 1))
+    total, c = 0, 1  # c = C(2n, k), carried by one exact division per step
+    for k in range(n):
+        total += c * u[n - k]
+        c = c * (2 * n - k) // (k + 1)
+    return Fraction(total)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +500,9 @@ def _lemma_2_3_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
 def _lemma_2_4_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
     params = LucasParams(m - 2)
-    lhs = Fraction(0)
-    for k in range(l * p**s, (l + 1) * p**s):
-        if k == 0 or k % p == 0:
-            continue
-        lhs += Fraction((-1) ** k * lucas_u(p**a * n - k, params), k)
+    ks = [k for k in range(l * p**s, (l + 1) * p**s) if k % p]
+    common = lcm(*ks)
+    lhs = Fraction(sum((-1) ** k * lucas_u(p**a * n - k, params) * (common // k) for k in ks), common)
     tail = lucas_u(p ** (a - s) * n - l, params) + lucas_u(p ** (a - s) * n - l - 1, params)
     rhs = _symbol(case) ** s * -fermat_quotient_factor(m, p, a) * (-1) ** l * tail
     return lhs, rhs

@@ -9,6 +9,8 @@ fast-doubling path in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .exactcore import require_odd_prime
 from .padic import PadicApprox, PadicCtx
@@ -67,12 +69,16 @@ def lucas_u(n: int, params: LucasParams) -> int:
     if params.b == 1 and params.a in _PERIODIC_ORBITS:
         orbit = _PERIODIC_ORBITS[params.a]
         return orbit[n % len(orbit)]
-    if n == 0:
-        return 0
+    return next(islice(_u_values(params), n, None))
+
+
+def _u_values(params: LucasParams) -> Iterator[int]:
+    """u_0, u_1, u_2, ... exactly, one recurrence step per value."""
+    a, b = params.a, params.b
     u0, u1 = 0, 1
-    for _ in range(n - 1):
-        u0, u1 = u1, params.a * u1 - params.b * u0
-    return u1
+    while True:
+        yield u0
+        u0, u1 = u1, a * u1 - b * u0
 
 
 def _u_pair_mod(n: int, a: int, b: int, mod: int) -> tuple[int, int]:

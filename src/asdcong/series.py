@@ -39,17 +39,26 @@ class SeriesSpec:
         return -1 if self.variant == "literal" else 1
 
 
-def s_sum_exact(N: int, spec: SeriesSpec) -> Fraction:
-    """Exact S_N: the sum of the first N terms (empty sum for N = 0)."""
+def _scaled_sum(N: int, spec: SeriesSpec) -> int:
+    """m^(N-1) S_N = sum_{k<N} sign^k C(2k,k) m^(N-1-k), by integer Horner.
+
+    C(2k,k) is carried by C(2k+2,k+1) = C(2k,k) * 2(2k+1) / (k+1), a division
+    that is exact, so no rational arithmetic happens inside the loop.
+    """
     if N < 0:
         raise ValueError(f"term count must be >= 0, got {N}")
-    sign = spec.sign
-    total = Fraction(0)
-    term = Fraction(1)
+    sign, m = spec.sign, spec.m
+    total, c = 0, 1
     for k in range(N):
-        total += term
-        term *= Fraction(sign * 2 * (2 * k + 1), (k + 1) * spec.m)
+        total = total * m + c
+        c = c * (sign * (4 * k + 2)) // (k + 1)
     return total
+
+
+def s_sum_exact(N: int, spec: SeriesSpec) -> Fraction:
+    """Exact S_N: the sum of the first N terms (empty sum for N = 0)."""
+    scaled = _scaled_sum(N, spec)
+    return Fraction(scaled, spec.m ** (N - 1)) if N else Fraction(0)
 
 
 def s_sum_mod_with_checkpoints(

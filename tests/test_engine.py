@@ -238,8 +238,8 @@ class TestSunTauraso:
         assert result.passed and result.achieved == AchievedValuation.infinite()
 
     def test_helpers_match_definitions(self):
-        for m in (-3, 2, 9):
-            for n in (1, 2, 5, 17):
+        for m in (m for m in range(-10, 11) if m):
+            for n in (1, 2, 17, 60):
                 direct = m ** (n - 1) * sum(
                     Fraction(math.comb(2 * k, k), m**k) for k in range(n)
                 )
@@ -294,6 +294,22 @@ class TestLemma24:
     def test_p_divides_m(self):
         result = check_lemma_2_4(3, 3, 1, 0, 1, 1)
         assert result.error is not None
+
+    def test_block_sum_matches_definition(self):
+        for p in (3, 5, 7):
+            for m in (1, 2, 3):
+                if m % p == 0:
+                    continue
+                params = LucasParams(m - 2)
+                for alpha, s in ((1, 1), (2, 1), (2, 2)):
+                    for l in (0, 1, 2 * p):
+                        for n in (1, 2):
+                            direct = sum(
+                                Fraction((-1) ** k * lucas_u(p**alpha * n - k, params), k)
+                                for k in range(l * p**s, (l + 1) * p**s)
+                                if k % p
+                            )
+                            assert check_lemma_2_4(m, p, n, l, alpha, s).lhs == direct
 
 
 class TestLemma25:

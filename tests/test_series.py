@@ -43,8 +43,8 @@ class TestSSumExact:
         assert s_sum_exact(5, SeriesSpec(1, "literal")) == 55  # 1-2+6-20+70
 
     def test_matches_brute_force(self):
-        for m in (1, -1, 2, 3, 5, -7):
-            for N in (0, 1, 2, 7, 40, 150):
+        for m in (1, -1, 2, 3, 4, -4, 5, -7, 10, -10):
+            for N in (0, 1, 2, 7, 40, 150, 1000):
                 assert s_sum_exact(N, SeriesSpec(m)) == brute_s_sum(N, m)
                 assert s_sum_exact(N, SeriesSpec(m, "literal")) == brute_s_sum(N, m, -1)
 
@@ -75,6 +75,14 @@ class TestSSumMod:
                     for N in (0, 1, 2, p, 3 * p**2, 500, *extra):
                         expected = from_rational(s_sum_exact(N, spec), ctx)
                         assert s_sum_mod(N, spec, ctx) == expected
+
+    def test_deep_oracle_agrees(self):
+        # At N = 20000 the oracle's numerator has about 40k bits.
+        ctx = PadicCtx(5, 8)
+        for variant in ("corrected", "literal"):
+            spec = SeriesSpec(3, variant)
+            final, _ = s_sum_mod_with_checkpoints(20000, spec, ctx)
+            assert from_rational(s_sum_exact(20000, spec), ctx) == final
 
     def test_checkpoints(self):
         cases = (
