@@ -15,7 +15,6 @@ from .padic import (
     CtxMismatchError,
     PadicApprox,
     PadicCtx,
-    PrecisionExhaustedError,
     from_rational,
     required_guard,
 )
@@ -28,16 +27,6 @@ from .engine import (
     EngineSettings,
     SUITES,
     SweepRanges,
-    check_apery,
-    check_eq_mod_p,
-    check_eq_mod_p2,
-    check_eq_sun_asd,
-    check_identity_sun_tauraso,
-    check_lemma_2_1,
-    check_lemma_2_3,
-    check_lemma_2_4,
-    check_theorem_main,
-    check_theorem_m4,
     enumerate_cases,
     evaluate_case,
     fermat_quotient_factor,

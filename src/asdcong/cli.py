@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from .engine import DEFAULT_SETTINGS, SUITES, EngineSettings, SweepRanges, run_suite
+from .exactcore import PRIMALITY_LIMIT
 from .lucas import LucasParams, lucas_u, lucas_u_mod
 from .padic import PadicCtx, from_rational
 from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod
@@ -50,13 +51,6 @@ def parse_modulus(text: str) -> tuple[int, int]:
     return p, e
 
 
-def _int_values_arg(text: str) -> tuple[int, ...]:
-    try:
-        return parse_int_values(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _int_at_least(low: int):
     """An argparse type for integers >= low."""
 
@@ -72,14 +66,19 @@ def _int_at_least(low: int):
     return parse
 
 
-def _int_values_at_least(low: int):
-    """An argparse type for value lists whose every value is >= low."""
+def _int_values_within(low: int | None = None, below: int | None = None):
+    """An argparse type for value lists whose every value is >= low and < below."""
 
     def parse(text: str) -> tuple[int, ...]:
-        values = _int_values_arg(text)
+        try:
+            values = parse_int_values(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
         for value in values:
-            if value < low:
+            if low is not None and value < low:
                 raise argparse.ArgumentTypeError(f"values must be >= {low}, got {value}")
+            if below is not None and value >= below:
+                raise argparse.ArgumentTypeError(f"values must be < {below}, got {value}")
         return values
 
     return parse
@@ -87,14 +86,14 @@ def _int_values_at_least(low: int):
 
 def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--suite", default="all", choices=("all", *SUITES))
-    cmd.add_argument("--primes", type=_int_values_arg, metavar="A..B|LIST",
-                     help="candidate primes; non-(odd-prime) values are skipped")
-    cmd.add_argument("--m", type=_int_values_arg, metavar="LIST",
+    cmd.add_argument("--primes", type=_int_values_within(below=PRIMALITY_LIMIT), metavar="A..B|LIST",
+                     help="candidate primes below 2^64; non-(odd-prime) values are skipped")
+    cmd.add_argument("--m", type=_int_values_within(), metavar="LIST",
                      help="series bases / identity parameters where applicable")
-    cmd.add_argument("--n", type=_int_values_at_least(1), metavar="A..B|LIST")
-    cmd.add_argument("--alpha", type=_int_values_at_least(1), metavar="A..B|LIST")
-    cmd.add_argument("--s", type=_int_values_arg, metavar="A..B|LIST")
-    cmd.add_argument("--l", type=_int_values_at_least(0), metavar="A..B|LIST")
+    cmd.add_argument("--n", type=_int_values_within(1), metavar="A..B|LIST")
+    cmd.add_argument("--alpha", type=_int_values_within(1), metavar="A..B|LIST")
+    cmd.add_argument("--s", type=_int_values_within(), metavar="A..B|LIST")
+    cmd.add_argument("--l", type=_int_values_within(0), metavar="A..B|LIST")
     cmd.add_argument("--trials", type=_int_at_least(0),
                      help="trial count for synthesized-sequence suites")
     cmd.add_argument("--variant", default="corrected", choices=("corrected", "literal"))

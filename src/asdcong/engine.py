@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -36,14 +36,8 @@ from .exactcore import (
     vp,
 )
 from .lucas import LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
-from .padic import (
-    PadicApprox,
-    PadicCtx,
-    PrecisionExhaustedError,
-    from_rational,
-    required_guard,
-)
-from .series import SeriesSpec, _scaled_sum, apery, s_sum_exact, s_sum_mod_with_checkpoints
+from .padic import PadicApprox, PadicCtx, from_rational, required_guard
+from .series import SeriesSpec, _scaled_sum, apery, s_sum_exact, s_sums_mod
 
 
 class EngineSelfCheckError(RuntimeError):
@@ -115,7 +109,7 @@ def _oracle_achieved(achieved: int | float) -> AchievedValuation:
 
 def _modular_achieved(diff: PadicApprox) -> AchievedValuation:
     if diff.is_zero_class():
-        return AchievedValuation.at_least(diff.prec)
+        return AchievedValuation.at_least(diff.ctx.prec)
     return AchievedValuation.exact(diff.v)
 
 
@@ -749,9 +743,7 @@ def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> 
 
 def _stream_sums(stream: Stream) -> dict[int, int]:
     (p, m, variant), prec, points = stream
-    ctx = PadicCtx(p, prec)
-    _, taken = s_sum_mod_with_checkpoints(points[-1], SeriesSpec(m, variant), ctx, points)
-    return {N: value.residue() for N, value in taken.items()}
+    return s_sums_mod(points, SeriesSpec(m, variant), PadicCtx(p, prec))
 
 
 def _run_streams(
@@ -761,41 +753,6 @@ def _run_streams(
     return {stream[0]: value for stream, value in zip(streams, sums)}
 
 
-def _evaluate_series_case(
-    case: CongruenceCase, required: int, settings: EngineSettings, partial_sums: dict[int, int] | None
-) -> CaseResult:
-    suite = SUITES[case.suite]
-    path = settings.path_for(suite.index(case))
-    lhs = rhs = None
-    oracle = modular = None
-    if path in ("oracle", "both"):
-        lhs, rhs = suite.exact(case)
-        verdict = rat_congruent(lhs, rhs, case.p, required)
-        oracle = _oracle_achieved(verdict.achieved)
-    if path in ("modular", "both"):
-        ctx = PadicCtx(case.p, _working_precision(case))
-
-        def s_sum(N: int) -> PadicApprox:
-            return PadicApprox.from_residue(ctx, partial_sums[N])
-
-        mod_lhs, mod_rhs = suite.modular(case, ctx, s_sum)
-        modular = _modular_achieved(mod_lhs.sub(mod_rhs))
-        if lhs is None:
-            lhs, rhs = mod_lhs, mod_rhs
-    if oracle is not None and modular is not None:
-        _check_paths_agree(case, oracle, modular)
-    achieved = oracle if oracle is not None else modular
-    return CaseResult(
-        case,
-        required,
-        achieved,
-        achieved.satisfies(required),
-        lhs=lhs,
-        rhs=rhs,
-        path=path,
-    )
-
-
 def evaluate_case(
     case: CongruenceCase,
     settings: EngineSettings = DEFAULT_SETTINGS,
@@ -803,7 +760,9 @@ def evaluate_case(
 ) -> CaseResult:
     """Evaluate one case; degeneracies become errored results, never raises.
 
-    On the modular path a series case reads S_N mod p^E (E at least its
+    A series suite (one with modular sides) takes the path its settings
+    give for the case's index; every other suite takes the oracle path.  On
+    the modular path a series case reads S_N mod p^E (E at least its
     working precision) from `partial_sums`, keyed by N.  run_cases passes
     them from the streams it shares across the sweep; without them the case
     is planned and streamed on its own.
@@ -814,106 +773,32 @@ def evaluate_case(
     if suite.p_divides_m is not None and m % case.p == 0:
         error = f"p = {case.p} divides m = {m}: {suite.p_divides_m}"
         return CaseResult(case, required, None, False, error=error)
+    path = "oracle" if suite.modular is None else settings.path_for(suite.index(case))
+    oracle = modular = None
     try:
         if suite.evaluate is not None:
             return suite.evaluate(case, settings)
-        if suite.modular is None:
+        if path != "modular":
             lhs, rhs = suite.exact(case)
-            verdict = rat_congruent(lhs, rhs, case.p, required)
-            achieved = _oracle_achieved(verdict.achieved)
-            return CaseResult(case, required, achieved, verdict.holds, lhs=lhs, rhs=rhs)
-        if partial_sums is None:
-            sums = _run_streams(_plan_streams([case], settings))
-            partial_sums = sums.get(_stream_key(case, settings))
-        return _evaluate_series_case(case, required, settings, partial_sums)
-    except (NotPIntegralError, PrecisionExhaustedError, ZeroDivisionError) as exc:
+            oracle = _oracle_achieved(rat_congruent(lhs, rhs, case.p, required).achieved)
+        if path != "oracle":
+            if partial_sums is None:
+                partial_sums = _run_streams(_plan_streams([case], settings))[_stream_key(case, settings)]
+            ctx = PadicCtx(case.p, _working_precision(case))
+
+            def s_sum(N: int) -> PadicApprox:
+                return PadicApprox.from_residue(ctx, partial_sums[N])
+
+            mod_lhs, mod_rhs = suite.modular(case, ctx, s_sum)
+            modular = _modular_achieved(mod_lhs.sub(mod_rhs))
+            if oracle is None:
+                lhs, rhs = mod_lhs, mod_rhs
+    except (NotPIntegralError, ZeroDivisionError) as exc:
         return CaseResult(case, required, None, False, error=str(exc))
-
-
-# ---------------------------------------------------------------------------
-# Single-case convenience checks (the public verbs)
-# ---------------------------------------------------------------------------
-
-
-def check_theorem_main(
-    p: int,
-    n: int,
-    alpha: int,
-    m: int,
-    variant: str = "corrected",
-    settings: EngineSettings = DEFAULT_SETTINGS,
-) -> CaseResult:
-    """S_{n p^a}(m) ≡ (m(m-4)/p) S_{n p^(a-1)}(m) mod p^(2a), m in {1,2,3}."""
-    case = CongruenceCase("thm-main", p=p, m=m, n=n, alpha=alpha, variant=variant)
-    return evaluate_case(case, settings)
-
-
-def check_theorem_m4(
-    p: int, n: int, alpha: int, variant: str = "corrected", settings: EngineSettings = DEFAULT_SETTINGS
-) -> CaseResult:
-    """S_{n p^a}(4) ≡ p S_{n p^(a-1)}(4) mod p^(2a)."""
-    case = CongruenceCase("thm-m4", p=p, n=n, alpha=alpha, variant=variant)
-    return evaluate_case(case, settings)
-
-
-def check_eq_mod_p(
-    p: int, m: int, variant: str = "corrected", settings: EngineSettings = DEFAULT_SETTINGS
-) -> CaseResult:
-    """S_p(m) ≡ (m(m-4)/p) mod p."""
-    case = CongruenceCase("eq-mod-p", p=p, m=m, variant=variant)
-    return evaluate_case(case, settings)
-
-
-def check_eq_mod_p2(
-    p: int, m: int, variant: str = "corrected", settings: EngineSettings = DEFAULT_SETTINGS
-) -> CaseResult:
-    """S_p(m) ≡ (m(m-4)/p) + u_{p-(m(m-4)/p)}(m-2, 1) mod p^2."""
-    case = CongruenceCase("eq-mod-p2", p=p, m=m, variant=variant)
-    return evaluate_case(case, settings)
-
-
-def check_eq_sun_asd(
-    p: int, n: int, alpha: int, m: int, variant: str = "corrected", settings: EngineSettings = DEFAULT_SETTINGS
-) -> CaseResult:
-    """The mod p^(a+1) refinement with the binomial-weighted Lucas correction term."""
-    case = CongruenceCase("eq-sun-asd", p=p, m=m, n=n, alpha=alpha, variant=variant)
-    return evaluate_case(case, settings)
-
-
-def check_apery(p: int, n: int, alpha: int, settings: EngineSettings = DEFAULT_SETTINGS) -> CaseResult:
-    """A_{n p^a - 1} ≡ A_{n p^(a-1) - 1} mod p^(3a), p >= 5."""
-    case = CongruenceCase("eq-apery", p=p, n=n, alpha=alpha)
-    return evaluate_case(case, settings)
-
-
-def check_lemma_2_1(
-    p: int, n: int, alpha: int, k: int, part: str, settings: EngineSettings = DEFAULT_SETTINGS
-) -> CaseResult:
-    """The three binomial transfer congruences (parts i, ii, iii)."""
-    if part not in ("i", "ii", "iii"):
-        raise ValueError(f"part must be 'i', 'ii' or 'iii', got {part!r}")
-    case = CongruenceCase(f"lemma-2-1-{part}", p=p, n=n, alpha=alpha, k=k)
-    return evaluate_case(case, settings)
-
-
-def check_identity_sun_tauraso(m: int, n: int) -> CaseResult:
-    """Exact identity m^(n-1) S_n(m) = sum_{k<n} C(2n,k) u_{n-k}(m-2,1)."""
-    case = CongruenceCase("lemma-2-2", m=m, n=n)
-    return evaluate_case(case)
-
-
-def check_lemma_2_3(m: int, p: int, alpha: int, s: int, settings: EngineSettings = DEFAULT_SETTINGS) -> CaseResult:
-    """Fermat-quotient factors at levels alpha and s agree mod p^s."""
-    case = CongruenceCase("lemma-2-3", p=p, m=m, alpha=alpha, s=s)
-    return evaluate_case(case, settings)
-
-
-def check_lemma_2_4(
-    m: int, p: int, n: int, l: int, alpha: int, s: int, settings: EngineSettings = DEFAULT_SETTINGS
-) -> CaseResult:
-    """Block sums of (-1)^k u_{p^a n - k}/k against the scaled Lucas pair, mod p^s."""
-    case = CongruenceCase("lemma-2-4", p=p, m=m, n=n, alpha=alpha, s=s, l=l)
-    return evaluate_case(case, settings)
+    if oracle is not None and modular is not None:
+        _check_paths_agree(case, oracle, modular)
+    achieved = oracle if oracle is not None else modular
+    return CaseResult(case, required, achieved, achieved.satisfies(required), lhs=lhs, rhs=rhs, path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,13 +912,11 @@ def run_suite(
     variant: str = "corrected",
     max_index: int | None = None,
     jobs: int = 1,
-    settings: EngineSettings | None = None,
-    seed: int = 0,
+    settings: EngineSettings = DEFAULT_SETTINGS,
 ):
     """Enumerate and evaluate one suite (or "all"), returning a Report."""
     from .report import Report
 
-    settings = settings or replace(DEFAULT_SETTINGS, seed=seed)
     suites = list(SUITES) if suite == "all" else [suite]
     cases: list[CongruenceCase] = []
     for one in suites:

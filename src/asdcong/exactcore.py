@@ -26,12 +26,12 @@ class NotPIntegralError(ValueError):
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIMALITY_LIMIT = 1 << 64
+PRIMALITY_LIMIT = 1 << 64
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test, valid for all n < 2**64."""
-    if n >= _PRIMALITY_LIMIT:
+    if n >= PRIMALITY_LIMIT:
         raise ValueError(f"primality test supports n < 2**64 only, got {n}")
     if n < 2:
         return False

@@ -1,11 +1,11 @@
 """Truncated p-adic arithmetic: residues modulo p^E with explicit valuation.
 
-A value is stored as (v, u) with class u * p^v modulo p^prec, where prec is
-the value's own effective precision.  Addition and multiplication preserve
-precision; division by p^t costs t digits, and that loss is tracked on the
-result instead of being silently absorbed.  Degrading precision honestly is
-the whole point: a congruence "verified" beyond the digits actually known
-would be fabricated.
+A value is a residue class u * p^v modulo p^E, where E is its context's
+working precision.  Every value carries all E digits: addition, subtraction
+and multiplication lose none, and there is no division, because the series
+stream divides by units only and inverts them once per partial sum read out.
+A difference that vanishes is known to vanish through E digits and no
+further, so a verdict drawn from it claims ">= E", never more.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from .exactcore import NotPIntegralError, RatLike, require_odd_prime, vp_int
 
 class CtxMismatchError(ValueError):
     """Operands built over different PadicCtx instances."""
-
-
-class PrecisionExhaustedError(ArithmeticError):
-    """An operation left fewer correct digits than the caller needs."""
 
 
 @dataclass(frozen=True)
@@ -44,56 +40,47 @@ class PadicCtx:
 
 @dataclass(frozen=True)
 class PadicApprox:
-    """Residue class u * p^v known modulo p^prec.
+    """Residue class u * p^v modulo p^E, E = ctx.prec.
 
-    Invariants: 0 <= v <= prec <= ctx.prec; the zero-at-this-precision
-    element is (v=prec, u=0); otherwise u is a unit in [1, p^(prec-v)).
+    Invariants: 0 <= v <= E; the zero class is (v=E, u=0); otherwise u is a
+    unit in [1, p^(E-v)).
     """
 
     ctx: PadicCtx
     v: int
     u: int
-    prec: int
 
     def __post_init__(self) -> None:
-        p = self.ctx.p
-        if not 0 <= self.v <= self.prec <= self.ctx.prec:
-            raise ValueError(f"bad valuation/precision pair ({self.v}, {self.prec})")
-        if self.v == self.prec:
+        p, prec = self.ctx.p, self.ctx.prec
+        if not 0 <= self.v <= prec:
+            raise ValueError(f"valuation {self.v} outside [0, {prec}]")
+        if self.v == prec:
             if self.u != 0:
                 raise ValueError("zero class must carry u = 0")
         else:
-            if not 0 < self.u < p ** (self.prec - self.v) or self.u % p == 0:
+            if not 0 < self.u < p ** (prec - self.v) or self.u % p == 0:
                 raise ValueError(f"u = {self.u} is not a reduced unit")
 
     # --- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: PadicCtx, prec: int | None = None) -> PadicApprox:
-        prec = ctx.prec if prec is None else prec
-        return cls(ctx, prec, 0, prec)
+    def zero(cls, ctx: PadicCtx) -> PadicApprox:
+        return cls(ctx, ctx.prec, 0)
 
     @classmethod
-    def one(cls, ctx: PadicCtx) -> PadicApprox:
-        return cls(ctx, 0, 1, ctx.prec)
-
-    @classmethod
-    def from_residue(cls, ctx: PadicCtx, r: int, prec: int | None = None) -> PadicApprox:
-        """Normalize an integer residue into (v, u) form at the given precision."""
-        prec = ctx.prec if prec is None else prec
-        if not 1 <= prec <= ctx.prec:
-            raise ValueError(f"precision {prec} outside [1, {ctx.prec}]")
-        r %= ctx.p**prec
+    def from_residue(cls, ctx: PadicCtx, r: int) -> PadicApprox:
+        """Normalize an integer residue into (v, u) form."""
+        r %= ctx.modulus
         if r == 0:
-            return cls.zero(ctx, prec)
-        v = min(vp_int(r, ctx.p), prec)
-        return cls(ctx, v, (r // ctx.p**v) % ctx.p ** (prec - v), prec)
+            return cls.zero(ctx)
+        v = vp_int(r, ctx.p)
+        return cls(ctx, v, r // ctx.p**v)
 
     # --- queries ----------------------------------------------------------
 
     def is_zero_class(self) -> bool:
         """True when the value is indistinguishable from 0 at this precision."""
-        return self.v == self.prec
+        return self.v == self.ctx.prec
 
     def residue(self) -> int:
         """The canonical integer representative in [0, p^prec)."""
@@ -101,7 +88,7 @@ class PadicApprox:
 
     def describe(self) -> str:
         p = self.ctx.p
-        return f"{self.u} * {p}^{self.v} mod {p}^{self.prec}"
+        return f"{self.u} * {p}^{self.v} mod {p}^{self.ctx.prec}"
 
     def __repr__(self) -> str:
         return f"PadicApprox({self.describe()})"
@@ -114,80 +101,40 @@ class PadicApprox:
 
     def add(self, other: PadicApprox) -> PadicApprox:
         self._join(other)
-        prec = min(self.prec, other.prec)
-        return PadicApprox.from_residue(self.ctx, self.residue() + other.residue(), prec)
+        return PadicApprox.from_residue(self.ctx, self.residue() + other.residue())
 
     def sub(self, other: PadicApprox) -> PadicApprox:
         self._join(other)
-        prec = min(self.prec, other.prec)
-        return PadicApprox.from_residue(self.ctx, self.residue() - other.residue(), prec)
+        return PadicApprox.from_residue(self.ctx, self.residue() - other.residue())
 
     def neg(self) -> PadicApprox:
-        return PadicApprox.from_residue(self.ctx, -self.residue(), self.prec)
+        return PadicApprox.from_residue(self.ctx, -self.residue())
 
     def mul(self, other: PadicApprox) -> PadicApprox:
         self._join(other)
-        # Each factor's unknown tail is shifted by the other factor's
-        # valuation, so the product is often known further than min(prec).
-        prec = min(self.prec + other.v, other.prec + self.v, self.ctx.prec)
-        v = self.v + other.v
-        if v >= prec:
-            return PadicApprox.zero(self.ctx, prec)
-        p = self.ctx.p
-        return PadicApprox(self.ctx, v, self.u * other.u % p ** (prec - v), prec)
-
-    def div(self, other: PadicApprox, require: int | None = None) -> PadicApprox:
-        """Quotient known modulo p^(min(prec) - v(other)).
-
-        Dividing by p^t units costs t digits of precision; `require` lets the
-        caller insist on a minimum number of surviving digits.
-        """
-        self._join(other)
-        if other.is_zero_class():
-            raise ZeroDivisionError("division by a class indistinguishable from zero")
-        if other.v > self.v:
-            raise NotPIntegralError(
-                f"quotient would have negative valuation ({self.v} - {other.v})"
-            )
-        prec = min(self.prec, other.prec) - other.v
-        if prec < 1 or (require is not None and prec < require):
-            raise PrecisionExhaustedError(
-                f"only {prec} digits survive division, {require or 1} needed"
-            )
-        v = self.v - other.v
-        if v >= prec:
-            return PadicApprox.zero(self.ctx, prec)
-        p = self.ctx.p
-        m = p ** (prec - v)
-        return PadicApprox(self.ctx, v, self.u * pow(other.u, -1, m) % m, prec)
+        return PadicApprox.from_residue(self.ctx, self.residue() * other.residue())
 
     __add__ = add
     __sub__ = sub
     __mul__ = mul
-    __truediv__ = div
     __neg__ = neg
 
 
 def from_rational(x: RatLike, ctx: PadicCtx) -> PadicApprox:
     """Reduce a p-integral rational into the context, inverting the denominator."""
     x = Fraction(x)
-    if x == 0:
-        return PadicApprox.zero(ctx)
     if vp_int(x.denominator, ctx.p) > 0:
         raise NotPIntegralError(f"{x} is not p-integral at p = {ctx.p}")
-    v = vp_int(x.numerator, ctx.p)
-    if v >= ctx.prec:
-        return PadicApprox.zero(ctx)
-    m = ctx.p ** (ctx.prec - v)
-    u = (x.numerator // ctx.p**v) * pow(x.denominator, -1, m) % m
-    return PadicApprox(ctx, v, u, ctx.prec)
+    return PadicApprox.from_residue(ctx, x.numerator * pow(x.denominator, -1, ctx.modulus))
 
 
 def required_guard(N: int, e: int, p: int) -> int:
-    """Working precision that keeps >= e digits through a length-N pipeline.
+    """Working precision of a case that needs e digits and sums up to N terms.
 
-    Divisions by k <= N or by p^a with p^a <= N can each cost floor(log_p N)
-    digits; one extra digit on top is cheap insurance.
+    No operation loses digits, so e digits would do; this is e plus
+    floor(log_p N) plus 2, a margin kept from when division by k <= N could
+    cost floor(log_p N) digits.  It sets the E of a ">=E" verdict, so
+    lowering it changes report bytes.
     """
     if N < 1:
         raise ValueError(f"summation bound must be >= 1, got {N}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 from .exactcore import NotPIntegralError, binomial
 from .padic import PadicApprox, PadicCtx
@@ -61,30 +61,28 @@ def s_sum_exact(N: int, spec: SeriesSpec) -> Fraction:
     return Fraction(scaled, spec.m ** (N - 1)) if N else Fraction(0)
 
 
-def s_sum_mod_with_checkpoints(
-    N: int, spec: SeriesSpec, ctx: PadicCtx, checkpoints: Sequence[int] = ()
-) -> tuple[PadicApprox, dict[int, PadicApprox]]:
-    """S_N mod p^prec, plus the partial sums at the requested term counts.
+def s_sums_mod(points: Iterable[int], spec: SeriesSpec, ctx: PadicCtx) -> dict[int, int]:
+    """S_N mod p^prec, as a residue in [0, p^prec), for every N in points.
 
     Inverse-free: term k is p^v * T / D, where v is the exact valuation of
     C(2k,k), T the product over j < k of the p-free part of ±2(2j+1) and D
     the product of m times the p-free part of j+1, both mod p^prec.  The
     running sum is kept as A / D, so the only modular inverse is one
-    pow(D, -1) per reported partial sum.  Needs p not dividing m.
+    pow(D, -1) per point.  Needs p not dividing m.
     """
-    if N < 0:
-        raise ValueError(f"term count must be >= 0, got {N}")
+    stops = sorted(set(points))
+    if stops and stops[0] < 0:
+        raise ValueError(f"term count must be >= 0, got {stops[0]}")
     p, prec, mod, m = ctx.p, ctx.prec, ctx.modulus, spec.m
     if m % p == 0:
         raise NotPIntegralError(
             f"series terms at m = {m} are not p-integral for p = {p}"
         )
     sign = spec.sign
-    wanted = {c for c in checkpoints if 0 <= c <= N}
     sums: dict[int, int] = {}
     a, t, d, v, pv = 0, 1, 1, 0, 1
     k = 0
-    for stop in sorted(wanted | {N}):
+    for stop in stops:
         for k in range(k, stop):
             a += pv * t
             num, den = sign * (4 * k + 2), k + 1
@@ -104,14 +102,12 @@ def s_sum_mod_with_checkpoints(
             t = t * num % mod
         k = stop
         sums[stop] = a * pow(d, -1, mod) % mod
-    taken = {c: PadicApprox.from_residue(ctx, sums[c]) for c in wanted}
-    return PadicApprox.from_residue(ctx, sums[N]), taken
+    return sums
 
 
 def s_sum_mod(N: int, spec: SeriesSpec, ctx: PadicCtx) -> PadicApprox:
     """S_N mod p^prec via the streaming ratio recurrence; needs p not dividing m."""
-    final, _ = s_sum_mod_with_checkpoints(N, spec, ctx)
-    return final
+    return PadicApprox.from_residue(ctx, s_sums_mod((N,), spec, ctx)[N])
 
 
 def apery(n: int) -> int:

@@ -13,20 +13,25 @@ from asdcong.engine import (
     AchievedValuation,
     CongruenceCase,
     EngineSettings,
+    SUITES,
     SweepRanges,
-    check_apery,
-    check_eq_sun_asd,
-    check_theorem_m4,
-    check_theorem_main,
     evaluate_case,
     run_suite,
 )
 from asdcong.exactcore import is_prime
 from asdcong.padic import PadicCtx, from_rational, required_guard
-from asdcong.series import SeriesSpec, s_sum_exact, s_sum_mod_with_checkpoints
+from asdcong.series import SeriesSpec, s_sum_exact, s_sums_mod
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
+
+
+def check(suite, **params):
+    """Evaluate one case at the default settings; a series case is of the
+    corrected variant."""
+    if "variant" in SUITES[suite].fields:
+        params["variant"] = "corrected"
+    return evaluate_case(CongruenceCase(suite, **params))
 
 
 def _verdict(number, label, ok, detail=""):
@@ -45,9 +50,9 @@ def test_criterion_1_theorem_main_sweep():
     report = run_suite("thm-main")  # p in {3,5,7,11,13}, m in {1,2,3}, n,a in {1,2,3}
     ok, counts = _clean(report)
     anchors = (
-        check_theorem_main(5, 1, 1, 1).lhs == 99,
-        check_theorem_main(3, 1, 1, 2).lhs == Fraction(7, 2),
-        check_theorem_main(5, 1, 1, 3).lhs == Fraction(319, 81),
+        check("thm-main", p=5, n=1, alpha=1, m=1).lhs == 99,
+        check("thm-main", p=3, n=1, alpha=1, m=2).lhs == Fraction(7, 2),
+        check("thm-main", p=5, n=1, alpha=1, m=3).lhs == Fraction(319, 81),
     )
     ok = ok and all(anchors)
     assert _verdict(1, "thm-main sweep", ok, f"{counts['total']} cases")
@@ -57,8 +62,8 @@ def test_criterion_1_theorem_main_sweep():
 def test_criterion_2_theorem_m4_sweep():
     report = run_suite("thm-m4")
     ok, counts = _clean(report)
-    p3 = check_theorem_m4(3, 1, 1)
-    p5 = check_theorem_m4(5, 1, 1)
+    p3 = check("thm-m4", p=3, n=1, alpha=1)
+    p5 = check("thm-m4", p=5, n=1, alpha=1)
     ok = ok and p3.lhs == Fraction(15, 8) and p3.rhs == 3
     ok = ok and p5.achieved == AchievedValuation.exact(2)  # v5(315/128 - 5) = 2
     assert _verdict(2, "thm-m4 sweep", ok, f"{counts['total']} cases")
@@ -67,7 +72,7 @@ def test_criterion_2_theorem_m4_sweep():
 def test_criterion_3_apery():
     report = run_suite("eq-apery")  # p in {5,7,11}, n,a in {1,2}, index <= 200
     ok, counts = _clean(report)
-    ok = ok and check_apery(5, 1, 1).achieved == AchievedValuation.exact(3)
+    ok = ok and check("eq-apery", p=5, n=1, alpha=1).achieved == AchievedValuation.exact(3)
     assert _verdict(3, "apery", ok, f"{counts['total']} cases")
 
 
@@ -79,7 +84,7 @@ def test_criterion_4_displayed_equations():
         ok, counts = _clean(report)
         oks.append(ok)
         totals += counts["total"]
-    anchor = check_eq_sun_asd(3, 1, 1, 5)
+    anchor = check("eq-sun-asd", p=3, n=1, alpha=1, m=5)
     mod9 = lambda x: (Fraction(x) * pow(Fraction(x).denominator, -1, 9)).numerator % 9
     anchor_ok = (
         anchor.passed
@@ -111,7 +116,7 @@ def test_criterion_6_exact_identity():
 
 
 def test_criterion_7_block_sequences():
-    report = run_suite("lemma-2-5", seed=0)  # (p,a) in {3,5}x{1,2}, 100 trials each
+    report = run_suite("lemma-2-5", settings=EngineSettings(seed=0))  # (p,a) in {3,5}x{1,2}, 100 trials each
     ok, counts = _clean(report)
     ok = ok and counts["total"] == 400
     assert _verdict(7, "synthesized block sequences", ok, f"{counts['total']} trials")
@@ -173,8 +178,8 @@ def test_criterion_10_scale():
     ctx = PadicCtx(5, required_guard(10**6, 8, 5))
     spec = SeriesSpec(1)
     start = time.monotonic()
-    final, parts = s_sum_mod_with_checkpoints(10**6, spec, ctx, (3000,))
+    sums = s_sums_mod((3000, 10**6), spec, ctx)
     elapsed = time.monotonic() - start
     oracle = from_rational(s_sum_exact(3000, spec), ctx)
-    ok = elapsed < 30.0 and parts[3000] == oracle and not final.is_zero_class()
+    ok = elapsed < 30.0 and sums[3000] == oracle.residue() and sums[10**6] != 0
     assert _verdict(10, "scale", ok, f"N=1e6 in {elapsed:.2f}s at p=5, e=8")

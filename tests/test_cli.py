@@ -107,6 +107,7 @@ class TestVerify:
         assert exc.value.code == 2
         bad = [("--jobs", "0"), ("--jobs", "-5"), ("--jobs", "two"), ("--trials", "-3"), ("--trials", "x")]
         bad += [("--n", "0"), ("--n", "2,0"), ("--alpha", "0"), ("--alpha", "0..2"), ("--l", "-1"), ("--l", "-1..1")]
+        bad += [("--primes", "18446744073709551629"), ("--primes", "3,18446744073709551616")]
         for command in ("verify", "scan"):
             for flag, value in bad + ([("--stop-after", "-1")] if command == "scan" else []):
                 with pytest.raises(SystemExit) as exc:

@@ -11,17 +11,8 @@ from asdcong.engine import (
     CongruenceCase,
     EngineSettings,
     SweepRanges,
-    check_apery,
-    check_eq_mod_p,
-    check_eq_mod_p2,
-    check_eq_sun_asd,
-    check_identity_sun_tauraso,
-    check_lemma_2_1,
-    check_lemma_2_3,
-    check_lemma_2_4,
-    check_theorem_main,
-    check_theorem_m4,
     enumerate_cases,
+    evaluate_case,
     fermat_quotient_factor,
     pool_size,
     run_cases,
@@ -38,6 +29,13 @@ from asdcong.series import SeriesSpec, s_sum_mod
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
+
+
+def check(suite, settings=EngineSettings(), **params):
+    """Evaluate one case; a series case is of the corrected variant unless given."""
+    if "variant" in SUITES[suite].fields:
+        params.setdefault("variant", "corrected")
+    return evaluate_case(CongruenceCase(suite, **params), settings)
 
 
 class TestAchievedValuation:
@@ -86,155 +84,155 @@ class TestCaseValidation:
         with pytest.raises(ValueError):
             CongruenceCase("lemma-2-1-ii", p=3, n=1, alpha=1, k=3)
         with pytest.raises(ValueError):
-            check_lemma_2_1(3, 1, 1, 0, "iv")
+            CongruenceCase("lemma-2-1-iv", p=3, n=1, alpha=1, k=0)
 
 
 class TestTheoremMain:
     def test_anchor_m3_p5(self):
-        result = check_theorem_main(5, 1, 1, 3)
+        result = check("thm-main", p=5, n=1, alpha=1, m=3)
         assert result.passed
         assert result.lhs == Fraction(319, 81)
         assert result.rhs == -1
         assert result.achieved == AchievedValuation.exact(2)  # 400/81 has v5 = 2
 
     def test_anchor_m2_p3(self):
-        result = check_theorem_main(3, 1, 1, 2)
+        result = check("thm-main", p=3, n=1, alpha=1, m=2)
         assert result.passed
         assert result.lhs == Fraction(7, 2) and result.rhs == -1
 
     def test_degenerate_symbol_m1_p3(self):
         # (m(m-4)/3) = 0 for m = 1, so the sum itself must vanish mod 3^(2a).
-        result = check_theorem_main(3, 1, 2, 1)
+        result = check("thm-main", p=3, n=1, alpha=2, m=1)
         assert result.passed
         assert result.lhs == 17577 and result.rhs == 0  # 17577 = 81 * 217
         assert result.achieved == AchievedValuation.exact(4)
 
     def test_literal_variant_fails(self):
-        result = check_theorem_main(5, 1, 1, 1, variant="literal")
+        result = check("thm-main", p=5, n=1, alpha=1, m=1, variant="literal")
         assert not result.passed and result.error is None
         assert result.lhs == 55 and result.achieved == AchievedValuation.exact(0)
 
     def test_p_divides_m_is_errored(self):
-        result = check_theorem_main(3, 1, 1, 3)
+        result = check("thm-main", p=3, n=1, alpha=1, m=3)
         assert result.error is not None and not result.passed
         assert result.achieved is None
 
     def test_modular_path_agrees(self):
         for p, n, alpha, m in ((5, 1, 1, 1), (3, 2, 2, 2), (7, 1, 2, 3)):
-            via_oracle = check_theorem_main(p, n, alpha, m, settings=ORACLE_ONLY)
-            via_modular = check_theorem_main(p, n, alpha, m, settings=MODULAR_ONLY)
+            via_oracle = check("thm-main", ORACLE_ONLY, p=p, n=n, alpha=alpha, m=m)
+            via_modular = check("thm-main", MODULAR_ONLY, p=p, n=n, alpha=alpha, m=m)
             assert via_oracle.passed and via_modular.passed
             assert via_modular.path == "modular"
 
 
 class TestTheoremM4:
     def test_anchor_p3(self):
-        result = check_theorem_m4(3, 1, 1)
+        result = check("thm-m4", p=3, n=1, alpha=1)
         assert result.passed
         assert result.lhs == Fraction(15, 8) and result.rhs == 3
 
     def test_anchor_p5(self):
-        result = check_theorem_m4(5, 1, 1)
+        result = check("thm-m4", p=5, n=1, alpha=1)
         assert result.passed
         assert result.lhs == Fraction(315, 128)
         assert result.achieved == AchievedValuation.exact(2)  # -325/128, 325 = 13*25
 
     def test_anchor_p7(self):
-        result = check_theorem_m4(7, 1, 1)
+        result = check("thm-m4", p=7, n=1, alpha=1)
         assert result.passed and result.required_exponent == 2
 
 
 class TestModPEquations:
     def test_eq_mod_p_anchor(self):
-        result = check_eq_mod_p(7, 1)
+        result = check("eq-mod-p", p=7, m=1)
         assert result.passed
         assert result.lhs == 1275 and result.rhs == 1  # (-3/7) = +1
 
     def test_eq_mod_p2_anchors(self):
-        result = check_eq_mod_p2(3, 5)
+        result = check("eq-mod-p2", p=3, m=5)
         assert result.passed
         assert result.lhs == Fraction(41, 25) and result.rhs == 20  # -1 + u_4(3,1)
 
-        result = check_eq_mod_p2(5, 1)
+        result = check("eq-mod-p2", p=5, m=1)
         assert result.passed
         assert result.lhs == 99 and result.rhs == -1  # u_6(-1,1) = 0
 
     def test_symbol_zero_branch(self):
         # p | m-4 makes the symbol vanish; both statements still hold.
-        result = check_eq_mod_p(3, 7)
+        result = check("eq-mod-p", p=3, m=7)
         assert result.passed and result.rhs == 0
-        result = check_eq_mod_p2(3, 7)
+        result = check("eq-mod-p2", p=3, m=7)
         assert result.passed and result.rhs == lucas_u(3, LucasParams(5))
 
     def test_negative_m(self):
         for m in (-1, -2, -9):
-            assert check_eq_mod_p(7, m).passed
-            assert check_eq_mod_p2(7, m).passed
+            assert check("eq-mod-p", p=7, m=m).passed
+            assert check("eq-mod-p2", p=7, m=m).passed
 
 
 class TestSunAsd:
     def test_anchor_p3_m5(self):
-        result = check_eq_sun_asd(3, 1, 1, 5)
+        result = check("eq-sun-asd", p=3, n=1, alpha=1, m=5)
         assert result.passed
         assert result.lhs == Fraction(66, 25) and result.rhs == 21
         # both sides are 3 mod 9
         assert (result.lhs - result.rhs) % 9 == 0 or vp(result.lhs - result.rhs, 3) >= 2
 
     def test_vanishing_correction_term(self):
-        result = check_eq_sun_asd(5, 1, 1, 1)
+        result = check("eq-sun-asd", p=5, n=1, alpha=1, m=1)
         assert result.passed and result.rhs == 0  # u_6(-1,1) = 0
 
     def test_higher_alpha(self):
-        result = check_eq_sun_asd(3, 2, 2, 5)
+        result = check("eq-sun-asd", p=3, n=2, alpha=2, m=5)
         assert result.passed and result.required_exponent == 3
 
 
 class TestApery:
     def test_anchor_exact_valuation(self):
-        result = check_apery(5, 1, 1)
+        result = check("eq-apery", p=5, n=1, alpha=1)
         assert result.passed
         assert result.achieved == AchievedValuation.exact(3)
 
     def test_p7(self):
-        result = check_apery(7, 1, 1)
+        result = check("eq-apery", p=7, n=1, alpha=1)
         assert result.passed
         diff = sum(math.comb(6, k) ** 2 * math.comb(6 + k, k) ** 2 for k in range(7)) - 1
         assert result.achieved == AchievedValuation.exact(vp(diff, 7))
 
     def test_alpha2(self):
-        result = check_apery(5, 1, 2)
+        result = check("eq-apery", p=5, n=1, alpha=2)
         assert result.passed and result.required_exponent == 6
 
 
 class TestLemma21:
     def test_part_i_anchor(self):
-        result = check_lemma_2_1(3, 2, 1, 3, "i")
+        result = check("lemma-2-1-i", p=3, n=2, alpha=1, k=3)
         assert result.passed
         assert result.lhs == 20 and result.rhs == 2  # C(6,3) vs C(2,1), diff 18
 
     def test_part_ii_anchor(self):
-        result = check_lemma_2_1(3, 1, 1, 2, "ii")
+        result = check("lemma-2-1-ii", p=3, n=1, alpha=1, k=2)
         assert result.passed
         assert result.lhs == 3 and result.rhs == Fraction(-3, 2)  # diff 9/2
 
     def test_part_iii_anchor(self):
-        result = check_lemma_2_1(3, 1, 2, 4, "iii")
+        result = check("lemma-2-1-iii", p=3, n=1, alpha=2, k=4)
         assert result.passed
         assert result.lhs == 70 and result.rhs == -2  # diff 72 = 8 * 9
 
     def test_boundary_k(self):
-        top = check_lemma_2_1(5, 2, 1, 10, "i")
+        top = check("lemma-2-1-i", p=5, n=2, alpha=1, k=10)
         assert top.passed  # k = p^a n: C(N, N) = 1 vs C(N/p, N/p) = 1
-        assert check_lemma_2_1(5, 1, 1, 0, "i").passed
+        assert check("lemma-2-1-i", p=5, n=1, alpha=1, k=0).passed
 
 
 class TestSunTauraso:
     def test_examples(self):
-        result = check_identity_sun_tauraso(1, 2)
+        result = check("lemma-2-2", m=1, n=2)
         assert result.passed and result.lhs == result.rhs == 3
-        result = check_identity_sun_tauraso(2, 1)
+        result = check("lemma-2-2", m=2, n=1)
         assert result.passed and result.lhs == result.rhs == 1
-        result = check_identity_sun_tauraso(-7, 40)
+        result = check("lemma-2-2", m=-7, n=40)
         assert result.passed and result.achieved == AchievedValuation.infinite()
 
     def test_helpers_match_definitions(self):
@@ -252,21 +250,21 @@ class TestSunTauraso:
 
 class TestLemma23:
     def test_anchor(self):
-        result = check_lemma_2_3(2, 3, 2, 1)
+        result = check("lemma-2-3", m=2, p=3, alpha=2, s=1)
         assert result.passed
         assert result.lhs == Fraction(7, 2) and result.rhs == Fraction(1, 2)
         assert result.achieved == AchievedValuation.exact(1)
 
     def test_alpha_equals_s(self):
-        result = check_lemma_2_3(7, 5, 2, 2)
+        result = check("lemma-2-3", m=7, p=5, alpha=2, s=2)
         assert result.passed and result.achieved == AchievedValuation.infinite()
 
     def test_deeper_case(self):
-        result = check_lemma_2_3(3, 5, 3, 2)
+        result = check("lemma-2-3", m=3, p=5, alpha=3, s=2)
         assert result.passed and result.required_exponent == 2
 
     def test_p_divides_m(self):
-        result = check_lemma_2_3(3, 3, 2, 1)
+        result = check("lemma-2-3", m=3, p=3, alpha=2, s=1)
         assert result.error is not None
 
     def test_factor_values(self):
@@ -277,22 +275,22 @@ class TestLemma23:
 
 class TestLemma24:
     def test_anchor_two_term_sum(self):
-        result = check_lemma_2_4(2, 3, 1, 0, 1, 1)
+        result = check("lemma-2-4", m=2, p=3, n=1, l=0, alpha=1, s=1)
         assert result.passed
         assert result.lhs == Fraction(1, 2) and result.rhs == Fraction(1, 2)
 
     def test_m1_symbol_kills_rhs(self):
-        result = check_lemma_2_4(1, 5, 1, 0, 1, 1)
+        result = check("lemma-2-4", m=1, p=5, n=1, l=0, alpha=1, s=1)
         assert result.passed
         assert result.rhs == 0 and result.lhs == Fraction(-5, 12)
         assert result.achieved == AchievedValuation.exact(1)
 
     def test_wider_block(self):
-        result = check_lemma_2_4(3, 5, 2, 1, 2, 2)
+        result = check("lemma-2-4", m=3, p=5, n=2, l=1, alpha=2, s=2)
         assert result.passed and result.required_exponent == 2
 
     def test_p_divides_m(self):
-        result = check_lemma_2_4(3, 3, 1, 0, 1, 1)
+        result = check("lemma-2-4", m=3, p=3, n=1, l=0, alpha=1, s=1)
         assert result.error is not None
 
     def test_block_sum_matches_definition(self):
@@ -309,7 +307,7 @@ class TestLemma24:
                                 for k in range(l * p**s, (l + 1) * p**s)
                                 if k % p
                             )
-                            assert check_lemma_2_4(m, p, n, l, alpha, s).lhs == direct
+                            assert check("lemma-2-4", m=m, p=p, n=n, l=l, alpha=alpha, s=s).lhs == direct
 
 
 class TestLemma25:
@@ -346,20 +344,33 @@ class TestLemma25:
     def test_trials_pass(self):
         for p, alpha in ((3, 1), (3, 2), (5, 2)):
             ranges = SweepRanges(primes=(p,), alpha_values=(alpha,), trials=25)
-            results = run_suite("lemma-2-5", ranges, seed=42).results
+            report = run_suite("lemma-2-5", ranges, settings=EngineSettings(seed=42))
+            assert report.meta["invocation"]["seed"] == 42
+            results = report.results
             assert len(results) == 25
             assert all(r.passed for r in results)
 
     def test_seed_determinism(self):
         ranges = SweepRanges(primes=(3,), alpha_values=(2,), trials=5)
-        a, b = (run_suite("lemma-2-5", ranges, seed=9).results for _ in range(2))
+        a, b = (run_suite("lemma-2-5", ranges, settings=EngineSettings(seed=9)).results for _ in range(2))
         assert [r.achieved for r in a] == [r.achieved for r in b]
 
 
 class TestDualPath:
     def test_crosscheck_runs_both(self):
-        result = check_theorem_main(5, 1, 1, 1)
+        result = check("thm-main", p=5, n=1, alpha=1, m=1)
         assert result.path == "both"
+
+    def test_suites_without_modular_sides_take_the_oracle_path(self):
+        default, modular = (run_suite("all", settings=s).results for s in (EngineSettings(), MODULAR_ONLY))
+        assert [r.case for r in default] == [r.case for r in modular]
+        for a, b in zip(default, modular):
+            assert (a.passed, a.error) == (b.passed, b.error)
+            if SUITES[a.case.suite].modular is None:
+                assert a.path == b.path == "oracle"
+                assert a.achieved == b.achieved
+            elif b.error is None:
+                assert b.path == "modular"
 
     def test_modular_matches_oracle_sample(self):
         rng = random.Random(77)
@@ -371,8 +382,8 @@ class TestDualPath:
                 continue
             alpha = rng.choice([1, 2])
             n = rng.randrange(1, max(2, 1400 // p**alpha) + 1)
-            oracle = check_theorem_main(p, n, alpha, m, settings=ORACLE_ONLY)
-            modular = check_theorem_main(p, n, alpha, m, settings=MODULAR_ONLY)
+            oracle = check("thm-main", ORACLE_ONLY, p=p, n=n, alpha=alpha, m=m)
+            modular = check("thm-main", MODULAR_ONLY, p=p, n=n, alpha=alpha, m=m)
             assert oracle.passed == modular.passed
             if modular.achieved.kind == "exact":
                 assert oracle.achieved == modular.achieved
@@ -396,7 +407,7 @@ def per_case_modular_valuation(case):
         rhs = Fraction(lo, m ** (lo - 1)) * math.comb(2 * lo - 1, lo - 1) * lucas_u(p - sym, LucasParams(m - 2))
         diff = diff - from_rational(rhs, ctx)
     if diff.is_zero_class():
-        return AchievedValuation.at_least(diff.prec)
+        return AchievedValuation.at_least(diff.ctx.prec)
     return AchievedValuation.exact(diff.v)
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from asdcong.exactcore import NotPIntegralError, vp
-from asdcong.padic import PadicCtx, from_rational
-from asdcong.series import SeriesSpec, apery, s_sum_exact, s_sum_mod, s_sum_mod_with_checkpoints
+from asdcong.padic import PadicApprox, PadicCtx, from_rational
+from asdcong.series import SeriesSpec, apery, s_sum_exact, s_sum_mod, s_sums_mod
 
 
 def brute_s_sum(N, m, sign=1):
@@ -81,32 +81,34 @@ class TestSSumMod:
         ctx = PadicCtx(5, 8)
         for variant in ("corrected", "literal"):
             spec = SeriesSpec(3, variant)
-            final, _ = s_sum_mod_with_checkpoints(20000, spec, ctx)
-            assert from_rational(s_sum_exact(20000, spec), ctx) == final
+            assert from_rational(s_sum_exact(20000, spec), ctx) == s_sum_mod(20000, spec, ctx)
 
     def test_checkpoints(self):
         cases = (
-            (PadicCtx(7, 4), SeriesSpec(3), 300, (0, 50, 300)),
-            (PadicCtx(3, 2), SeriesSpec(-2, "literal"), 3**6, (-1, 0, 13, 3**5, 3**5 + 1, 3**6 + 1)),
-            (PadicCtx(3, 3), SeriesSpec(4), 40, range(41)),
-            (PadicCtx(5, 2), SeriesSpec(-7, "literal"), 40, range(41)),
+            (PadicCtx(7, 4), SeriesSpec(3), (300, 0, 50, 50)),
+            (PadicCtx(3, 2), SeriesSpec(-2, "literal"), (0, 13, 3**5, 3**5 + 1, 3**6, 3**6 + 1)),
+            (PadicCtx(3, 3), SeriesSpec(4), range(41)),
+            (PadicCtx(5, 2), SeriesSpec(-7, "literal"), range(41)),
+            (PadicCtx(5, 2), SeriesSpec(1), ()),
         )
-        for ctx, spec, N, checkpoints in cases:
-            final, parts = s_sum_mod_with_checkpoints(N, spec, ctx, checkpoints)
-            assert set(parts) == {c for c in checkpoints if 0 <= c <= N}
-            assert final == from_rational(s_sum_exact(N, spec), ctx)
-            for c, value in parts.items():
-                assert value == from_rational(s_sum_exact(c, spec), ctx)
-            if 0 in parts:
-                assert parts[0].is_zero_class()
+        for ctx, spec, points in cases:
+            sums = s_sums_mod(points, spec, ctx)
+            assert set(sums) == set(points)
+            for N, residue in sums.items():
+                assert residue == from_rational(s_sum_exact(N, spec), ctx).residue()
+                assert 0 <= residue < ctx.modulus
+            if 0 in sums:
+                assert sums[0] == 0
+        with pytest.raises(ValueError):
+            s_sums_mod((5, -1), SeriesSpec(1), PadicCtx(3, 2))
 
 
 def central_binomials_mod(p, prec, k_max):
     """C(2k,k) mod p^prec for k <= k_max, read off the modular stream of
     S_N(1) as the term S_{k+1} - S_k."""
     ctx = PadicCtx(p, prec)
-    _, sums = s_sum_mod_with_checkpoints(k_max + 1, SeriesSpec(1), ctx, range(k_max + 2))
-    return [sums[k + 1] - sums[k] for k in range(k_max + 1)]
+    sums = s_sums_mod(range(k_max + 2), SeriesSpec(1), ctx)
+    return [PadicApprox.from_residue(ctx, sums[k + 1] - sums[k]) for k in range(k_max + 1)]
 
 
 class TestCentralBinomialStream:
