@@ -696,13 +696,12 @@ SUITES: dict[str, Suite] = {
 
 
 # ---------------------------------------------------------------------------
-# Sweep planner: one modular stream per (p, m, variant)
+# Sweep planner: one modular stream per prime
 # ---------------------------------------------------------------------------
 
-StreamKey = tuple[int, int, str]
-#: One pass over S_N(m) mod p^prec: (p, m, variant), prec, and the sorted N
-#: at which it reads out S_N.
-Stream = tuple[StreamKey, int, tuple[int, ...]]
+#: One walk over C(2k,k) mod p^prec: p, prec, and for each signed base the
+#: sorted N at which it reads out S_N.
+Stream = tuple[int, int, dict[int, tuple[int, ...]]]
 
 
 def _working_precision(case: CongruenceCase) -> int:
@@ -710,47 +709,53 @@ def _working_precision(case: CongruenceCase) -> int:
     return required_guard(suite.index(case), suite.required(case), case.p)
 
 
-def _stream_key(case: CongruenceCase, settings: EngineSettings) -> StreamKey | None:
-    """The series (p, m, variant) a case reads on the modular path, if any."""
+def _stream_key(case: CongruenceCase, settings: EngineSettings) -> tuple[int, int] | None:
+    """The (p, signed base) a case reads on the modular path, if any."""
     suite = SUITES[case.suite]
     if suite.modular is None:
         return None
-    m = _statement_m(case)
-    if m % case.p == 0 or settings.path_for(suite.index(case)) == "oracle":
+    spec = _series_spec(case)
+    if spec.m % case.p == 0 or settings.path_for(suite.index(case)) == "oracle":
         return None
-    return case.p, m, case.variant
+    return case.p, spec.base
 
 
 def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> list[Stream]:
-    """One stream per series the cases read, largest first.
+    """One stream per prime the cases read, most terms first.
 
-    Every case of a (p, m, variant) reads prefixes of the same series, so one
-    pass at the highest working precision among them serves them all: each
-    case reduces the residue to its own precision, which gives the value a
-    stream at that precision would have.
+    Every series case at p reads prefixes of S_N(m) for one signed base m,
+    and the bases at p share one walk over C(2k,k) mod p^E.  It runs at the
+    highest working precision among the prime's cases: each case reduces the
+    residue to its own precision, which gives the value a stream at that
+    precision would have.  A base reads the union of its cases' points, so
+    (m, literal) and (-m, corrected) are one base.
     """
-    precs: dict[StreamKey, int] = {}
-    points: dict[StreamKey, set[int]] = {}
+    precs: dict[int, int] = {}
+    points: dict[int, dict[int, set[int]]] = {}
     for case in cases:
         key = _stream_key(case, settings)
         if key is None:
             continue
-        precs[key] = max(precs.get(key, 1), _working_precision(case))
-        points.setdefault(key, set()).update(SUITES[case.suite].points(case))
-    streams = [(key, precs[key], tuple(sorted(points[key]))) for key in precs]
-    return sorted(streams, key=lambda s: (s[2][-1], s[1], s[0]), reverse=True)
+        p, base = key
+        precs[p] = max(precs.get(p, 1), _working_precision(case))
+        points.setdefault(p, {}).setdefault(base, set()).update(SUITES[case.suite].points(case))
+    streams = [
+        (p, precs[p], {base: tuple(sorted(ns)) for base, ns in points[p].items()}) for p in precs
+    ]
+    return sorted(streams, key=lambda s: (sum(ns[-1] for ns in s[2].values()), s[0]), reverse=True)
 
 
-def _stream_sums(stream: Stream) -> dict[int, int]:
-    (p, m, variant), prec, points = stream
-    return s_sums_mod(points, SeriesSpec(m, variant), PadicCtx(p, prec))
+def _stream_sums(stream: Stream) -> dict[int, dict[int, int]]:
+    p, prec, points_by_base = stream
+    return s_sums_mod(points_by_base, PadicCtx(p, prec))
 
 
 def _run_streams(
     streams: Sequence[Stream], pool: ProcessPoolExecutor | None = None
-) -> dict[StreamKey, dict[int, int]]:
+) -> dict[tuple[int, int], dict[int, int]]:
+    """S_N mod p^prec by (p, signed base), then by N."""
     sums = map(_stream_sums, streams) if pool is None else pool.map(_stream_sums, streams)
-    return {stream[0]: value for stream, value in zip(streams, sums)}
+    return {(stream[0], base): by_n for stream, by_base in zip(streams, sums) for base, by_n in by_base.items()}
 
 
 def evaluate_case(
@@ -816,8 +821,9 @@ def _merge_ranges(given: SweepRanges | None, defaults: SweepRanges) -> SweepRang
     return SweepRanges(**merged)
 
 
-def _odd_primes(values: Iterable[int]) -> list[int]:
-    return [p for p in values if p > 2 and is_prime(p)]
+def _odd_primes(values: Iterable[int], cap: int) -> list[int]:
+    """The odd primes among values up to cap: no suite's index is below p."""
+    return [p for p in values if 2 < p <= cap and is_prime(p)]
 
 
 def enumerate_cases(
@@ -839,7 +845,7 @@ def enumerate_cases(
     r = _merge_ranges(ranges, record.defaults)
     cap = record.cap if max_index is None else max_index
     values = {
-        "p": lambda c: _odd_primes(r.primes),
+        "p": lambda c: _odd_primes(r.primes, cap),
         "m": lambda c: r.m_values,
         "n": lambda c: r.n_values,
         "alpha": lambda c: r.alpha_values,
@@ -889,8 +895,8 @@ def run_cases(
 ) -> list[CaseResult]:
     """Evaluate cases (optionally on a process pool) and sort deterministically.
 
-    The modular series values are streamed first, once per (p, m, variant);
-    on a pool the streams are mapped, largest first, before the cases.
+    The modular series values are streamed first, once per prime; on a pool
+    the streams are mapped, largest first, before the cases.
     """
     streams = _plan_streams(cases, settings)
     workers = pool_size(jobs, len(cases))

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import asdcong.engine
 from asdcong.engine import (
+    DEFAULT_SETTINGS,
     SUITES,
     AchievedValuation,
     CongruenceCase,
@@ -21,7 +23,7 @@ from asdcong.engine import (
     sun_tauraso_rhs,
     synthesize_block_sequence,
 )
-from asdcong.exactcore import INF, vp
+from asdcong.exactcore import INF, is_prime, vp
 from asdcong.lucas import LucasParams, legendre, lucas_u
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.report import Report
@@ -539,6 +541,43 @@ class TestSweeps:
         for result in serial:
             assert result.path == "modular"
             assert result.achieved == per_case_modular_valuation(result.case)
+
+    def test_stream_plan(self):
+        # One stream per prime, at the prime's highest working precision.
+        wide = enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000)
+        streams = asdcong.engine._plan_streams(wide, DEFAULT_SETTINGS)
+        assert sorted(p for p, _, _ in streams) == [p for p in range(3, 48, 2) if is_prime(p)]
+        assert len(streams) == 14
+        totals = [sum(ns[-1] for ns in by_base.values()) for _, _, by_base in streams]
+        assert totals == sorted(totals, reverse=True)
+
+        ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2, 3), alpha_values=tuple(range(1, 11)))
+        deep = enumerate_cases("thm-main", ranges, max_index=200_000)
+        ((p, prec, by_base),) = asdcong.engine._plan_streams(deep, MODULAR_ONLY)
+        assert (p, set(by_base)) == (3, {1, 2})
+        assert prec == max(required_guard(c.n * 3**c.alpha, 2 * c.alpha, 3) for c in deep)
+        reads = {c.n * 3**a for c in deep for a in (c.alpha, c.alpha - 1)}
+        assert by_base[1] == by_base[2] == tuple(sorted(reads))
+
+        # (m, literal) and (-m, corrected) are one base reading both cases' points.
+        cases = [
+            CongruenceCase("eq-sun-asd", p=5, m=2, n=1, alpha=1, variant="literal"),
+            CongruenceCase("eq-sun-asd", p=5, m=-2, n=2, alpha=1, variant="corrected"),
+        ]
+        assert asdcong.engine._plan_streams(cases, MODULAR_ONLY) == [(5, 5, {-2: (1, 2, 3, 5, 10)})]
+
+    def test_prime_cap_before_primality(self, monkeypatch):
+        # Every suite's index is at least p, so candidates above the cap give
+        # no case and are dropped before the primality test.
+        tested = []
+        monkeypatch.setattr(asdcong.engine, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        listed = (3, 4, 5, 7, 11, 13)
+        for suite, record in SUITES.items():
+            if "p" not in record.fields:
+                continue
+            capped = enumerate_cases(suite, SweepRanges(primes=listed + (61, 67, 10**6 + 3)), max_index=60)
+            assert capped and capped == enumerate_cases(suite, SweepRanges(primes=listed), max_index=60)
+        assert tested and max(tested) <= 60
 
     def test_sorting_stability(self):
         cases = enumerate_cases("eq-mod-p", SweepRanges(primes=(5, 3), m_values=(2, -2, 1)))

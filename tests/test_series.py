@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from asdcong.exactcore import NotPIntegralError, vp
 from asdcong.padic import PadicApprox, PadicCtx, from_rational
-from asdcong.series import SeriesSpec, apery, s_sum_exact, s_sum_mod, s_sums_mod
+from asdcong.series import _BLOCK, SeriesSpec, apery, s_sum_exact, s_sum_mod, s_sums_mod
 
 
 def brute_s_sum(N, m, sign=1):
@@ -92,7 +93,7 @@ class TestSSumMod:
             (PadicCtx(5, 2), SeriesSpec(1), ()),
         )
         for ctx, spec, points in cases:
-            sums = s_sums_mod(points, spec, ctx)
+            sums = s_sums_mod({spec.base: points}, ctx)[spec.base]
             assert set(sums) == set(points)
             for N, residue in sums.items():
                 assert residue == from_rational(s_sum_exact(N, spec), ctx).residue()
@@ -100,14 +101,50 @@ class TestSSumMod:
             if 0 in sums:
                 assert sums[0] == 0
         with pytest.raises(ValueError):
-            s_sums_mod((5, -1), SeriesSpec(1), PadicCtx(3, 2))
+            s_sums_mod({1: (5, -1)}, PadicCtx(3, 2))
+
+    def test_shared_walk_matches_oracle(self):
+        # Random sets of signed bases on one walk, with points around the
+        # block edges; (3, 2) reaches N = 3^6, where valuations cross prec.
+        rng = random.Random(2018)
+        exact = {}
+        edges = (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK)
+        for p, prec, extra in ((3, 5, ()), (5, 4, ()), (7, 3, ()), (101, 3, ()), (3, 2, (3**6,))):
+            ctx = PadicCtx(p, prec)
+            units = [m for m in range(-12, 13) if m % p]
+            for _ in range(3):
+                m = rng.choice(units)
+                bases = {m, -m, *rng.sample(units, 2)}
+                points_by_base = {
+                    b: {*rng.sample(edges, 2), *rng.sample(range(2 * _BLOCK + 2), 3), *extra} for b in bases
+                }
+                points_by_base[m].update(edges)
+                idle = rng.choice([u for u in units if u not in bases])
+                points_by_base[idle] = ()
+                sums = s_sums_mod(points_by_base, ctx)
+                assert sums[idle] == {}
+                assert set(sums) == set(points_by_base)
+                for b, points in points_by_base.items():
+                    for N in points:
+                        if (N, b) not in exact:
+                            spec = SeriesSpec(abs(b), "literal" if b < 0 else "corrected")
+                            exact[N, b] = s_sum_exact(N, spec)
+                        assert sums[b][N] == from_rational(exact[N, b], ctx).residue(), (p, prec, b, N)
+
+    def test_shared_walk_rejects(self):
+        with pytest.raises(NotPIntegralError):
+            s_sums_mod({1: (4,), 10: (4,)}, PadicCtx(5, 2))
+        with pytest.raises(NotPIntegralError):
+            s_sums_mod({-5: ()}, PadicCtx(5, 2))
+        with pytest.raises(ValueError):
+            s_sums_mod({1: (4,), -1: (3, -2)}, PadicCtx(5, 2))
 
 
 def central_binomials_mod(p, prec, k_max):
     """C(2k,k) mod p^prec for k <= k_max, read off the modular stream of
     S_N(1) as the term S_{k+1} - S_k."""
     ctx = PadicCtx(p, prec)
-    sums = s_sums_mod(range(k_max + 2), SeriesSpec(1), ctx)
+    sums = s_sums_mod({1: range(k_max + 2)}, ctx)[1]
     return [PadicApprox.from_residue(ctx, sums[k + 1] - sums[k]) for k in range(k_max + 1)]
 
 
