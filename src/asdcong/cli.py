@@ -97,14 +97,14 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--trials", type=_int_at_least(0),
                      help="trial count for synthesized-sequence suites")
     cmd.add_argument("--variant", default="corrected", choices=("corrected", "literal"))
-    cmd.add_argument("--max-index", type=int, default=None,
+    cmd.add_argument("--max-index", type=_int_at_least(0), default=None,
                      help="cap on the largest summation bound n*p^alpha")
     cmd.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="worker processes (at most one per CPU and per case)")
     cmd.add_argument("--seed", type=int, default=0, help="seed for synthesized sequences")
-    cmd.add_argument("--oracle-cutoff", type=int, default=DEFAULT_SETTINGS.oracle_cutoff,
+    cmd.add_argument("--oracle-cutoff", type=_int_at_least(0), default=DEFAULT_SETTINGS.oracle_cutoff,
                      help="largest index evaluated on the exact oracle path")
-    cmd.add_argument("--crosscheck-cutoff", type=int, default=DEFAULT_SETTINGS.crosscheck_cutoff,
+    cmd.add_argument("--crosscheck-cutoff", type=_int_at_least(0), default=DEFAULT_SETTINGS.crosscheck_cutoff,
                      help="largest index evaluated on both paths")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -24,7 +23,7 @@ from itertools import islice
 from math import lcm
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .exactcore import (
     INF,
@@ -38,6 +37,9 @@ from .exactcore import (
 from .lucas import LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
 from .padic import PadicApprox, PadicCtx, from_rational, required_guard
 from .series import SeriesSpec, _scaled_sum, apery, s_sum_exact, s_sums_mod
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class EngineSelfCheckError(RuntimeError):
@@ -901,6 +903,10 @@ def run_cases(
     streams = _plan_streams(cases, settings)
     workers = pool_size(jobs, len(cases))
     if workers > 1:
+        # Imported here: it costs a fresh interpreter 20 ms or more, and a
+        # single worker never builds a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             sums = _run_streams(streams, pool)
             payloads = [(c, settings, sums.get(_stream_key(c, settings))) for c in cases]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, zip_longest
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .exactcore import NotPIntegralError, binomial
@@ -73,39 +73,137 @@ def _require_unit(m: int, p: int) -> None:
         raise NotPIntegralError(f"series terms at m = {m} are not p-integral for p = {p}")
 
 
-#: Terms per block of the shared walk in `s_sums_mod`.
+#: Block indices per chunk of the shared walk in `s_sums_mod`.
 _BLOCK = 256
 
 
-class _Base:
-    """One signed base m of a walk: its running sum A / D, the points it still
-    has to read out (last first) and m^1, m^2, ... up to a block's length."""
-
-    __slots__ = ("a", "d", "stops", "sums", "powers")
-
-    def __init__(self, m: int, stops: list[int], mod: int, sums: dict[int, int]) -> None:
-        self.a, self.d, self.stops, self.sums = 0, 1, stops, sums
-        power = 1
-        self.powers = [power := power * m % mod for _ in range(min(_BLOCK, stops[0]))]
+def _p_split(c: int, p: int) -> tuple[int, int]:
+    """(v, c / p^v) with v the exact valuation of c > 0."""
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v, c
 
 
-def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> dict[int, dict[int, int]]:
-    """S_N(m) mod p^prec for every signed base m and every N in its points.
+def _add(f: list[int], g: list[int], mod: int) -> list[int]:
+    """f + g mod `mod`, without zero top coefficients (the constant stays)."""
+    if len(f) < len(g):
+        f, g = g, f
+    total = list(map(mod.__rmod__, map(add, f, [*g, *[0] * (len(f) - len(g))])))
+    while len(total) > 1 and not total[-1]:
+        total.pop()
+    return total
 
-    Returns {m: {N: residue in [0, p^prec)}}.  A negative m is the literal
-    variant at |m|: sum (-1)^k C(2k,k) / |m|^k = sum C(2k,k) / (-|m|)^k.
 
-    One walk over C(2k,k) serves every base.  Term k is p^v_k T_k / (U_k m^k),
-    where v_k is the exact valuation of C(2k,k) and T_k, U_k are the products
-    over j < k of the p-free parts of 2(2j+1) and of j+1, mod p^prec.  The
-    walk goes in blocks [b, e) of at most _BLOCK terms and forms
-    y_k = p^v_k T_k U_e / U_k, which do not depend on m; a base keeps its
-    partial sum as A / (U m^N) and updates it once per block,
-    A <- A (U_e / U_b) m^(e-b) + sum y_k m^(e-k), one dot product against its
-    powers of m.  So the only modular inverse is one per point read out, and
-    each base stops at its own last point.  Needs p not dividing any m.
+def _times_linear(poly: list[int], a: int, b: int, mod: int) -> list[int]:
+    """poly * (a j + b) mod `mod`."""
+    return _add(list(map(b.__mul__, poly)), [0, *map(a.__mul__, poly)], mod)
+
+
+def _block_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """D, NR / 2 and NQ_m for each signed base m, as coefficients mod p^prec
+    of polynomials in the block index j.
+
+    With P = p^level, block j holds the terms k in [Pj, P(j+1)), and x' is x
+    with its p-powers removed.  The units of k + 1 over the block are
+    (j+1)' D(j), D(j) = prod_{0<c<P} (Pj + c) / p^v(c); those of 2(2k+1) are
+    (2j+1)' NR(j), NR(j) = 2^P prod (2Pj + c) / p^v(c) over odd c < 2P,
+    c != P.  The block's terms sum to C(2Pj, Pj) NQ_m(j) / (D(j) m^(P(j+1)-1)),
+    NQ_m(j) = sum_{r<P} m^(P-1-r) p^w_r prod_{i<r} n_i(j) prod_{r<=i<P-1} d_i(j),
+    where n_i(j) = 2(2Pj+2i+1) / p^v(2i+1), d_i(j) = (Pj+i+1) / p^v(i+1) and
+    w_r = v_p C(2r, r) collects the p-powers.  Each factor loses only the
+    p-power of its constant: at 2i+1 = P it is 2P(2j+1), and it enters as
+    2(2j+1) with P counted in w_r, since 2j+1 itself may be divisible by p.
+
+    Every factor but 2(2j+1) has a j-coefficient divisible by p, and the
+    terms of NQ_m that carry 2(2j+1) have r > (P-1)/2, where r + r carries
+    out of the low L digits and so w_r >= 1.  So the coefficient of j^d is
+    divisible by p^d in all three: the top ones vanish mod p^prec and are
+    trimmed, leaving degree at most `_degree_bound`, below prec.  At level 0
+    all three are 1.  NQ_m is built by Horner's rule over r,
+    G <- m d_(r-1) G + p^w_r prod_{i<r} n_i, the prefix products shared by
+    every base.
     """
+    big, mod = p**level, p**prec
+    d_poly, nr_poly = [1], [pow(2, big - 1, mod)]
+    for c in range(1, 2 * big):
+        v, u = _p_split(c, p)
+        if c < big:
+            d_poly = _times_linear(d_poly, big // p**v, u, mod)
+        if c % 2 and c != big:
+            nr_poly = _times_linear(nr_poly, 2 * big // p**v, u, mod)
+    nq = {m: [1] for m in bases}
+    prefix, w = [1], 0
+    for r in range(1, big):
+        v_num, u_num = _p_split(2 * r - 1, p)
+        v_den, u_den = _p_split(r, p)
+        prefix = _times_linear(prefix, 4 * big // p**v_num, 2 * u_num, mod)
+        w += v_num - v_den
+        scaled = list(map(pow(p, w, mod).__mul__, prefix))
+        for m, g in nq.items():
+            nq[m] = _add(_times_linear(g, m * big // p**v_den, m * u_den, mod), scaled, mod)
+    return d_poly, nr_poly, nq
+
+
+def _horner(poly: list[int], xs: range) -> list[int]:
+    """poly(x) at every x, by Horner's rule: one C-level pass per coefficient."""
+    values = [poly[-1]] * len(xs)
+    for c in poly[-2::-1]:
+        values = list(map(c.__add__, map(mul, values, xs)))
+    return values
+
+
+def _unpack(values: list[int], shift: int, mask: int, mod: int) -> list[int]:
+    """The slot of `mask`'s width at bit `shift` of every value, mod `mod`."""
+    return list(map(mod.__rmod__, map(mask.__and__, map(shift.__rrshift__, values))))
+
+
+class _Base:
+    """One signed base m of a walk: its sum A / (U m^(Pj)) at the block edge j
+    reached, the points it still has to read out (last first), the bit where
+    NQ_m sits in the packed block polynomial, and for i below a chunk's
+    length m^(Pi+1) and m^(P(i+1)) (one list at level 0)."""
+
+    __slots__ = ("m", "a", "d", "stops", "sums", "shift", "powers", "scales")
+
+    def __init__(self, m: int, stops: list[int], sums: dict[int, int], shift: int, big: int, mod: int) -> None:
+        self.m, self.a, self.d, self.stops, self.sums, self.shift = m, 0, 1, stops, sums, shift
+        count, step = min(_BLOCK, stops[0] // big), pow(m, big, mod)
+        power = m % mod
+        self.powers = [power] + [power := power * step % mod for _ in range(count - 1)]
+        power = 1
+        self.scales = self.powers if big == 1 else [power := power * step % mod for _ in range(count)]
+
+
+def _read_tail(base: _Base, edge: int, stop: int, t: int, v: int, p: int, mod: int) -> None:
+    """Read out the points of `base` in (edge, stop), inside one block.
+
+    At the edge the sum is A / (U m^edge) and the term is p^v T / (U m^edge).
+    The points past it step the terms one at a time under one running
+    denominator, so each still costs one inverse.  From level 2 up, k + 1
+    can be divisible by p in these steps.
+    """
+    a, d, k = base.a, base.d, edge
+    while base.stops and base.stops[-1] < stop:
+        point = base.stops.pop()
+        for k in range(k, point):
+            a += pow(p, v, mod) * t
+            v_num, num = _p_split(4 * k + 2, p)
+            v_den, den = _p_split(k + 1, p)
+            v += v_num - v_den
+            t = t * num % mod
+            scale = den * base.m % mod
+            a = a * scale % mod
+            d = d * scale % mod
+        k = point
+        base.sums[point] = a * pow(d, -1, mod) % mod
+
+
+def _walk(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx, level: int) -> dict[int, dict[int, int]]:
+    """`s_sums_mod` in blocks of p^level terms; every level gives the same residues."""
     p, prec, mod = ctx.p, ctx.prec, ctx.modulus
+    big = p**level
     stops: dict[int, list[int]] = {}
     for m, points in points_by_base.items():
         _require_unit(m, p)
@@ -113,11 +211,20 @@ def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> di
         if stops[m] and stops[m][-1] < 0:
             raise ValueError(f"term count must be >= 0, got {stops[m][-1]}")
     sums: dict[int, dict[int, int]] = {m: {} for m in stops}
-    cuts = sorted(set().union(*stops.values()))
+    cuts = sorted({point // big for points in stops.values() for point in points})
     if not cuts:
         return sums
-    bases = [_Base(m, stops[m], mod, sums[m]) for m in stops if stops[m]]
-    # p^v, and 0 once v reaches prec; v_k stays below the bit length of 2k.
+    live = [m for m in stops if stops[m]]
+    # NR / 2, D and every NQ_m packed into one polynomial, a slot of `width`
+    # bits each: at 0 <= j < cuts[-1] no value overflows its slot.
+    d_poly, nr_poly, nq = _block_polys(p, level, prec, live)
+    polys = [nr_poly, d_poly, *nq.values()]
+    degree = max(map(len, polys)) - 1
+    width = ((degree + 1) * mod * cuts[-1] ** degree).bit_length()
+    packed = [sum(c << width * i for i, c in enumerate(cs)) for cs in zip_longest(*polys, fillvalue=0)]
+    mask = (1 << width) - 1
+    bases = [_Base(m, stops[m], sums[m], width * i, big, mod) for i, m in enumerate(live, 2)]
+    # p^v, and 0 once v reaches prec; v_j stays below the bit length of 2j.
     p_powers = [p**v for v in range(prec)] + [0] * (2 * cuts[-1]).bit_length()
     strip, up, down = p.__rfloordiv__, (1).__add__, (-1).__add__
     t, v, k = 1, 0, 0
@@ -140,27 +247,123 @@ def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> di
                     dens[first::q] = map(strip, dens[first::q])
                     dv[first::q] = map(down, dv[first::q])
                 q *= p
+            ratio = 1  # U_e / U_j from j = e - 1 down to k
+            if level:
+                values = _horner(packed, range(k, e))
+                nums = list(map(mul, nums, _unpack(values, 0, mask, mod)))
+                fulls = list(map(mul, dens, _unpack(values, width, mask, mod)))
+                # The block's sum divides by its own D(j): U_e / (U_j D(j)).
+                after = [ratio] + [ratio := ratio * full % mod for full in reversed(fulls)]
+                after.pop()
+                suffixes = list(map(mul, reversed(dens), after))
+            else:
+                suffixes = [ratio := ratio * den % mod for den in reversed(dens)]
             ts = [t]  # T_j, then T_e last
             ts += [t := t * num % mod for num in nums]
             ts.pop()
-            ratio = 1  # U_e / U_j from j = e - 1 down to k
-            suffixes = [ratio := ratio * den % mod for den in reversed(dens)]
             vs = list(accumulate(dv, initial=v))
             v = vs.pop()
             vs.reverse()
-            # y_j from j = e - 1 down, to meet m^(e-j) = powers[e - 1 - j].
+            # y_j from j = e - 1 down, to meet m^(P(e-1-j)+1) = powers[e - 1 - j].
             ys = list(map(mul, map(mul, map(p_powers.__getitem__, vs), reversed(ts)), suffixes))
             for base in bases:
-                scale = ratio * base.powers[size - 1] % mod
-                base.a = (base.a * scale + sum(map(mul, ys, base.powers))) % mod
+                scale = ratio * base.scales[size - 1] % mod
+                terms = map(mul, ys, reversed(_unpack(values, base.shift, mask, mod))) if level else ys
+                base.a = (base.a * scale + sum(map(mul, terms, base.powers))) % mod
                 base.d = base.d * scale % mod
             k = e
+        edge, stop = big * cut, big * (cut + 1)
         for base in bases:
-            if base.stops[-1] == cut:
-                base.sums[cut] = base.a * pow(base.d, -1, mod) % mod
-                base.stops.pop()
+            if base.stops[-1] < stop:
+                if base.stops[-1] == edge:
+                    base.sums[base.stops.pop()] = base.a * pow(base.d, -1, mod) % mod
+                if base.stops and base.stops[-1] < stop:
+                    _read_tail(base, edge, stop, t, v, p, mod)
         bases = [base for base in bases if base.stops]
     return sums
+
+
+def _degree_bound(p: int, level: int, prec: int) -> int:
+    """The degree above which D, NR and NQ_m vanish mod p^prec.
+
+    The j-coefficient of (p^level j + c) / p^v(c) has valuation level - v(c):
+    1 for p - 1 of the c, 2 for (p - 1) p of them, and so on, so the
+    coefficient of j^d is divisible by p to the sum of the d smallest.
+    """
+    degree = total = 0
+    for val in range(1, level + 1):
+        count = (p - 1) * p ** (val - 1)
+        take = min(count, (prec - 1 - total) // val)
+        degree += take
+        total += take * val
+        if take < count:
+            break
+    return degree
+
+
+def _level(p: int, prec: int, stops: Mapping[int, list[int]]) -> int:
+    """The block level with the least estimated time for these points.
+
+    The weights are CPython timings of the walk in nanoseconds: per block
+    index, a step of the shared walk and of each base's fold, and from level
+    1 up a pass per coefficient and per slot of the packed polynomial; per
+    cut (a block holding a point), a chunk's set-up and each live base's
+    fold; the polynomials' build; and a single step for every term between a
+    point and the edge of its block.  The inverse per point is the same at
+    every level.  So a stream with few points far out walks blocks of tens
+    or hundreds of terms, and a short or dense one stays at level 0.
+    """
+    points = {point for ns in stops.values() for point in ns}
+    lasts = [max(ns) for ns in stops.values() if ns]
+    top = max(points, default=0)
+    bases, slots = len(lasts), len(lasts) + 2
+    best, chosen, level = 0, 0, 0
+    while p**level <= top:
+        big = p**level
+        degree = min(big - 1, _degree_bound(p, level, prec))
+        build = 500 * big * degree * (bases + 3)
+        if level and build >= best:
+            break  # and so at every higher level
+        blocks, cuts = top // big, len({point // big for point in points} if level else points)
+        cost = 500 * blocks + 90 * sum(last // big for last in lasts) + (5_000 + 500 * bases) * cuts
+        if level:
+            cost += 700 * sum(point % big for ns in stops.values() for point in ns)
+            cost += build + blocks * (degree * (105 + 27 * slots) + 200 * slots) + (5_000 + 1_000 * bases) * cuts
+        if not level or cost < best:
+            best, chosen = cost, level
+        level += 1
+    return chosen
+
+
+def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> dict[int, dict[int, int]]:
+    """S_N(m) mod p^prec for every signed base m and every N in its points.
+
+    Returns {m: {N: residue in [0, p^prec)}}.  A negative m is the literal
+    variant at |m|: sum (-1)^k C(2k,k) / |m|^k = sum C(2k,k) / (-|m|)^k.
+
+    One walk over C(2k,k) serves every base.  It goes in blocks of P = p^L
+    terms, L chosen here from p, prec and the points (`_level`).  The
+    C(2Pj, Pj) at the block edges satisfy the level-0 recurrence in j with
+    the units of 2(2j+1) and j+1 scaled by two polynomials in j (NR and D of
+    `_block_polys`), and block j's P terms sum to C(2Pj, Pj) NQ_m(j) /
+    (D(j) m^(P(j+1)-1)), so each block costs a few polynomial values instead
+    of P steps; at L = 0 the polynomials are 1 and a block is one term.
+
+    Edge j's term is p^v_j T_j / (U_j m^(Pj)), where v_j is the exact
+    valuation of C(2Pj, Pj) and T_j, U_j are the products over i < j of the
+    numerator and denominator units, mod p^prec.  The walk takes the block
+    indices in chunks [b, e) of at most _BLOCK (cut at every block that
+    holds a point), evaluates the polynomials at the whole chunk with one
+    packed Horner pass per coefficient, and forms y_j = p^v_j T_j U_e /
+    (U_j D(j)), which do not depend on m.  A base keeps its sum as
+    A / (U m^(Pj)) and updates it once per chunk,
+    A <- A (U_e / U_b) m^(P(e-b)) + sum y_j NQ_m(j) m^(P(e-1-j)+1), one dot
+    product against its powers of m.  A point N = PJ + R reads A at edge J
+    and steps the last R terms singly; each point costs one modular inverse,
+    and each base stops at its own last point.  Needs p not dividing any m.
+    """
+    points = {m: list(ns) for m, ns in points_by_base.items()}
+    return _walk(points, ctx, _level(ctx.p, ctx.prec, points))
 
 
 def s_sum_mod(N: int, spec: SeriesSpec, ctx: PadicCtx) -> PadicApprox:

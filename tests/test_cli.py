@@ -108,6 +108,7 @@ class TestVerify:
         bad = [("--jobs", "0"), ("--jobs", "-5"), ("--jobs", "two"), ("--trials", "-3"), ("--trials", "x")]
         bad += [("--n", "0"), ("--n", "2,0"), ("--alpha", "0"), ("--alpha", "0..2"), ("--l", "-1"), ("--l", "-1..1")]
         bad += [("--primes", "18446744073709551629"), ("--primes", "3,18446744073709551616")]
+        bad += [("--max-index", "-1"), ("--max-index", "x"), ("--oracle-cutoff", "-1"), ("--crosscheck-cutoff", "-1")]
         for command in ("verify", "scan"):
             for flag, value in bad + ([("--stop-after", "-1")] if command == "scan" else []):
                 with pytest.raises(SystemExit) as exc:
@@ -189,6 +190,9 @@ class TestScan:
     def test_no_cases_scan(self, capsys):
         code = main(["scan", "--suite", "eq-apery", "--primes", "3..3"])
         assert code == 0
+        assert capsys.readouterr().out == ""
+        # A zero cap is a legal, vacuous sweep; a negative one is a usage error.
+        assert main(["scan", "--suite", "thm-main", "--max-index", "0"]) == 0
         assert capsys.readouterr().out == ""
 
 

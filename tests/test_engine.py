@@ -27,7 +27,7 @@ from asdcong.exactcore import INF, is_prime, vp
 from asdcong.lucas import LucasParams, legendre, lucas_u
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.report import Report
-from asdcong.series import SeriesSpec, s_sum_mod
+from asdcong.series import SeriesSpec, _level, s_sum_mod
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
@@ -565,6 +565,20 @@ class TestSweeps:
             CongruenceCase("eq-sun-asd", p=5, m=-2, n=2, alpha=1, variant="corrected"),
         ]
         assert asdcong.engine._plan_streams(cases, MODULAR_ONLY) == [(5, 5, {-2: (1, 2, 3, 5, 10)})]
+
+    def test_stream_levels(self):
+        # The default sweep's streams are short and dense: they stay at level
+        # 0, the plain walk.  modular-deep's reads 23 points out to 3^11 and
+        # walks blocks of 3^L terms.
+        default = [case for suite in SUITES for case in enumerate_cases(suite)]
+        streams = asdcong.engine._plan_streams(default, DEFAULT_SETTINGS)
+        assert len(streams) == 5
+        for p, prec, by_base in streams:
+            assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) == 0, p
+        ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2, 3), alpha_values=tuple(range(1, 11)))
+        deep = enumerate_cases("thm-main", ranges, max_index=200_000)
+        ((p, prec, by_base),) = asdcong.engine._plan_streams(deep, MODULAR_ONLY)
+        assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) >= 1
 
     def test_prime_cap_before_primality(self, monkeypatch):
         # Every suite's index is at least p, so candidates above the cap give

@@ -6,7 +6,7 @@ import pytest
 
 from asdcong.exactcore import NotPIntegralError, vp
 from asdcong.padic import PadicApprox, PadicCtx, from_rational
-from asdcong.series import _BLOCK, SeriesSpec, apery, s_sum_exact, s_sum_mod, s_sums_mod
+from asdcong.series import _BLOCK, SeriesSpec, _block_polys, _walk, apery, s_sum_exact, s_sum_mod, s_sums_mod
 
 
 def brute_s_sum(N, m, sign=1):
@@ -130,6 +130,62 @@ class TestSSumMod:
                             spec = SeriesSpec(abs(b), "literal" if b < 0 else "corrected")
                             exact[N, b] = s_sum_exact(N, spec)
                         assert sums[b][N] == from_rational(exact[N, b], ctx).residue(), (p, prec, b, N)
+
+    def test_block_levels_match_oracle(self):
+        # Every level walks the same sums: blocks of P = p^L terms against
+        # the level-0 walk at every point and the exact oracle at the smaller
+        # ones, with points on and around block edges and chunk edges.
+        rng = random.Random(7)
+        exact = {}
+        for p in (3, 5, 7, 11, 101):
+            units = [m for m in range(-12, 13) if m % p]
+            level = 1
+            while p**level <= 400:
+                big = p**level
+                edges = (0, 1, big - 1, big, big + 1, 2 * big, 5 * big + 3, _BLOCK * big - 1, _BLOCK * big)
+                edges += ((_BLOCK + 1) * big + big // 2,)
+                for prec in (1, 2, 6, 13, 33):
+                    bases = {b for b in (1, -1, 10, -10) if b % p} | set(rng.sample(units, 2))
+                    points_by_base = {b: {*rng.sample(edges, 4), *rng.sample(range(3 * big), 2)} for b in bases}
+                    points_by_base[1].update(edges, rng.sample(range(_BLOCK * big), 3))
+                    idle = rng.choice([u for u in units if u not in bases])
+                    points_by_base[idle] = ()
+                    sums = _walk(points_by_base, PadicCtx(p, prec), level)
+                    assert sums == _walk(points_by_base, PadicCtx(p, prec), 0), (p, level, prec)
+                    assert sums[idle] == {}
+                    for b, points in points_by_base.items():
+                        for N in points:
+                            if N > 3000:
+                                continue
+                            if (N, b) not in exact:
+                                exact[N, b] = s_sum_exact(N, SeriesSpec(b))
+                            assert sums[b][N] == from_rational(exact[N, b], PadicCtx(p, prec)).residue()
+                level += 1
+
+    def test_block_polys(self):
+        # Level 0 is the plain walk: every polynomial is 1.
+        assert _block_polys(5, 0, 4, (1, -2)) == ([1], [1], {1: [1], -2: [1]})
+        # Block j holds the terms k in [Pj, P(j+1)), P = p^L.  D and NR / 2
+        # are its products of units, and its terms sum to
+        # C(2Pj, Pj) NQ_m(j) / (D(j) m^(P(j+1)-1)).
+        def unit(c, p):
+            while c % p == 0:
+                c //= p
+            return c
+
+        for p, level, prec in ((3, 1, 4), (3, 2, 5), (3, 3, 2), (5, 2, 7), (7, 1, 3)):
+            big, ctx = p**level, PadicCtx(p, prec)
+            d_poly, nr_poly, nq = _block_polys(p, level, prec, (1, 2, -4))
+            for j in range(5):
+                d_value = math.prod(unit(big * j + c, p) for c in range(1, big))
+                nr_value = 2 ** (big - 1) * math.prod(unit(2 * big * j + c, p) for c in range(1, 2 * big, 2) if c != big)
+                assert sum(c * j**i for i, c in enumerate(d_poly)) % ctx.modulus == d_value % ctx.modulus
+                assert sum(c * j**i for i, c in enumerate(nr_poly)) % ctx.modulus == nr_value % ctx.modulus
+                for m, poly in nq.items():
+                    block = brute_s_sum(big * (j + 1), m) - brute_s_sum(big * j, m)
+                    value = sum(c * j**i for i, c in enumerate(poly))
+                    closed = Fraction(math.comb(2 * big * j, big * j) * value, d_value * m ** (big * (j + 1) - 1))
+                    assert from_rational(block, ctx) == from_rational(closed, ctx), (p, level, prec, j, m)
 
     def test_shared_walk_rejects(self):
         with pytest.raises(NotPIntegralError):
