@@ -103,9 +103,12 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
                      help="worker processes (at most one per CPU and per case)")
     cmd.add_argument("--seed", type=int, default=0, help="seed for synthesized sequences")
     cmd.add_argument("--oracle-cutoff", type=_int_at_least(0), default=DEFAULT_SETTINGS.oracle_cutoff,
-                     help="largest index evaluated on the exact oracle path")
+                     help="series cases with an index above --crosscheck-cutoff and up to this "
+                     "are checked by the exact oracle alone, those above both cutoffs by the "
+                     "modular path alone; other suites always take the oracle path")
     cmd.add_argument("--crosscheck-cutoff", type=_int_at_least(0), default=DEFAULT_SETTINGS.crosscheck_cutoff,
-                     help="largest index evaluated on both paths")
+                     help="series cases with an index up to this are checked on both paths, "
+                     "oracle and modular, even above --oracle-cutoff")
 
 
 def _ranges_from_args(args: argparse.Namespace) -> SweepRanges:

@@ -23,7 +23,7 @@ from itertools import islice
 from math import lcm
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .exactcore import (
     INF,
@@ -36,7 +36,7 @@ from .exactcore import (
 )
 from .lucas import LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
 from .padic import PadicApprox, PadicCtx, from_rational, required_guard
-from .series import SeriesSpec, _scaled_sum, apery, s_sum_exact, s_sums_mod
+from .series import SeriesSpec, apery, s_sums_exact, s_sums_mod
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -283,6 +283,8 @@ class SweepRanges:
 
 #: (lhs, rhs) of a case as exact rationals.
 Sides = Callable[[CongruenceCase], tuple[Fraction, Fraction]]
+#: (lhs, rhs) of a series case as exact rationals, given S_N exactly by N.
+SeriesSides = Callable[[CongruenceCase, Callable[[int], Fraction]], tuple[Fraction, Fraction]]
 #: (lhs, rhs) of a series case modulo p^E, given S_N mod p^E by N.
 ModularSides = Callable[
     [CongruenceCase, PadicCtx, Callable[[int], PadicApprox]], tuple[PadicApprox, PadicApprox]
@@ -296,9 +298,10 @@ class Suite:
     `index` is the largest summation bound a case touches: it picks the
     evaluation path and is what the sweep's index cap bounds.  The verdict
     compares vp(lhs - rhs) from `exact` with `required`, unless the statement
-    is of another kind and brings its own `evaluate`.  A series suite (one
-    with `modular`) reads S_N(m) mod p^E at the term counts `points` from the
-    sweep's shared stream, and is checked on either path or both.
+    is of another kind and brings its own `evaluate`.  A suite with `points`
+    reads S_N(m) at those term counts from the sweep's shared exact walk
+    and, if it is a series suite (one with `modular`), S_N mod p^E from its
+    shared stream; a series suite is checked on either path or both.
 
     `index` and `rule` read only the case's parameters: the enumerator
     applies them to a candidate's values before it builds the case.
@@ -309,8 +312,9 @@ class Suite:
     index: Callable[[CongruenceCase], int]
     defaults: SweepRanges
     cap: int
-    exact: Sides | None = None
-    evaluate: Callable[[CongruenceCase, EngineSettings], CaseResult] | None = None
+    exact: Sides | SeriesSides | None = None
+    #: A verdict of another kind, given b^(N-1) S_N by N if the suite has points.
+    evaluate: Callable[[CongruenceCase, EngineSettings, Mapping[int, int] | None], CaseResult] | None = None
     modular: ModularSides | None = None
     points: Callable[[CongruenceCase], tuple[int, ...]] | None = None
     #: A condition beyond the shared ones: returns why a case breaks it.
@@ -358,8 +362,8 @@ def fermat_quotient_factor(m: int, p: int, alpha: int) -> Fraction:
 
 
 def sun_tauraso_lhs(m: int, n: int) -> Fraction:
-    """m^(n-1) * sum_{k<n} C(2k,k)/m^k."""
-    return Fraction(_scaled_sum(n, SeriesSpec(m)))
+    """m^(n-1) * sum_{k<n} C(2k,k)/m^k: one point of the exact walk."""
+    return Fraction(s_sums_exact({m: (n,)})[m][n])
 
 
 def sun_tauraso_rhs(m: int, n: int) -> Fraction:
@@ -382,8 +386,10 @@ def _statement_m(case: CongruenceCase) -> int | None:
     return SUITES[case.suite].m if case.m is None else case.m
 
 
-def _series_spec(case: CongruenceCase) -> SeriesSpec:
-    return SeriesSpec(_statement_m(case), case.variant)
+def _base(case: CongruenceCase) -> int:
+    """The signed base of the series a case reads: literal at m is corrected at -m."""
+    m = _statement_m(case)
+    return -m if case.variant == "literal" else m
 
 
 def _symbol(case: CongruenceCase) -> int:
@@ -397,12 +403,9 @@ def _lucas_term(case: CongruenceCase) -> tuple[int, LucasParams]:
     return case.p - _symbol(case), LucasParams(_statement_m(case) - 2)
 
 
-def _scaling_exact(
-    multiplier: Callable[[CongruenceCase], int], case: CongruenceCase
-) -> tuple[Fraction, Fraction]:
-    spec = _series_spec(case)
+def _scaling_exact(multiplier: Callable[[CongruenceCase], int], case, s_sum) -> tuple[Fraction, Fraction]:
     hi, lo = _scaled(case)
-    return s_sum_exact(hi, spec), multiplier(case) * s_sum_exact(lo, spec)
+    return s_sum(hi), multiplier(case) * s_sum(lo)
 
 
 def _scaling_modular(
@@ -412,32 +415,31 @@ def _scaling_modular(
     return s_sum(hi), from_rational(multiplier(case), ctx).mul(s_sum(lo))
 
 
-def _mod_p_exact(case: CongruenceCase) -> tuple[Fraction, Fraction]:
-    return s_sum_exact(case.p, _series_spec(case)), Fraction(_symbol(case))
+def _mod_p_exact(case, s_sum) -> tuple[Fraction, Fraction]:
+    return s_sum(case.p), Fraction(_symbol(case))
 
 
 def _mod_p_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
     return s_sum(case.p), from_rational(_symbol(case), ctx)
 
 
-def _mod_p2_exact(case: CongruenceCase) -> tuple[Fraction, Fraction]:
-    return s_sum_exact(case.p, _series_spec(case)), Fraction(_symbol(case) + lucas_u(*_lucas_term(case)))
+def _mod_p2_exact(case, s_sum) -> tuple[Fraction, Fraction]:
+    return s_sum(case.p), Fraction(_symbol(case) + lucas_u(*_lucas_term(case)))
 
 
 def _mod_p2_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
     return s_sum(case.p), from_rational(_symbol(case), ctx).add(lucas_u_mod(*_lucas_term(case), ctx))
 
 
-def _sun_asd_exact(case: CongruenceCase) -> tuple[Fraction, Fraction]:
-    spec = _series_spec(case)
+def _sun_asd_exact(case, s_sum) -> tuple[Fraction, Fraction]:
     hi, M = _scaled(case)
-    lhs = s_sum_exact(hi, spec) - _symbol(case) * s_sum_exact(M, spec)
-    rhs = Fraction(M, spec.m ** (M - 1)) * binomial(2 * M - 1, M - 1) * lucas_u(*_lucas_term(case))
+    lhs = s_sum(hi) - _symbol(case) * s_sum(M)
+    rhs = Fraction(M, _statement_m(case) ** (M - 1)) * binomial(2 * M - 1, M - 1) * lucas_u(*_lucas_term(case))
     return lhs, rhs
 
 
 def _sun_asd_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
-    spec = _series_spec(case)
+    spec = SeriesSpec(_statement_m(case), case.variant)
     hi, M = _scaled(case)
     lhs = s_sum(hi).sub(from_rational(_symbol(case), ctx).mul(s_sum(M)))
     # Term M of the series is sign^M C(2M,M) / m^M and C(2M-1, M-1) is half
@@ -478,8 +480,8 @@ def _lemma_2_1_iii(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     return Fraction(binomial(top - 1, k)), Fraction(binomial(low - 1, k // p) * (-1) ** (k - k // p))
 
 
-def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
-    lhs = sun_tauraso_lhs(case.m, case.n)
+def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: Mapping[int, int]) -> CaseResult:
+    lhs = Fraction(scaled[case.n])
     rhs = sun_tauraso_rhs(case.m, case.n)
     equal = lhs == rhs
     achieved = AchievedValuation.infinite() if equal else AchievedValuation.exact(0)
@@ -522,7 +524,7 @@ def synthesize_block_sequence(p: int, alpha: int, l: int, rng: random.Random) ->
     return seq
 
 
-def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings) -> CaseResult:
+def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: None) -> CaseResult:
     """One synthesized block-vanishing sequence; the weighted block sum is
     checked mod p^alpha for every m' in {1,2,3} and n' in {1,2}."""
     p, a, l = case.p, case.alpha, case.l
@@ -662,6 +664,7 @@ SUITES: dict[str, Suite] = {
         defaults=SweepRanges(m_values=_M_AROUND_ZERO, n_values=tuple(range(1, 101))),
         cap=10_000,
         evaluate=_evaluate_lemma_2_2,
+        points=lambda c: (c.n,),
     ),
     # Fermat-quotient factors at levels alpha and s agree mod p^s.
     "lemma-2-3": Suite(
@@ -698,7 +701,7 @@ SUITES: dict[str, Suite] = {
 
 
 # ---------------------------------------------------------------------------
-# Sweep planner: one modular stream per prime
+# Sweep planner: one modular stream per prime, one exact walk per base
 # ---------------------------------------------------------------------------
 
 #: One walk over C(2k,k) mod p^prec: p, prec, and for each signed base the
@@ -711,15 +714,21 @@ def _working_precision(case: CongruenceCase) -> int:
     return required_guard(suite.index(case), suite.required(case), case.p)
 
 
-def _stream_key(case: CongruenceCase, settings: EngineSettings) -> tuple[int, int] | None:
-    """The (p, signed base) a case reads on the modular path, if any."""
+def _path(case: CongruenceCase, settings: EngineSettings) -> str:
+    """A series suite takes the path its settings give for the case's index;
+    every other suite takes the oracle path."""
     suite = SUITES[case.suite]
-    if suite.modular is None:
-        return None
-    spec = _series_spec(case)
-    if spec.m % case.p == 0 or settings.path_for(suite.index(case)) == "oracle":
-        return None
-    return case.p, spec.base
+    return "oracle" if suite.modular is None else settings.path_for(suite.index(case))
+
+
+def _sum_keys(case: CongruenceCase, settings: EngineSettings) -> tuple[tuple[int, int] | None, int | None]:
+    """Where a case reads S_N: the (p, signed base) of its modular stream and
+    the signed base of its exact walk, each None when it reads none."""
+    suite = SUITES[case.suite]
+    if suite.points is None or case.p is not None and _statement_m(case) % case.p == 0:
+        return None, None
+    path, base = _path(case, settings), _base(case)
+    return None if path == "oracle" else (case.p, base), None if path == "modular" else base
 
 
 def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> list[Stream]:
@@ -735,7 +744,7 @@ def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> 
     precs: dict[int, int] = {}
     points: dict[int, dict[int, set[int]]] = {}
     for case in cases:
-        key = _stream_key(case, settings)
+        key = _sum_keys(case, settings)[0]
         if key is None:
             continue
         p, base = key
@@ -747,32 +756,62 @@ def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> 
     return sorted(streams, key=lambda s: (sum(ns[-1] for ns in s[2].values()), s[0]), reverse=True)
 
 
+def _plan_walks(cases: Sequence[CongruenceCase], settings: EngineSettings) -> dict[int, set[int]]:
+    """One exact walk per signed base, to the union of its cases' points;
+    it serves every prime, as the exact S_N do not depend on p."""
+    points: dict[int, set[int]] = {}
+    for case in cases:
+        base = _sum_keys(case, settings)[1]
+        if base is not None:
+            points.setdefault(base, set()).update(SUITES[case.suite].points(case))
+    return points
+
+
 def _stream_sums(stream: Stream) -> dict[int, dict[int, int]]:
     p, prec, points_by_base = stream
     return s_sums_mod(points_by_base, PadicCtx(p, prec))
 
 
-def _run_streams(
-    streams: Sequence[Stream], pool: ProcessPoolExecutor | None = None
-) -> dict[tuple[int, int], dict[int, int]]:
-    """S_N mod p^prec by (p, signed base), then by N."""
-    sums = map(_stream_sums, streams) if pool is None else pool.map(_stream_sums, streams)
-    return {(stream[0], base): by_n for stream, by_base in zip(streams, sums) for base, by_n in by_base.items()}
+def _run_sums(
+    cases: Sequence[CongruenceCase], settings: EngineSettings, pool: ProcessPoolExecutor | None = None
+) -> tuple[dict[tuple[int, int], dict[int, int]], dict[int, dict[int, int]]]:
+    """S_N mod p^prec by (p, signed base), and b^(N-1) S_N by signed base b,
+    each then by N.  On a pool the streams run there, largest first, while
+    this process walks."""
+    streams = _plan_streams(cases, settings)
+    by_stream = map(_stream_sums, streams) if pool is None else pool.map(_stream_sums, streams)
+    scaled = s_sums_exact(_plan_walks(cases, settings))
+    sums = {(stream[0], base): by_n for stream, by_base in zip(streams, by_stream) for base, by_n in by_base.items()}
+    return sums, scaled
+
+
+def _case_sums(
+    case: CongruenceCase, settings: EngineSettings, sums: dict, scaled: dict, own: bool = False
+) -> tuple[dict[int, int] | None, dict[int, int] | None]:
+    """What a case reads of the values `_run_sums` gives, by N: its bases'
+    whole dicts, or with `own` just the values at its points."""
+    stream, walk = _sum_keys(case, settings)
+    found = sums.get(stream), scaled.get(walk)
+    if not own or walk is None and stream is None:
+        return found
+    points = SUITES[case.suite].points(case)
+    return tuple(None if by_n is None else {N: by_n[N] for N in points} for by_n in found)
 
 
 def evaluate_case(
     case: CongruenceCase,
     settings: EngineSettings = DEFAULT_SETTINGS,
     partial_sums: dict[int, int] | None = None,
+    exact_sums: dict[int, int] | None = None,
 ) -> CaseResult:
     """Evaluate one case; degeneracies become errored results, never raises.
 
     A series suite (one with modular sides) takes the path its settings
-    give for the case's index; every other suite takes the oracle path.  On
-    the modular path a series case reads S_N mod p^E (E at least its
-    working precision) from `partial_sums`, keyed by N.  run_cases passes
-    them from the streams it shares across the sweep; without them the case
-    is planned and streamed on its own.
+    give for the case's index; every other suite takes the oracle path.  A
+    suite with points reads S_N there, by N: S_N mod p^E (E at least its
+    working precision) from `partial_sums`, b^(N-1) S_N (b the signed base)
+    from `exact_sums`.  run_cases passes them from the streams and walks it
+    shares across the sweep; given neither, the case runs its own.
     """
     suite = SUITES[case.suite]
     required = suite.required(case)
@@ -780,17 +819,21 @@ def evaluate_case(
     if suite.p_divides_m is not None and m % case.p == 0:
         error = f"p = {case.p} divides m = {m}: {suite.p_divides_m}"
         return CaseResult(case, required, None, False, error=error)
-    path = "oracle" if suite.modular is None else settings.path_for(suite.index(case))
+    path = _path(case, settings)
     oracle = modular = None
     try:
+        if suite.points is not None and partial_sums is None and exact_sums is None:
+            partial_sums, exact_sums = _case_sums(case, settings, *_run_sums([case], settings))
         if suite.evaluate is not None:
-            return suite.evaluate(case, settings)
+            return suite.evaluate(case, settings, exact_sums)
         if path != "modular":
-            lhs, rhs = suite.exact(case)
+            if suite.points is None:
+                lhs, rhs = suite.exact(case)
+            else:
+                base = _base(case)
+                lhs, rhs = suite.exact(case, lambda N: Fraction(exact_sums[N], base ** (N - 1)))
             oracle = _oracle_achieved(rat_congruent(lhs, rhs, case.p, required).achieved)
         if path != "oracle":
-            if partial_sums is None:
-                partial_sums = _run_streams(_plan_streams([case], settings))[_stream_key(case, settings)]
             ctx = PadicCtx(case.p, _working_precision(case))
 
             def s_sum(N: int) -> PadicApprox:
@@ -886,7 +929,7 @@ def pool_size(jobs: int, units: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, units))
 
 
-def _pool_eval(payload: tuple[CongruenceCase, EngineSettings, dict[int, int] | None]) -> CaseResult:
+def _pool_eval(payload: tuple[CongruenceCase, EngineSettings, dict | None, dict | None]) -> CaseResult:
     return evaluate_case(*payload)
 
 
@@ -897,10 +940,10 @@ def run_cases(
 ) -> list[CaseResult]:
     """Evaluate cases (optionally on a process pool) and sort deterministically.
 
-    The modular series values are streamed first, once per prime; on a pool
-    the streams are mapped, largest first, before the cases.
+    The series values come first, from one stream per prime and one exact
+    walk per signed base.  On a pool the streams are mapped, largest first,
+    before the cases, and a case is sent the values at its own points.
     """
-    streams = _plan_streams(cases, settings)
     workers = pool_size(jobs, len(cases))
     if workers > 1:
         # Imported here: it costs a fresh interpreter 20 ms or more, and a
@@ -908,13 +951,13 @@ def run_cases(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            sums = _run_streams(streams, pool)
-            payloads = [(c, settings, sums.get(_stream_key(c, settings))) for c in cases]
+            sums, scaled = _run_sums(cases, settings, pool)
+            payloads = [(c, settings, *_case_sums(c, settings, sums, scaled, own=True)) for c in cases]
             chunk = max(1, len(cases) // (workers * 8))
             results = list(pool.map(_pool_eval, payloads, chunksize=chunk))
     else:
-        sums = _run_streams(streams)
-        results = [evaluate_case(c, settings, sums.get(_stream_key(c, settings))) for c in cases]
+        sums, scaled = _run_sums(cases, settings)
+        results = [evaluate_case(c, settings, *_case_sums(c, settings, sums, scaled)) for c in cases]
     return sorted(results, key=lambda result: result.case.sort_key())
 
 

@@ -46,35 +46,63 @@ class SeriesSpec:
         return self.sign * self.m
 
 
-def _scaled_sum(N: int, spec: SeriesSpec) -> int:
-    """m^(N-1) S_N = sum_{k<N} sign^k C(2k,k) m^(N-1-k), by integer Horner.
+#: Terms per chunk of the exact walk in `s_sums_exact`, and block indices
+#: per chunk of the modular one in `s_sums_mod`.
+_BLOCK = 256
 
-    C(2k,k) is carried by C(2k+2,k+1) = C(2k,k) * 2(2k+1) / (k+1), a division
-    that is exact, so no rational arithmetic happens inside the loop.
+
+def s_sums_exact(points_by_base: Mapping[int, Iterable[int]]) -> dict[int, dict[int, int]]:
+    """b^(N-1) S_N(b), an integer, for every signed base b (negative for
+    the literal variant, as in `s_sums_mod`) and every N in its points.
+
+    Each base runs one Horner walk, total <- total b + C(2k,k): after k + 1
+    steps the total is b^k S_(k+1), so one walk to a base's last point
+    passes every earlier one.  C(2k,k), the same for every base, is carried
+    by C(2k+2,k+1) = C(2k,k) 2(2k+1) / (k+1), an exact division, in chunks
+    of at most _BLOCK terms cut at every point, and each base still walking
+    folds the chunk in.  No rational arithmetic happens inside the loop.
     """
-    if N < 0:
-        raise ValueError(f"term count must be >= 0, got {N}")
-    sign, m = spec.sign, spec.m
-    total, c = 0, 1
-    for k in range(N):
-        total = total * m + c
-        c = c * (sign * (4 * k + 2)) // (k + 1)
-    return total
+    stops: dict[int, list[int]] = {}
+    for b, points in points_by_base.items():
+        if b == 0:
+            raise ValueError("series base m must be nonzero")
+        stops[b] = sorted(set(points), reverse=True)
+        if stops[b] and stops[b][-1] < 0:
+            raise ValueError(f"term count must be >= 0, got {stops[b][-1]}")
+    sums: dict[int, dict[int, int]] = {b: {} for b in stops}
+    totals = dict.fromkeys(stops, 0)
+    live = [b for b in stops if stops[b]]
+    c, k = 1, 0
+    for cut in sorted({point for points in stops.values() for point in points}):
+        while k < cut:
+            e = min(k + _BLOCK, cut)
+            terms = [c]  # C(2j,j) for j in [k, e]; the last one starts the next chunk
+            terms += [c := c * (4 * j + 2) // (j + 1) for j in range(k, e)]
+            terms.pop()
+            for b in live:
+                total = totals[b]
+                for term in terms:
+                    total = total * b + term
+                totals[b] = total
+            k = e
+        for b in live:
+            if stops[b][-1] == cut:
+                sums[b][stops[b].pop()] = totals[b]
+        live = [b for b in live if stops[b]]
+    return sums
 
 
 def s_sum_exact(N: int, spec: SeriesSpec) -> Fraction:
-    """Exact S_N: the sum of the first N terms (empty sum for N = 0)."""
-    scaled = _scaled_sum(N, spec)
-    return Fraction(scaled, spec.m ** (N - 1)) if N else Fraction(0)
+    """Exact S_N: the sum of the first N terms (empty sum for N = 0), one
+    point of `s_sums_exact`."""
+    b = spec.base
+    scaled = s_sums_exact({b: (N,)})[b][N]
+    return Fraction(scaled, b ** (N - 1)) if N else Fraction(0)
 
 
 def _require_unit(m: int, p: int) -> None:
     if m % p == 0:
         raise NotPIntegralError(f"series terms at m = {m} are not p-integral for p = {p}")
-
-
-#: Block indices per chunk of the shared walk in `s_sums_mod`.
-_BLOCK = 256
 
 
 def _p_split(c: int, p: int) -> tuple[int, int]:

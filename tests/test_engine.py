@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -363,6 +364,15 @@ class TestDualPath:
         result = check("thm-main", p=5, n=1, alpha=1, m=1)
         assert result.path == "both"
 
+    def test_path_for_cutoffs(self):
+        # Up to the crosscheck cutoff a series case takes both paths, even
+        # above the oracle cutoff; between the two, the oracle alone; above
+        # both, the modular path alone.
+        no_oracle = EngineSettings(oracle_cutoff=0)
+        assert [no_oracle.path_for(i) for i in (3, 1500, 1501)] == ["both", "both", "modular"]
+        assert [DEFAULT_SETTINGS.path_for(i) for i in (1500, 1501, 3000, 3001)] == ["both", "oracle", "oracle", "modular"]
+        assert check("thm-main", no_oracle, p=3, m=1, n=1, alpha=6).path == "both"  # index 729
+
     def test_suites_without_modular_sides_take_the_oracle_path(self):
         default, modular = (run_suite("all", settings=s).results for s in (EngineSettings(), MODULAR_ONLY))
         assert [r.case for r in default] == [r.case for r in modular]
@@ -477,6 +487,15 @@ class TestSweeps:
             if passed and alpha > 1 and (p, m, n, alpha - 1) in by_key:
                 assert by_key[(p, m, n, alpha - 1)]
 
+    def test_default_report_digest(self):
+        # The default report is the one every user runs; its bytes are part
+        # of the contract.
+        digest = hashlib.sha256(run_suite("all").to_json_text().encode("utf-8")).hexdigest()
+        assert digest == "ba4a41bc9c916b2ff120c06538b56ec7be9767a5b6c2088c4520c60df4213d3b", (
+            "the default report's bytes changed; a report change must be deliberate, "
+            "noted in CHANGES.md, and this digest updated with it"
+        )
+
     def test_parallel_determinism(self):
         ranges = SweepRanges(primes=(3, 5), n_values=(1, 2), alpha_values=(1, 2))
         sequential = run_suite("thm-main", ranges, jobs=1)
@@ -579,6 +598,29 @@ class TestSweeps:
         deep = enumerate_cases("thm-main", ranges, max_index=200_000)
         ((p, prec, by_base),) = asdcong.engine._plan_streams(deep, MODULAR_ONLY)
         assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) >= 1
+
+    def test_shared_sums_match_lone_cases(self, monkeypatch):
+        # run_cases reads every S_N from one stream per prime and one exact
+        # walk per signed base; a lone evaluate_case streams and walks on its
+        # own.  Both must give the same verdicts and sides, serially and on a
+        # pool, and a serial sweep walks once.
+        walks = []
+        walk = asdcong.engine.s_sums_exact
+        monkeypatch.setattr(asdcong.engine, "s_sums_exact", lambda points: walks.append(points) or walk(points))
+        grids = [
+            enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000),
+            enumerate_cases("lemma-2-2"),
+            enumerate_cases("eq-sun-asd") + enumerate_cases("eq-sun-asd", variant="literal"),
+        ]
+        for cases in grids:
+            lone = sorted((evaluate_case(c) for c in cases), key=lambda r: r.case.sort_key())
+            for jobs in (1, 2):
+                walks.clear()
+                shared = run_cases(cases, jobs=jobs)
+                assert len(walks) == 1
+                assert [r.case for r in shared] == [r.case for r in lone]
+                for a, b in zip(shared, lone):
+                    assert (a.achieved, a.passed, a.path, a.lhs, a.rhs) == (b.achieved, b.passed, b.path, b.lhs, b.rhs), a.case
 
     def test_prime_cap_before_primality(self, monkeypatch):
         # Every suite's index is at least p, so candidates above the cap give

@@ -6,12 +6,27 @@ import pytest
 
 from asdcong.exactcore import NotPIntegralError, vp
 from asdcong.padic import PadicApprox, PadicCtx, from_rational
-from asdcong.series import _BLOCK, SeriesSpec, _block_polys, _walk, apery, s_sum_exact, s_sum_mod, s_sums_mod
+from asdcong.series import (
+    _BLOCK,
+    SeriesSpec,
+    _block_polys,
+    _walk,
+    apery,
+    s_sum_exact,
+    s_sum_mod,
+    s_sums_exact,
+    s_sums_mod,
+)
 
 
 def brute_s_sum(N, m, sign=1):
     """Independent oracle: explicit central binomials, no ratio recurrence."""
     return sum(Fraction(sign**k * math.comb(2 * k, k), m**k) for k in range(N))
+
+
+def brute_scaled_sum(N, b):
+    """b^(N-1) S_N(b) as the integer sum of C(2k,k) b^(N-1-k) over k < N."""
+    return sum(math.comb(2 * k, k) * b ** (N - 1 - k) for k in range(N))
 
 
 def carries_adding_k_plus_k(k, p):
@@ -48,6 +63,53 @@ class TestSSumExact:
             for N in (0, 1, 2, 7, 40, 150, 1000):
                 assert s_sum_exact(N, SeriesSpec(m)) == brute_s_sum(N, m)
                 assert s_sum_exact(N, SeriesSpec(m, "literal")) == brute_s_sum(N, m, -1)
+
+
+class TestSSumsExact:
+    def test_walk_matches_brute_force(self):
+        # Signed bases on one walk, each given at random one of the point
+        # sets 0 and 1, duplicates, an unsorted list around the chunk edges,
+        # nothing at all, or random points (every set is used each time).  Every value equals the direct
+        # sum, and a base walked alone gives what it gives in company.
+        rng = random.Random(2017)
+        for _ in range(4):
+            large = rng.randrange(10**20, 10**21)
+            bases = [1, -1, 2, -2, 10, -10, large, -large]
+            point_sets = [
+                [0, 1],
+                [5, 5, 1, 5, 0, 1],
+                [2 * _BLOCK + 3, 7, _BLOCK, 1, _BLOCK - 1, _BLOCK + 1, 0],
+                [],
+                [rng.randrange(3 * _BLOCK) for _ in range(6)],
+            ]
+            points_by_base = {b: point_sets[i % len(point_sets)] for i, b in enumerate(rng.sample(bases, len(bases)))}
+            sums = s_sums_exact(points_by_base)
+            assert set(sums) == set(points_by_base)
+            for b, points in points_by_base.items():
+                assert set(sums[b]) == set(points)
+                for N in points:
+                    assert sums[b][N] == brute_scaled_sum(N, b), (b, N)
+                assert s_sums_exact({b: points}) == {b: sums[b]}
+        assert s_sums_exact({}) == {}
+
+    def test_rejects(self):
+        with pytest.raises(ValueError):
+            s_sums_exact({1: (3, -1)})
+        with pytest.raises(ValueError):
+            s_sums_exact({2: (4,), -2: (3, -2)})
+        with pytest.raises(ValueError):
+            s_sums_exact({0: (3,)})
+
+    def test_one_point_reads_keep_s_sum_exact(self):
+        # s_sum_exact reads one point of the walk over the signed base; it
+        # equals the sign-carrying sum sum_k sign^k C(2k,k) m^(N-1-k) / m^(N-1)
+        # in both variants.
+        for m in (1, 2, 3, 4, 5, 7, 10, -1, -3, -10, 12345):
+            for variant, sign in (("corrected", 1), ("literal", -1)):
+                for N in (0, 1, 2, 3, 17, _BLOCK, _BLOCK + 1, 600):
+                    scaled = sum(sign**k * math.comb(2 * k, k) * m ** (N - 1 - k) for k in range(N))
+                    expected = Fraction(scaled, m ** (N - 1)) if N else Fraction(0)
+                    assert s_sum_exact(N, SeriesSpec(m, variant)) == expected, (m, variant, N)
 
 
 class TestSSumMod:
