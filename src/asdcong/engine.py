@@ -18,7 +18,7 @@ import os
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from math import lcm
 from operator import attrgetter
@@ -34,7 +34,7 @@ from .exactcore import (
     require_odd_prime,
     vp,
 )
-from .lucas import LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
+from .lucas import _PERIODIC_ORBITS, LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
 from .padic import PadicApprox, PadicCtx, from_rational, required_guard
 from .series import SeriesSpec, apery, s_sums_exact, s_sums_mod
 
@@ -495,12 +495,29 @@ def _lemma_2_3_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     )
 
 
+@cache
+def _block_weights(p: int, s: int, l: int, period: int) -> tuple[int, tuple[int, ...]]:
+    """L, the lcm of the k in [l p^s, (l+1) p^s) prime to p, and for each
+    r < period the sum of L/k over those k with k = r mod period."""
+    ks = [k for k in range(l * p**s, (l + 1) * p**s) if k % p]
+    common = lcm(*ks)
+    weights = [0] * period
+    for k in ks:
+        weights[k % period] += common // k
+    return common, tuple(weights)
+
+
 def _lemma_2_4_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
     params = LucasParams(m - 2)
-    ks = [k for k in range(l * p**s, (l + 1) * p**s) if k % p]
-    common = lcm(*ks)
-    lhs = Fraction(sum((-1) ** k * lucas_u(p**a * n - k, params) * (common // k) for k in ks), common)
+    # For m in {1,2,3}, u_j(m-2, 1) runs through a period-T orbit (negative j
+    # too), so (-1)^k u_{N-k} depends only on k mod lcm(2, T): the block sum
+    # is one weighted sum over the residues, with weights shared by every
+    # case on the same block.
+    orbit = _PERIODIC_ORBITS[m - 2]
+    top, period = p**a * n, lcm(2, len(orbit))
+    common, weights = _block_weights(p, s, l, period)
+    lhs = Fraction(sum((-1) ** r * orbit[(top - r) % len(orbit)] * w for r, w in enumerate(weights)), common)
     tail = lucas_u(p ** (a - s) * n - l, params) + lucas_u(p ** (a - s) * n - l - 1, params)
     rhs = _symbol(case) ** s * -fermat_quotient_factor(m, p, a) * (-1) ** l * tail
     return lhs, rhs

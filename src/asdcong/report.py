@@ -6,6 +6,11 @@ matter how many workers evaluated the cases, so nothing time- or
 schedule-dependent may enter, cases are emitted in sorted order, and keys are
 sorted.  Integers that would overflow 64-bit consumers are serialized as
 decimal strings; the infinite valuation is the string "inf".
+
+The document is `json.dumps(to_json_dict(), sort_keys=True, indent=2)`.
+With an indent CPython encodes in pure Python, so `to_json_text` writes the
+case entries itself from one template and leaves only `meta` and `summary`
+to `json.dumps`; the result is the same text.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from ._version import __version__
@@ -37,6 +43,56 @@ def _json_safe(value):
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return str(value)
+
+
+def _json_text(value, pad: str) -> str:
+    """`value` as the indented document writes it at a depth of `pad`.
+
+    Plain scalars are written here; anything else, NaN included, goes
+    through `json.dumps` as the reference does."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value) if -_I64_MAX <= value <= _I64_MAX else encode_basestring_ascii(str(value))
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float and value == value:
+        if math.isinf(value):
+            return '"inf"' if value > 0 else '"-inf"'
+        return int.__repr__(int(value)) if value.is_integer() else float.__repr__(value)
+    return json.dumps(_json_safe(value), sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+# One case entry, keys in sorted order; `params` is filled in by _params_text.
+_ENTRY = """    {{
+      "achieved_valuation": {},
+      "error": {},
+      "params": {},
+      "pass": {},
+      "required_exponent": {},
+      "suite": {}
+    }}"""
+
+
+def _params_text(params: dict) -> str:
+    if not params:
+        return "{}"
+    lines = [f"        {encode_basestring_ascii(k)}: {_json_text(v, ' ' * 8)}" for k, v in sorted(params.items())]
+    return "{\n" + ",\n".join(lines) + "\n      }"
+
+
+def _entry_text(entry: dict) -> str:
+    return _ENTRY.format(
+        _json_text(entry["achieved_valuation"], " " * 6),
+        _json_text(entry["error"], " " * 6),
+        _params_text(entry["params"]),
+        _json_text(entry["pass"], " " * 6),
+        _json_text(entry["required_exponent"], " " * 6),
+        _json_text(entry["suite"], " " * 6),
+    )
 
 
 @dataclass
@@ -85,16 +141,25 @@ class Report:
     def failures(self) -> list:
         return [r for r in self.results if r.error is not None or not r.passed]
 
-    def to_json_dict(self) -> dict:
+    def summary(self) -> dict:
         summary = self.counts()
         summary["min_margin_by_suite"] = self.min_margin_by_suite()
+        return summary
+
+    def to_json_dict(self) -> dict:
+        """The document as plain JSON values; the reference for to_json_text."""
         return _json_safe(
             {
                 "meta": self.meta,
                 "cases": [r.to_json_entry() for r in self.results],
-                "summary": summary,
+                "summary": self.summary(),
             }
         )
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2)` and a newline."""
+        entries = [_entry_text(r.to_json_entry()) for r in self.results]
+        cases = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+        meta = _json_text(self.meta, "  ")
+        summary = _json_text(self.summary(), "  ")
+        return f'{{\n  "cases": {cases},\n  "meta": {meta},\n  "summary": {summary}\n}}\n'

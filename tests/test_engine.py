@@ -312,6 +312,25 @@ class TestLemma24:
                             )
                             assert check("lemma-2-4", m=m, p=p, n=n, l=l, alpha=alpha, s=s).lhs == direct
 
+    def test_shared_weights_match_per_term_sum(self):
+        # Every s <= alpha and l <= 2p: 7070 cases, many on the same block.
+        ranges = SweepRanges(primes=(3, 5, 7, 11, 13), n_values=(1, 2, 3, 4), alpha_values=(1, 2, 3, 4))
+        cases = enumerate_cases("lemma-2-4", ranges, max_index=20_000)
+        assert len(cases) == 7070
+        blocks = {}
+        negative = 0
+        for case in cases:
+            p, s, l, top = case.p, case.s, case.l, case.n * case.p**case.alpha
+            if (p, s, l) not in blocks:
+                ks = [k for k in range(l * p**s, (l + 1) * p**s) if k % p]
+                blocks[p, s, l] = ks, math.lcm(*ks)
+            ks, common = blocks[p, s, l]
+            negative += ks[-1] > top
+            params = LucasParams(case.m - 2)
+            direct = Fraction(sum((-1) ** k * lucas_u(top - k, params) * (common // k) for k in ks), common)
+            assert asdcong.engine._lemma_2_4_sides(case)[0] == direct, case
+        assert negative > 1000  # blocks reaching past N, where the Lucas index is negative
+
 
 class TestLemma25:
     def test_zero_sequence_is_trivial(self):
@@ -492,6 +511,15 @@ class TestSweeps:
         # of the contract.
         digest = hashlib.sha256(run_suite("all").to_json_text().encode("utf-8")).hexdigest()
         assert digest == "ba4a41bc9c916b2ff120c06538b56ec7be9767a5b6c2088c4520c60df4213d3b", (
+            "the default report's bytes changed; a report change must be deliberate, "
+            "noted in CHANGES.md, and this digest updated with it"
+        )
+
+    def test_literal_report_digest(self):
+        # The literal variant fails 659 cases, so this report holds the
+        # failing entries and negative and infinite margins the default lacks.
+        digest = hashlib.sha256(run_suite("all", variant="literal").to_json_text().encode("utf-8")).hexdigest()
+        assert digest == "c5b20219550924a98ba4bd21c74868ba605b241bee480252c655b25c734f5761", (
             "the default report's bytes changed; a report change must be deliberate, "
             "noted in CHANGES.md, and this digest updated with it"
         )

@@ -1,0 +1,70 @@
+import json
+import math
+from dataclasses import dataclass
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asdcong.engine import AchievedValuation, CaseResult
+from asdcong.exactcore import INF
+from asdcong.report import Report
+
+
+@dataclass(frozen=True)
+class StubCase:
+    """A case whose parameters need not pass CongruenceCase's validation."""
+
+    suite: str
+    params: dict
+
+    def params_dict(self) -> dict:
+        return self.params
+
+
+# Strings a hand-written encoder gets wrong first: quotes, backslashes,
+# control characters and characters outside ASCII.
+AWKWARD = st.sampled_from(['say "no"', "a\\b", "line\nbreak\ttab", "p = 3 ∤ m: ∞ ≠ 0", "\x00\x1f", "😀"])
+STRINGS = st.one_of(st.text(max_size=12), AWKWARD)
+# Both sides of 2^63, where an int becomes a decimal string.
+INTS = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63) + 1, -(2**63), 10**40, -(10**40)]),
+)
+# Floats follow _json_safe: infinities become strings, integral ones ints.
+FLOATS = st.one_of(st.floats(), st.sampled_from([INF, -INF, math.nan, -0.0, 2.0, 0.5, 1e300]))
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, STRINGS, FLOATS)
+ACHIEVED = st.one_of(
+    st.none(),
+    st.builds(AchievedValuation.exact, INTS),
+    st.builds(AchievedValuation.at_least, st.integers(0, 60)),
+    st.just(AchievedValuation.infinite()),
+)
+RESULTS = st.builds(
+    CaseResult,
+    case=st.builds(
+        StubCase,
+        suite=st.one_of(st.sampled_from(["thm-main", "lemma-2-4"]), STRINGS),
+        params=st.dictionaries(st.one_of(st.sampled_from(["p", "m", "variant"]), STRINGS), SCALARS, max_size=5),
+    ),
+    required_exponent=st.one_of(st.just(INF), st.integers(0, 40), INTS),
+    achieved=ACHIEVED,
+    passed=st.booleans(),
+    error=st.one_of(st.none(), STRINGS),
+)
+META = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(STRINGS, inner, max_size=3), max_leaves=8
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(RESULTS, max_size=6), st.dictionaries(STRINGS, META, max_size=4))
+    def test_equals_json_dumps_of_the_dict(self, results, invocation):
+        report = Report.from_results(invocation, results)
+        assert report.to_json_text() == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+    def test_empty_sweep(self):
+        text = Report.from_results({}, []).to_json_text()
+        assert '\n  "cases": [],\n' in text
+        assert json.loads(text)["summary"]["total"] == 0
