@@ -11,13 +11,7 @@ from .exactcore import (
     rat_congruent,
     vp,
 )
-from .padic import (
-    CtxMismatchError,
-    PadicApprox,
-    PadicCtx,
-    from_rational,
-    required_guard,
-)
+from .padic import PadicCtx, from_rational, required_guard
 from .lucas import LucasParams, jacobi, legendre, lucas_u, lucas_u_mod
 from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod
 from .engine import (

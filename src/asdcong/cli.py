@@ -2,8 +2,10 @@
 
 `verify` runs congruence sweeps and writes the JSON report (stdout or --out),
 exiting 0 only when every evaluated case passed.  `scan` prints failures and
-errors only, for counterexample hunting.  `eval` prints single values
-(series sums, Apery numbers, Lucas terms), exactly or modulo p^e.
+errors only, for counterexample hunting.  Either exits 3 when the oracle and
+modular paths disagree on a case: that is a bug, not a finding.  `eval`
+prints single values (series sums, Apery numbers, Lucas terms), exactly or
+modulo p^e.
 
 Reports are byte-identical across reruns and worker counts; everything that
 could vary (timing, scheduling) is kept out of them.
@@ -13,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .engine import DEFAULT_SETTINGS, SUITES, EngineSettings, SweepRanges, run_suite
+from .engine import DEFAULT_SETTINGS, SUITES, EngineSelfCheckError, EngineSettings, SweepRanges, run_suite
 from .exactcore import PRIMALITY_LIMIT
 from .lucas import LucasParams, lucas_u, lucas_u_mod
-from .padic import PadicCtx, from_rational
+from .padic import PadicCtx, describe
 from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod
 
 
@@ -194,7 +195,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 parser.error("--series s needs --m and --N")
             spec = SeriesSpec(args.m, args.variant)
             if ctx:
-                print(s_sum_mod(args.N, spec, ctx).describe())
+                print(describe(s_sum_mod(args.N, spec, ctx), ctx))
             else:
                 print(s_sum_exact(args.N, spec))
         elif args.series == "apery":
@@ -202,7 +203,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 parser.error("--series apery needs --index")
             value = apery(args.index)
             if ctx:
-                print(from_rational(Fraction(value), ctx).describe())
+                print(describe(value, ctx))
             else:
                 print(value)
         else:  # lucas
@@ -210,7 +211,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 parser.error("--series lucas needs --m and --index")
             params = LucasParams(args.m - 2)
             if ctx:
-                print(lucas_u_mod(args.index, params, ctx).describe())
+                print(describe(lucas_u_mod(args.index, params, ctx), ctx))
             else:
                 print(lucas_u(args.index, params))
     except (ValueError, ArithmeticError) as exc:
@@ -274,7 +275,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = ["verify"]
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(argv))
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except EngineSelfCheckError as exc:
+        print(f"error: EngineSelfCheckError: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

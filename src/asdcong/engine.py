@@ -33,9 +33,10 @@ from .exactcore import (
     rat_congruent,
     require_odd_prime,
     vp,
+    vp_int,
 )
 from .lucas import _PERIODIC_ORBITS, LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
-from .padic import PadicApprox, PadicCtx, from_rational, required_guard
+from .padic import PadicCtx, from_rational, required_guard
 from .series import SeriesSpec, apery, s_sums_exact, s_sums_mod
 
 if TYPE_CHECKING:
@@ -109,10 +110,11 @@ def _oracle_achieved(achieved: int | float) -> AchievedValuation:
     return AchievedValuation.exact(achieved)
 
 
-def _modular_achieved(diff: PadicApprox) -> AchievedValuation:
-    if diff.is_zero_class():
-        return AchievedValuation.at_least(diff.ctx.prec)
-    return AchievedValuation.exact(diff.v)
+def _modular_achieved(diff: int, ctx: PadicCtx) -> AchievedValuation:
+    diff %= ctx.modulus
+    if diff == 0:
+        return AchievedValuation.at_least(ctx.prec)
+    return AchievedValuation.exact(vp_int(diff, ctx.p))
 
 
 def _check_paths_agree(case: CongruenceCase, oracle: AchievedValuation, modular: AchievedValuation) -> None:
@@ -285,10 +287,9 @@ class SweepRanges:
 Sides = Callable[[CongruenceCase], tuple[Fraction, Fraction]]
 #: (lhs, rhs) of a series case as exact rationals, given S_N exactly by N.
 SeriesSides = Callable[[CongruenceCase, Callable[[int], Fraction]], tuple[Fraction, Fraction]]
-#: (lhs, rhs) of a series case modulo p^E, given S_N mod p^E by N.
-ModularSides = Callable[
-    [CongruenceCase, PadicCtx, Callable[[int], PadicApprox]], tuple[PadicApprox, PadicApprox]
-]
+#: (lhs, rhs) of a series case as ints standing for their classes mod p^E,
+#: given S_N mod p^E by N.
+ModularSides = Callable[[CongruenceCase, PadicCtx, Callable[[int], int]], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -408,27 +409,25 @@ def _scaling_exact(multiplier: Callable[[CongruenceCase], int], case, s_sum) -> 
     return s_sum(hi), multiplier(case) * s_sum(lo)
 
 
-def _scaling_modular(
-    multiplier: Callable[[CongruenceCase], int], case, ctx, s_sum
-) -> tuple[PadicApprox, PadicApprox]:
+def _scaling_modular(multiplier: Callable[[CongruenceCase], int], case, ctx, s_sum) -> tuple[int, int]:
     hi, lo = _scaled(case)
-    return s_sum(hi), from_rational(multiplier(case), ctx).mul(s_sum(lo))
+    return s_sum(hi), multiplier(case) * s_sum(lo)
 
 
 def _mod_p_exact(case, s_sum) -> tuple[Fraction, Fraction]:
     return s_sum(case.p), Fraction(_symbol(case))
 
 
-def _mod_p_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
-    return s_sum(case.p), from_rational(_symbol(case), ctx)
+def _mod_p_modular(case, ctx, s_sum) -> tuple[int, int]:
+    return s_sum(case.p), _symbol(case)
 
 
 def _mod_p2_exact(case, s_sum) -> tuple[Fraction, Fraction]:
     return s_sum(case.p), Fraction(_symbol(case) + lucas_u(*_lucas_term(case)))
 
 
-def _mod_p2_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
-    return s_sum(case.p), from_rational(_symbol(case), ctx).add(lucas_u_mod(*_lucas_term(case), ctx))
+def _mod_p2_modular(case, ctx, s_sum) -> tuple[int, int]:
+    return s_sum(case.p), _symbol(case) + lucas_u_mod(*_lucas_term(case), ctx)
 
 
 def _sun_asd_exact(case, s_sum) -> tuple[Fraction, Fraction]:
@@ -438,14 +437,14 @@ def _sun_asd_exact(case, s_sum) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def _sun_asd_modular(case, ctx, s_sum) -> tuple[PadicApprox, PadicApprox]:
+def _sun_asd_modular(case, ctx, s_sum) -> tuple[int, int]:
     spec = SeriesSpec(_statement_m(case), case.variant)
     hi, M = _scaled(case)
-    lhs = s_sum(hi).sub(from_rational(_symbol(case), ctx).mul(s_sum(M)))
+    lhs = s_sum(hi) - _symbol(case) * s_sum(M)
     # Term M of the series is sign^M C(2M,M) / m^M and C(2M-1, M-1) is half
     # of C(2M, M), so M C(2M-1, M-1) / m^(M-1) = M m sign^M (S_{M+1} - S_M) / 2.
     factor = from_rational(Fraction(M * spec.m * spec.sign**M, 2), ctx)
-    rhs = s_sum(M + 1).sub(s_sum(M)).mul(factor).mul(lucas_u_mod(*_lucas_term(case), ctx))
+    rhs = (s_sum(M + 1) - s_sum(M)) * factor * lucas_u_mod(*_lucas_term(case), ctx)
     return lhs, rhs
 
 
@@ -852,14 +851,11 @@ def evaluate_case(
             oracle = _oracle_achieved(rat_congruent(lhs, rhs, case.p, required).achieved)
         if path != "oracle":
             ctx = PadicCtx(case.p, _working_precision(case))
-
-            def s_sum(N: int) -> PadicApprox:
-                return PadicApprox.from_residue(ctx, partial_sums[N])
-
-            mod_lhs, mod_rhs = suite.modular(case, ctx, s_sum)
-            modular = _modular_achieved(mod_lhs.sub(mod_rhs))
+            mod_lhs, mod_rhs = suite.modular(case, ctx, partial_sums.__getitem__)
+            modular = _modular_achieved(mod_lhs - mod_rhs, ctx)
             if oracle is None:
-                lhs, rhs = mod_lhs, mod_rhs
+                # The shared stream may carry more digits than this case.
+                lhs, rhs = mod_lhs % ctx.modulus, mod_rhs % ctx.modulus
     except (NotPIntegralError, ZeroDivisionError) as exc:
         return CaseResult(case, required, None, False, error=str(exc))
     if oracle is not None and modular is not None:

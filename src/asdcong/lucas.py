@@ -13,7 +13,7 @@ from itertools import islice
 from typing import Iterator
 
 from .exactcore import require_odd_prime
-from .padic import PadicApprox, PadicCtx
+from .padic import PadicCtx
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def _u_pair_mod(n: int, a: int, b: int, mod: int) -> tuple[int, int]:
     return u2k, u2k1
 
 
-def lucas_u_mod(n: int, params: LucasParams, ctx: PadicCtx) -> PadicApprox:
-    """u_n modulo p^prec; n may be astronomically large.
+def lucas_u_mod(n: int, params: LucasParams, ctx: PadicCtx) -> int:
+    """u_n modulo p^prec, in [0, p^prec); n may be astronomically large.
 
     For b = 1 and a in {-1, 0, 1} the orbit is periodic with period 3, 4 or 6
     and the value is looked up directly; otherwise fast doubling is used.
@@ -102,9 +102,8 @@ def lucas_u_mod(n: int, params: LucasParams, ctx: PadicCtx) -> PadicApprox:
     if n < 0:
         if params.b != 1:
             raise ValueError("negative indices are only defined for b = 1")
-        return lucas_u_mod(-n, params, ctx).neg()
+        return -lucas_u_mod(-n, params, ctx) % ctx.modulus
     if params.b == 1 and params.a in _PERIODIC_ORBITS:
         orbit = _PERIODIC_ORBITS[params.a]
-        return PadicApprox.from_residue(ctx, orbit[n % len(orbit)])
-    un, _ = _u_pair_mod(n, params.a, params.b, ctx.modulus)
-    return PadicApprox.from_residue(ctx, un)
+        return orbit[n % len(orbit)] % ctx.modulus
+    return _u_pair_mod(n, params.a, params.b, ctx.modulus)[0]

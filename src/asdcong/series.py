@@ -17,7 +17,7 @@ from operator import add, mul
 from typing import Iterable, Mapping
 
 from .exactcore import NotPIntegralError, binomial
-from .padic import PadicApprox, PadicCtx
+from .padic import PadicCtx
 
 VARIANTS = ("corrected", "literal")
 
@@ -394,10 +394,10 @@ def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> di
     return _walk(points, ctx, _level(ctx.p, ctx.prec, points))
 
 
-def s_sum_mod(N: int, spec: SeriesSpec, ctx: PadicCtx) -> PadicApprox:
-    """S_N mod p^prec as a PadicApprox: one point of `s_sums_mod`; needs p not dividing m."""
+def s_sum_mod(N: int, spec: SeriesSpec, ctx: PadicCtx) -> int:
+    """S_N mod p^prec in [0, p^prec): one point of `s_sums_mod`; needs p not dividing m."""
     _require_unit(spec.m, ctx.p)  # the error names m as given, not the signed base
-    return PadicApprox.from_residue(ctx, s_sums_mod({spec.base: (N,)}, ctx)[spec.base][N])
+    return s_sums_mod({spec.base: (N,)}, ctx)[spec.base][N]
 
 
 def apery(n: int) -> int:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import asdcong.engine
 from asdcong.cli import main, parse_int_values, parse_modulus
+from asdcong.engine import AchievedValuation
 
 
 class TestParsing:
@@ -114,6 +116,18 @@ class TestVerify:
                 with pytest.raises(SystemExit) as exc:
                     main([command, "--suite", "eq-mod-p", flag, value])
                 assert exc.value.code == 2
+
+    def test_self_check_disagreement_exits_3(self, capsys, monkeypatch):
+        # A modular path that disagrees with the oracle is a bug: one stderr
+        # line and exit 3, not a traceback and not a failed case's exit 1.
+        monkeypatch.setattr(asdcong.engine, "_modular_achieved", lambda diff, ctx: AchievedValuation.exact(-1))
+        for command in ("verify", "scan"):
+            code = main([command, "--suite", "eq-mod-p", "--primes", "5", "--m", "1", "--jobs", "1"])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: EngineSelfCheckError: oracle says "), line
 
     def test_byte_identical_reports(self, tmp_path):
         args = [

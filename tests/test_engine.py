@@ -24,7 +24,7 @@ from asdcong.engine import (
     sun_tauraso_rhs,
     synthesize_block_sequence,
 )
-from asdcong.exactcore import INF, is_prime, vp
+from asdcong.exactcore import INF, is_prime, vp, vp_int
 from asdcong.lucas import LucasParams, legendre, lucas_u
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.report import Report
@@ -433,13 +433,14 @@ def per_case_modular_valuation(case):
     required = a + 1 if case.suite == "eq-sun-asd" else 2 * a
     ctx = PadicCtx(p, required_guard(hi, required, p))
     factor = p if case.suite == "thm-m4" else sym
-    diff = s_sum_mod(hi, spec, ctx) - from_rational(factor, ctx) * s_sum_mod(lo, spec, ctx)
+    diff = s_sum_mod(hi, spec, ctx) - factor * s_sum_mod(lo, spec, ctx)
     if case.suite == "eq-sun-asd":
         rhs = Fraction(lo, m ** (lo - 1)) * math.comb(2 * lo - 1, lo - 1) * lucas_u(p - sym, LucasParams(m - 2))
-        diff = diff - from_rational(rhs, ctx)
-    if diff.is_zero_class():
-        return AchievedValuation.at_least(diff.ctx.prec)
-    return AchievedValuation.exact(diff.v)
+        diff -= from_rational(rhs, ctx)
+    diff %= ctx.modulus
+    if diff == 0:
+        return AchievedValuation.at_least(ctx.prec)
+    return AchievedValuation.exact(vp_int(diff, p))
 
 
 class TestSweeps:
@@ -576,11 +577,14 @@ class TestSweeps:
             for a in (1, 2)
             for variant in ("corrected", "literal")
         ]
+
+        def precision(c):
+            required = c.alpha + 1 if c.suite == "eq-sun-asd" else 2 * c.alpha
+            return required_guard(c.n * c.p**c.alpha, required, c.p)
+
         precs = {}
         for c in cases:
-            index = c.n * c.p**c.alpha
-            required = c.alpha + 1 if c.suite == "eq-sun-asd" else 2 * c.alpha
-            precs.setdefault((c.p, c.m, c.variant), set()).add(required_guard(index, required, c.p))
+            precs.setdefault((c.p, c.m, c.variant), set()).add(precision(c))
         assert len(precs[(3, 1, "corrected")]) > 1
 
         serial, parallel = (run_cases(cases, MODULAR_ONLY, jobs) for jobs in (1, 2))
@@ -588,6 +592,12 @@ class TestSweeps:
         for result in serial:
             assert result.path == "modular"
             assert result.achieved == per_case_modular_valuation(result.case)
+            # The sides are residues mod the case's own p^E, whatever the
+            # precision of the stream it shared.
+            modulus = result.case.p ** precision(result.case)
+            assert 0 <= result.lhs < modulus and 0 <= result.rhs < modulus, result.case
+            alone = evaluate_case(result.case, MODULAR_ONLY)
+            assert (alone.achieved, alone.lhs, alone.rhs) == (result.achieved, result.lhs, result.rhs), result.case
 
     def test_stream_plan(self):
         # One stream per prime, at the prime's highest working precision.

@@ -1,16 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from asdcong.exactcore import NotPIntegralError
-from asdcong.padic import (
-    CtxMismatchError,
-    PadicApprox,
-    PadicCtx,
-    from_rational,
-    required_guard,
-)
+from asdcong.exactcore import NotPIntegralError, vp_int
+from asdcong.padic import PadicCtx, describe, from_rational, required_guard
 
 
 def random_p_integral(rng, p, span=10**6):
@@ -36,15 +31,14 @@ class TestCtx:
 class TestFromRational:
     def test_examples(self):
         ctx = PadicCtx(5, 2)
-        x = from_rational(99, ctx)
-        assert (x.v, x.u) == (0, 24)  # 99 mod 25 = 24
-
-        z = from_rational(0, ctx)
-        assert z.is_zero_class() and (z.v, z.u) == (2, 0)
+        assert from_rational(99, ctx) == 24  # 99 mod 25
+        assert from_rational(-1, ctx) == 24
+        assert from_rational(0, ctx) == 0
 
         ctx3 = PadicCtx(3, 2)
         y = from_rational(Fraction(15, 8), ctx3)
-        assert y.v == 1 and y.u == 1  # unit is 5 * 8^{-1} = 1 mod 3
+        assert y == 3  # 15 * 8^{-1} = 15 * 8 = 120 = 3 mod 9
+        assert vp_int(y, 3) == 1 and y // 3 == 1  # unit is 5 * 8^{-1} = 1 mod 3
 
     def test_not_p_integral(self):
         ctx = PadicCtx(3, 4)
@@ -53,48 +47,20 @@ class TestFromRational:
 
     def test_deep_zero(self):
         ctx = PadicCtx(3, 2)
-        assert from_rational(27, ctx).is_zero_class()
+        assert from_rational(27, ctx) == 0
 
 
-class TestArithmetic:
-    def test_add_identity(self):
-        ctx = PadicCtx(7, 3)
-        x = from_rational(Fraction(13, 5), ctx)
-        assert x.add(PadicApprox.zero(ctx)) == x
+class TestDescribe:
+    def test_forms(self):
+        assert describe(80, PadicCtx(3, 4)) == "80 * 3^0 mod 3^4"  # a unit
+        assert describe(98, PadicCtx(7, 3)) == "2 * 7^2 mod 7^3"  # a multiple of p
+        assert describe(from_rational(Fraction(15, 8), PadicCtx(3, 2)), PadicCtx(3, 2)) == "1 * 3^1 mod 3^2"
+        assert describe(0, PadicCtx(3, 4)) == "0 * 3^4 mod 3^4"  # the zero class
+        assert describe(81 * 7, PadicCtx(3, 4)) == "0 * 3^4 mod 3^4"
 
-    def test_mul_valuations(self):
-        ctx = PadicCtx(3, 3)
-        three = from_rational(3, ctx)
-        nine = three.mul(three)
-        assert (nine.v, nine.u) == (2, 1)
-
-    def test_sub_to_zero_class(self):
-        ctx = PadicCtx(5, 2)
-        d = from_rational(99, ctx).sub(from_rational(-1, ctx))
-        assert d.is_zero_class() and (d.v, d.u) == (2, 0)
-
-    def test_invariants(self):
-        ctx = PadicCtx(5, 2)
-        assert PadicApprox.zero(ctx) == PadicApprox(ctx, 2, 0)
-        assert PadicApprox.from_residue(ctx, -5) == PadicApprox(ctx, 1, 4)
-        for v, u in ((3, 0), (-1, 1), (2, 1), (0, 5), (0, 25), (1, 5), (0, 0)):
-            with pytest.raises(ValueError):
-                PadicApprox(ctx, v, u)
-
-    def test_ctx_mismatch(self):
-        a = from_rational(1, PadicCtx(3, 2))
-        b = from_rational(1, PadicCtx(5, 2))
-        with pytest.raises(CtxMismatchError):
-            a.add(b)
-
-    def test_operator_sugar(self):
-        ctx = PadicCtx(7, 2)
-        x = from_rational(10, ctx)
-        y = from_rational(3, ctx)
-        assert x + y == from_rational(13, ctx)
-        assert x - y == from_rational(7, ctx)
-        assert x * y == from_rational(30, ctx)
-        assert -x == from_rational(-10, ctx)
+    def test_negative_input(self):
+        assert describe(-115, PadicCtx(5, 6)) == "3102 * 5^1 mod 5^6"
+        assert describe(-1, PadicCtx(3, 4)) == "80 * 3^0 mod 3^4"
 
 
 class TestOracleEquivalence:
@@ -105,26 +71,29 @@ class TestOracleEquivalence:
         for _ in range(1000):
             p = rng.choice((3, 5, 7, 11, 13))
             ctx = PadicCtx(p, rng.randrange(1, 8))
+            mod = ctx.modulus
             x = random_p_integral(rng, p)
             y = random_p_integral(rng, p)
             xa, ya = from_rational(x, ctx), from_rational(y, ctx)
-            assert xa.add(ya) == from_rational(x + y, ctx)
-            assert xa.sub(ya) == from_rational(x - y, ctx)
-            assert xa.mul(ya) == from_rational(x * y, ctx)
+            assert (xa + ya) % mod == from_rational(x + y, ctx)
+            assert (xa - ya) % mod == from_rational(x - y, ctx)
+            assert (xa * ya) % mod == from_rational(x * y, ctx)
 
     def test_canonical_after_ops(self):
+        # Every residue lies in [0, p^E), and describe's unit and valuation
+        # rebuild it.
         rng = random.Random(99)
         for _ in range(300):
             p = rng.choice((3, 5, 7))
             ctx = PadicCtx(p, 6)
             x = from_rational(random_p_integral(rng, p), ctx)
             y = from_rational(random_p_integral(rng, p), ctx)
-            for value in (x + y, x - y, x * y):
-                if value.v < ctx.prec:
-                    assert value.u % p != 0
-                    assert 0 < value.u < p ** (ctx.prec - value.v)
-                else:
-                    assert value.u == 0
+            for value in (x, y, from_rational(x + y, ctx), from_rational(x - y, ctx), from_rational(x * y, ctx)):
+                assert 0 <= value < ctx.modulus
+                form = re.fullmatch(rf"(\d+) \* {p}\^(\d+) mod {p}\^6", describe(value, ctx))
+                u, v = int(form[1]), int(form[2])
+                assert u * p**v == value
+                assert (u == 0 and v == ctx.prec) or (u % p != 0 and 0 < u < p ** (ctx.prec - v))
 
 
 class TestRequiredGuard:
