@@ -101,7 +101,7 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--max-index", type=_int_at_least(0), default=None,
                      help="cap on the largest summation bound n*p^alpha")
     cmd.add_argument("--jobs", type=_int_at_least(1), default=1,
-                     help="worker processes (at most one per CPU and per case)")
+                     help="worker processes (at most one per usable CPU and per prime stream or case batch)")
     cmd.add_argument("--seed", type=int, default=0, help="seed for synthesized sequences")
     cmd.add_argument("--oracle-cutoff", type=_int_at_least(0), default=DEFAULT_SETTINGS.oracle_cutoff,
                      help="series cases with an index above --crosscheck-cutoff and up to this "
@@ -178,16 +178,12 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    modulus = None
+    ctx = None
     if args.mod:
         try:
-            modulus = parse_modulus(args.mod)
+            ctx = PadicCtx(*parse_modulus(args.mod))
         except ValueError as exc:
             parser.error(f"malformed modulus {args.mod!r}: {exc}")
-    try:
-        ctx = PadicCtx(*modulus) if modulus else None
-    except ValueError as exc:
-        parser.error(f"malformed modulus {args.mod!r}: {exc}")
 
     try:
         if args.series == "s":

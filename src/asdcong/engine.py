@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactcore import (
     INF,
@@ -38,9 +39,6 @@ from .exactcore import (
 from .lucas import _PERIODIC_ORBITS, LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
 from .padic import PadicCtx, from_rational, required_guard
 from .series import SeriesSpec, apery, s_sums_exact, s_sums_mod
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 
 class EngineSelfCheckError(RuntimeError):
@@ -783,35 +781,26 @@ def _plan_walks(cases: Sequence[CongruenceCase], settings: EngineSettings) -> di
     return points
 
 
-def _stream_sums(stream: Stream) -> dict[int, dict[int, int]]:
+def _stream_sums(stream: Stream) -> dict[tuple[int, int], dict[int, int]]:
     p, prec, points_by_base = stream
-    return s_sums_mod(points_by_base, PadicCtx(p, prec))
+    return {(p, base): by_n for base, by_n in s_sums_mod(points_by_base, PadicCtx(p, prec)).items()}
 
 
 def _run_sums(
-    cases: Sequence[CongruenceCase], settings: EngineSettings, pool: ProcessPoolExecutor | None = None
+    cases: Sequence[CongruenceCase], settings: EngineSettings, by_stream: Iterable[dict]
 ) -> tuple[dict[tuple[int, int], dict[int, int]], dict[int, dict[int, int]]]:
-    """S_N mod p^prec by (p, signed base), and b^(N-1) S_N by signed base b,
-    each then by N.  On a pool the streams run there, largest first, while
-    this process walks."""
-    streams = _plan_streams(cases, settings)
-    by_stream = map(_stream_sums, streams) if pool is None else pool.map(_stream_sums, streams)
+    """S_N mod p^prec by (p, signed base) from the streams' results, and
+    b^(N-1) S_N by signed base b, walked here while a pool runs the streams."""
     scaled = s_sums_exact(_plan_walks(cases, settings))
-    sums = {(stream[0], base): by_n for stream, by_base in zip(streams, by_stream) for base, by_n in by_base.items()}
-    return sums, scaled
+    return {key: by_n for part in by_stream for key, by_n in part.items()}, scaled
 
 
 def _case_sums(
-    case: CongruenceCase, settings: EngineSettings, sums: dict, scaled: dict, own: bool = False
+    case: CongruenceCase, settings: EngineSettings, sums: dict, scaled: dict
 ) -> tuple[dict[int, int] | None, dict[int, int] | None]:
-    """What a case reads of the values `_run_sums` gives, by N: its bases'
-    whole dicts, or with `own` just the values at its points."""
+    """What a case reads of the values `_run_sums` gives: its bases' dicts, by N."""
     stream, walk = _sum_keys(case, settings)
-    found = sums.get(stream), scaled.get(walk)
-    if not own or walk is None and stream is None:
-        return found
-    points = SUITES[case.suite].points(case)
-    return tuple(None if by_n is None else {N: by_n[N] for N in points} for by_n in found)
+    return sums.get(stream), scaled.get(walk)
 
 
 def evaluate_case(
@@ -839,7 +828,8 @@ def evaluate_case(
     oracle = modular = None
     try:
         if suite.points is not None and partial_sums is None and exact_sums is None:
-            partial_sums, exact_sums = _case_sums(case, settings, *_run_sums([case], settings))
+            by_stream = map(_stream_sums, _plan_streams([case], settings))
+            partial_sums, exact_sums = _case_sums(case, settings, *_run_sums([case], settings, by_stream))
         if suite.evaluate is not None:
             return suite.evaluate(case, settings, exact_sums)
         if path != "modular":
@@ -938,12 +928,25 @@ def enumerate_cases(
 
 
 def pool_size(jobs: int, units: int) -> int:
-    """Worker processes worth starting: no more than asked for, CPUs, or work units."""
-    return max(1, min(jobs, os.cpu_count() or 1, units))
+    """Worker processes worth starting: no more than asked for, usable CPUs, or work units."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(jobs, cpus, units))
 
 
-def _pool_eval(payload: tuple[CongruenceCase, EngineSettings, dict | None, dict | None]) -> CaseResult:
-    return evaluate_case(*payload)
+@contextmanager
+def _mapper(workers: int) -> Iterator[Callable]:
+    """The builtin map for one worker, else the map of a pool of `workers`."""
+    if workers == 1:
+        yield map
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # a fresh interpreter pays 20 ms or more for it
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
+
+
+def _evaluate_batch(settings: EngineSettings, cases: Sequence[CongruenceCase]) -> list[CaseResult]:
+    return [evaluate_case(case, settings) for case in cases]
 
 
 def run_cases(
@@ -951,26 +954,26 @@ def run_cases(
     settings: EngineSettings = DEFAULT_SETTINGS,
     jobs: int = 1,
 ) -> list[CaseResult]:
-    """Evaluate cases (optionally on a process pool) and sort deterministically.
+    """Evaluate cases on up to `jobs` processes and sort deterministically.
 
-    The series values come first, from one stream per prime and one exact
-    walk per signed base.  On a pool the streams are mapped, largest first,
-    before the cases, and a case is sent the values at its own points.
+    A case whose suite has points reads S_N from one stream per prime and
+    one exact walk per signed base, and is evaluated in this process, which
+    holds them.  The map, the builtin one or a pool's, runs the streams, most
+    terms first, then the cases that read no sums in contiguous batches;
+    meanwhile this process walks and evaluates the cases that read sums.
     """
-    workers = pool_size(jobs, len(cases))
-    if workers > 1:
-        # Imported here: it costs a fresh interpreter 20 ms or more, and a
-        # single worker never builds a pool.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sums, scaled = _run_sums(cases, settings, pool)
-            payloads = [(c, settings, *_case_sums(c, settings, sums, scaled, own=True)) for c in cases]
-            chunk = max(1, len(cases) // (workers * 8))
-            results = list(pool.map(_pool_eval, payloads, chunksize=chunk))
-    else:
-        sums, scaled = _run_sums(cases, settings)
-        results = [evaluate_case(c, settings, *_case_sums(c, settings, sums, scaled)) for c in cases]
+    reading = [case for case in cases if SUITES[case.suite].points is not None]
+    free = [case for case in cases if SUITES[case.suite].points is None]
+    streams = _plan_streams(reading, settings)
+    workers = pool_size(jobs, len(streams) + len(free))
+    # Eight batches per worker: with four, one worker got lemma-2-5's heavy tail.
+    size = max(1, -(-len(free) // (8 * workers)))
+    with _mapper(workers) as map_:
+        by_stream = map_(_stream_sums, streams)
+        by_batch = map_(partial(_evaluate_batch, settings), [free[i : i + size] for i in range(0, len(free), size)])
+        sums, scaled = _run_sums(reading, settings, by_stream)
+        results = [evaluate_case(case, settings, *_case_sums(case, settings, sums, scaled)) for case in reading]
+        results.extend(chain.from_iterable(by_batch))
     return sorted(results, key=lambda result: result.case.sort_key())
 
 

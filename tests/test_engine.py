@@ -509,21 +509,25 @@ class TestSweeps:
 
     def test_default_report_digest(self):
         # The default report is the one every user runs; its bytes are part
-        # of the contract.
-        digest = hashlib.sha256(run_suite("all").to_json_text().encode("utf-8")).hexdigest()
-        assert digest == "ba4a41bc9c916b2ff120c06538b56ec7be9767a5b6c2088c4520c60df4213d3b", (
-            "the default report's bytes changed; a report change must be deliberate, "
-            "noted in CHANGES.md, and this digest updated with it"
-        )
+        # of the contract.  At jobs=2 the cases that read no series sums run
+        # on a pool while the series cases are evaluated in this process.
+        for jobs in (1, 2):
+            digest = hashlib.sha256(run_suite("all", jobs=jobs).to_json_text().encode("utf-8")).hexdigest()
+            assert digest == "ba4a41bc9c916b2ff120c06538b56ec7be9767a5b6c2088c4520c60df4213d3b", (
+                f"the default report's bytes changed at jobs={jobs}; a report change must be "
+                "deliberate, noted in CHANGES.md, and this digest updated with it"
+            )
 
     def test_literal_report_digest(self):
         # The literal variant fails 659 cases, so this report holds the
         # failing entries and negative and infinite margins the default lacks.
-        digest = hashlib.sha256(run_suite("all", variant="literal").to_json_text().encode("utf-8")).hexdigest()
-        assert digest == "c5b20219550924a98ba4bd21c74868ba605b241bee480252c655b25c734f5761", (
-            "the default report's bytes changed; a report change must be deliberate, "
-            "noted in CHANGES.md, and this digest updated with it"
-        )
+        for jobs in (1, 2):
+            report = run_suite("all", variant="literal", jobs=jobs)
+            digest = hashlib.sha256(report.to_json_text().encode("utf-8")).hexdigest()
+            assert digest == "c5b20219550924a98ba4bd21c74868ba605b241bee480252c655b25c734f5761", (
+                f"the literal report's bytes changed at jobs={jobs}; a report change must be "
+                "deliberate, noted in CHANGES.md, and this digest updated with it"
+            )
 
     def test_parallel_determinism(self):
         ranges = SweepRanges(primes=(3, 5), n_values=(1, 2), alpha_values=(1, 2))
@@ -546,13 +550,16 @@ class TestSweeps:
         }
         assert doc["summary"]["min_margin_by_suite"]["eq-apery"] == 0  # exactly 3 vs 3
 
-    def test_pool_size(self):
-        cpus = os.cpu_count() or 1
+    def test_pool_size(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         assert pool_size(1, 100) == 1
         assert pool_size(10**6, 100) == min(cpus, 100)
         assert pool_size(10**6, 1) == 1
         assert pool_size(2, 0) == 1
         assert pool_size(0, 100) == pool_size(-5, 100) == 1
+        # Pinned to one CPU (taskset -c 0), a process gets one worker.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert pool_size(8, 100) == 1
 
     def test_shared_streams(self):
         # Cases of one (p, m, variant) at different working precisions share
