@@ -12,8 +12,8 @@ from .exactcore import (
     vp,
 )
 from .padic import PadicCtx, from_rational, required_guard
-from .lucas import LucasParams, jacobi, legendre, lucas_u, lucas_u_mod
-from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod
+from .lucas import jacobi, legendre, lucas_u, lucas_u_mod
+from .series import apery, s_sum_exact, s_sum_mod
 from .engine import (
     AchievedValuation,
     CaseResult,
@@ -26,10 +26,15 @@ from .engine import (
     fermat_quotient_factor,
     run_cases,
     run_suite,
-    sun_tauraso_lhs,
     sun_tauraso_rhs,
     synthesize_block_sequence,
 )
 from .report import Report
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "INF", "SUITES", "AchievedValuation", "CaseResult", "CongruenceCase", "CongruenceVerdict",
+    "EngineSettings", "NotPIntegralError", "PadicCtx", "Report", "SweepRanges", "apery", "binomial",
+    "enumerate_cases", "evaluate_case", "fermat_quotient_factor", "from_rational", "is_prime", "jacobi",
+    "legendre", "lucas_u", "lucas_u_mod", "rat_congruent", "required_guard", "run_cases", "run_suite",
+    "s_sum_exact", "s_sum_mod", "sun_tauraso_rhs", "synthesize_block_sequence", "vp",
+]

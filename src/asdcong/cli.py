@@ -14,13 +14,14 @@ could vary (timing, scheduling) is kept out of them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .engine import DEFAULT_SETTINGS, SUITES, EngineSelfCheckError, EngineSettings, SweepRanges, run_suite
 from .exactcore import PRIMALITY_LIMIT
-from .lucas import LucasParams, lucas_u, lucas_u_mod
+from .lucas import lucas_u, lucas_u_mod
 from .padic import PadicCtx, describe
-from .series import SeriesSpec, apery, s_sum_exact, s_sum_mod
+from .series import apery, require_unit, s_sum_exact, s_sum_mod
 
 
 def parse_int_values(text: str) -> tuple[int, ...]:
@@ -83,6 +84,15 @@ def _int_values_within(low: int | None = None, below: int | None = None):
         return values
 
     return parse
+
+
+def _report_path(text: str) -> str:
+    """An argparse type for --out: a file the report can be written to, checked
+    before the sweep runs rather than after it."""
+    target = text if os.path.exists(text) else os.path.dirname(text) or "."
+    if os.path.isdir(text) or not os.access(target, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write a report to {text!r}")
+    return text
 
 
 def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
@@ -189,27 +199,19 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if args.series == "s":
             if args.m is None or args.N is None:
                 parser.error("--series s needs --m and --N")
-            spec = SeriesSpec(args.m, args.variant)
+            b = -args.m if args.variant == "literal" else args.m
             if ctx:
-                print(describe(s_sum_mod(args.N, spec, ctx), ctx))
-            else:
-                print(s_sum_exact(args.N, spec))
+                require_unit(args.m, ctx.p)  # the error names m as given, not b
+            value = s_sum_mod(args.N, b, ctx) if ctx else s_sum_exact(args.N, b)
         elif args.series == "apery":
             if args.index is None:
                 parser.error("--series apery needs --index")
             value = apery(args.index)
-            if ctx:
-                print(describe(value, ctx))
-            else:
-                print(value)
         else:  # lucas
             if args.m is None or args.index is None:
                 parser.error("--series lucas needs --m and --index")
-            params = LucasParams(args.m - 2)
-            if ctx:
-                print(describe(lucas_u_mod(args.index, params, ctx), ctx))
-            else:
-                print(lucas_u(args.index, params))
+            value = lucas_u_mod(args.index, args.m - 2, ctx) if ctx else lucas_u(args.index, args.m - 2)
+        print(describe(value, ctx) if ctx else value)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run sweeps and write the JSON report")
     _add_sweep_flags(verify)
-    verify.add_argument("--out", metavar="PATH", help="report path (default: stdout)")
+    verify.add_argument("--out", type=_report_path, metavar="PATH", help="report path (default: stdout)")
     verify.set_defaults(func=cmd_verify)
 
     scan = sub.add_parser("scan", help="run sweeps, print failures/errors only")

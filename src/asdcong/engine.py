@@ -36,9 +36,9 @@ from .exactcore import (
     vp,
     vp_int,
 )
-from .lucas import _PERIODIC_ORBITS, LucasParams, _u_values, legendre, lucas_u, lucas_u_mod
+from .lucas import _PERIODIC_ORBITS, _u_values, legendre, lucas_u, lucas_u_mod
 from .padic import PadicCtx, from_rational, required_guard
-from .series import SeriesSpec, apery, s_sums_exact, s_sums_mod
+from .series import apery, s_sums_exact, s_sums_mod
 
 
 class EngineSelfCheckError(RuntimeError):
@@ -360,14 +360,9 @@ def fermat_quotient_factor(m: int, p: int, alpha: int) -> Fraction:
     return Fraction(m ** (p**alpha - p ** (alpha - 1)) - 1, 2 * p**alpha)
 
 
-def sun_tauraso_lhs(m: int, n: int) -> Fraction:
-    """m^(n-1) * sum_{k<n} C(2k,k)/m^k: one point of the exact walk."""
-    return Fraction(s_sums_exact({m: (n,)})[m][n])
-
-
 def sun_tauraso_rhs(m: int, n: int) -> Fraction:
     """sum_{k<n} C(2n,k) u_{n-k}(m-2, 1)."""
-    u = list(islice(_u_values(LucasParams(m - 2)), n + 1))
+    u = list(islice(_u_values(m - 2), n + 1))
     total, c = 0, 1  # c = C(2n, k), carried by one exact division per step
     for k in range(n):
         total += c * u[n - k]
@@ -397,9 +392,9 @@ def _symbol(case: CongruenceCase) -> int:
     return legendre(m * (m - 4), case.p)
 
 
-def _lucas_term(case: CongruenceCase) -> tuple[int, LucasParams]:
-    """The index and parameters of u_{p - (m(m-4)/p)}(m-2, 1)."""
-    return case.p - _symbol(case), LucasParams(_statement_m(case) - 2)
+def _lucas_term(case: CongruenceCase) -> tuple[int, int]:
+    """The index and the a of u_{p - (m(m-4)/p)}(m-2, 1)."""
+    return case.p - _symbol(case), _statement_m(case) - 2
 
 
 def _scaling_exact(multiplier: Callable[[CongruenceCase], int], case, s_sum) -> tuple[Fraction, Fraction]:
@@ -436,12 +431,13 @@ def _sun_asd_exact(case, s_sum) -> tuple[Fraction, Fraction]:
 
 
 def _sun_asd_modular(case, ctx, s_sum) -> tuple[int, int]:
-    spec = SeriesSpec(_statement_m(case), case.variant)
     hi, M = _scaled(case)
     lhs = s_sum(hi) - _symbol(case) * s_sum(M)
     # Term M of the series is sign^M C(2M,M) / m^M and C(2M-1, M-1) is half
-    # of C(2M, M), so M C(2M-1, M-1) / m^(M-1) = M m sign^M (S_{M+1} - S_M) / 2.
-    factor = from_rational(Fraction(M * spec.m * spec.sign**M, 2), ctx)
+    # of C(2M, M), so M C(2M-1, M-1) / m^(M-1) = M m sign^M (S_{M+1} - S_M) / 2,
+    # where m sign^M is the signed base b for odd M and m for even M.
+    m_sign = _base(case) if M % 2 else _statement_m(case)
+    factor = from_rational(Fraction(M * m_sign, 2), ctx)
     rhs = (s_sum(M + 1) - s_sum(M)) * factor * lucas_u_mod(*_lucas_term(case), ctx)
     return lhs, rhs
 
@@ -506,7 +502,6 @@ def _block_weights(p: int, s: int, l: int, period: int) -> tuple[int, tuple[int,
 
 def _lemma_2_4_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
-    params = LucasParams(m - 2)
     # For m in {1,2,3}, u_j(m-2, 1) runs through a period-T orbit (negative j
     # too), so (-1)^k u_{N-k} depends only on k mod lcm(2, T): the block sum
     # is one weighted sum over the residues, with weights shared by every
@@ -515,7 +510,7 @@ def _lemma_2_4_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     top, period = p**a * n, lcm(2, len(orbit))
     common, weights = _block_weights(p, s, l, period)
     lhs = Fraction(sum((-1) ** r * orbit[(top - r) % len(orbit)] * w for r, w in enumerate(weights)), common)
-    tail = lucas_u(p ** (a - s) * n - l, params) + lucas_u(p ** (a - s) * n - l - 1, params)
+    tail = lucas_u(p ** (a - s) * n - l, m - 2) + lucas_u(p ** (a - s) * n - l - 1, m - 2)
     rhs = _symbol(case) ** s * -fermat_quotient_factor(m, p, a) * (-1) ** l * tail
     return lhs, rhs
 
@@ -897,7 +892,7 @@ def enumerate_cases(
         "m": lambda c: r.m_values,
         "n": lambda c: r.n_values,
         "alpha": lambda c: r.alpha_values,
-        "s": lambda c: r.s_values or range(1, c.alpha + 1),
+        "s": lambda c: range(1, c.alpha + 1) if r.s_values is None else r.s_values,
         "l": lambda c: range(2 * c.p + 1) if r.l_values is None else r.l_values,
         # Past the cap no k passes the index test, so the loop is skipped.
         "k": lambda c: range(_top(c) + 1) if _top(c) <= cap else (),

@@ -1,31 +1,18 @@
-"""Legendre symbols and Lucas sequences u_n(A, B), exact and modular.
+"""Legendre symbols and Lucas sequences u_n(a, 1), exact and modular.
 
-The sequences used by the congruence suites all have B = 1 and A = m - 2 for
-m in {1, 2, 3}, which makes them purely periodic with tiny periods; that fast
-path is used for the modular evaluator and cross-checked against the generic
+u_n = a u_{n-1} - u_{n-2} with u_0 = 0, u_1 = 1, and u_{-n} = -u_n.  The
+congruence suites take a = m - 2; for m in {1, 2, 3} the sequence is purely
+periodic with a tiny period, a fast path cross-checked against the generic
 fast-doubling path in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
 from .exactcore import require_odd_prime
 from .padic import PadicCtx
-
-
-@dataclass(frozen=True)
-class LucasParams:
-    """Coefficients of u_n = a*u_{n-1} - b*u_{n-2} with u_0 = 0, u_1 = 1."""
-
-    a: int
-    b: int = 1
-
-    @property
-    def discriminant(self) -> int:
-        return self.a * self.a - 4 * self.b
 
 
 def jacobi(a: int, n: int) -> int:
@@ -60,50 +47,45 @@ _PERIODIC_ORBITS = {
 }
 
 
-def lucas_u(n: int, params: LucasParams) -> int:
-    """Exact u_n; negative indices use u_{-n} = -u_n, which needs b = 1."""
+def lucas_u(n: int, a: int) -> int:
+    """Exact u_n(a, 1), any integer n."""
     if n < 0:
-        if params.b != 1:
-            raise ValueError("negative indices are only defined for b = 1")
-        return -lucas_u(-n, params)
-    if params.b == 1 and params.a in _PERIODIC_ORBITS:
-        orbit = _PERIODIC_ORBITS[params.a]
+        return -lucas_u(-n, a)
+    if a in _PERIODIC_ORBITS:
+        orbit = _PERIODIC_ORBITS[a]
         return orbit[n % len(orbit)]
-    return next(islice(_u_values(params), n, None))
+    return next(islice(_u_values(a), n, None))
 
 
-def _u_values(params: LucasParams) -> Iterator[int]:
+def _u_values(a: int) -> Iterator[int]:
     """u_0, u_1, u_2, ... exactly, one recurrence step per value."""
-    a, b = params.a, params.b
     u0, u1 = 0, 1
     while True:
         yield u0
-        u0, u1 = u1, a * u1 - b * u0
+        u0, u1 = u1, a * u1 - u0
 
 
-def _u_pair_mod(n: int, a: int, b: int, mod: int) -> tuple[int, int]:
+def _u_pair_mod(n: int, a: int, mod: int) -> tuple[int, int]:
     """(u_n, u_{n+1}) mod `mod` by fast doubling, O(log n) multiplications."""
     if n == 0:
         return 0, 1 % mod
-    un, un1 = _u_pair_mod(n >> 1, a, b, mod)
+    un, un1 = _u_pair_mod(n >> 1, a, mod)
     u2k = un * (2 * un1 - a * un) % mod
-    u2k1 = (un1 * un1 - b * un * un) % mod
+    u2k1 = (un1 * un1 - un * un) % mod
     if n & 1:
-        return u2k1, (a * u2k1 - b * u2k) % mod
+        return u2k1, (a * u2k1 - u2k) % mod
     return u2k, u2k1
 
 
-def lucas_u_mod(n: int, params: LucasParams, ctx: PadicCtx) -> int:
-    """u_n modulo p^prec, in [0, p^prec); n may be astronomically large.
+def lucas_u_mod(n: int, a: int, ctx: PadicCtx) -> int:
+    """u_n(a, 1) modulo p^prec, in [0, p^prec); n may be astronomically large.
 
-    For b = 1 and a in {-1, 0, 1} the orbit is periodic with period 3, 4 or 6
-    and the value is looked up directly; otherwise fast doubling is used.
+    For a in {-1, 0, 1} the orbit is periodic with period 3, 4 or 6 and the
+    value is looked up directly; otherwise fast doubling is used.
     """
     if n < 0:
-        if params.b != 1:
-            raise ValueError("negative indices are only defined for b = 1")
-        return -lucas_u_mod(-n, params, ctx) % ctx.modulus
-    if params.b == 1 and params.a in _PERIODIC_ORBITS:
-        orbit = _PERIODIC_ORBITS[params.a]
+        return -lucas_u_mod(-n, a, ctx) % ctx.modulus
+    if a in _PERIODIC_ORBITS:
+        orbit = _PERIODIC_ORBITS[a]
         return orbit[n % len(orbit)] % ctx.modulus
-    return _u_pair_mod(n, params.a, params.b, ctx.modulus)[0]
+    return _u_pair_mod(n, a, ctx.modulus)[0]

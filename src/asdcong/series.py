@@ -1,16 +1,15 @@
 """Summation objects: central-binomial partial sums, exact and streamed
 modulo p^E, and Apery numbers.
 
-The flagship sum is S_N(m) = sum_{k=0}^{N-1} C(2k,k) / m^k.  Two sign
-conventions are first-class: "corrected" (the one the whole congruence family
-actually satisfies, equal to the truncated 1F0[1/2; 4/m] series through the
-identity (1/2)_k 4^k / k! = C(2k,k)) and "literal" (alternating signs,
-(-1)^k C(2k,k) / m^k), kept as a falsification target for the scan command.
+The flagship sum is S_N(b) = sum_{k=0}^{N-1} C(2k,k) / b^k at a signed base
+b.  The "corrected" variant at m, b = m, is the one the whole congruence
+family actually satisfies, equal to the truncated 1F0[1/2; 4/m] series through
+the identity (1/2)_k 4^k / k! = C(2k,k); the "literal" one, b = -m (alternating
+signs), is kept as a falsification target for the scan command.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import add, mul
@@ -18,32 +17,6 @@ from typing import Iterable, Mapping
 
 from .exactcore import NotPIntegralError, binomial
 from .padic import PadicCtx
-
-VARIANTS = ("corrected", "literal")
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Parameters of S_N(m): the base m and the sign convention."""
-
-    m: int
-    variant: str = "corrected"
-
-    def __post_init__(self) -> None:
-        if self.m == 0:
-            raise ValueError("series base m must be nonzero")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-
-    @property
-    def sign(self) -> int:
-        """The sign of the ratio between consecutive terms."""
-        return -1 if self.variant == "literal" else 1
-
-    @property
-    def base(self) -> int:
-        """The signed base: the series is sum C(2k,k) / base^k in either variant."""
-        return self.sign * self.m
 
 
 #: Terms per chunk of the exact walk in `s_sums_exact`, and block indices
@@ -62,13 +35,7 @@ def s_sums_exact(points_by_base: Mapping[int, Iterable[int]]) -> dict[int, dict[
     of at most _BLOCK terms cut at every point, and each base still walking
     folds the chunk in.  No rational arithmetic happens inside the loop.
     """
-    stops: dict[int, list[int]] = {}
-    for b, points in points_by_base.items():
-        if b == 0:
-            raise ValueError("series base m must be nonzero")
-        stops[b] = sorted(set(points), reverse=True)
-        if stops[b] and stops[b][-1] < 0:
-            raise ValueError(f"term count must be >= 0, got {stops[b][-1]}")
+    stops = _stops(points_by_base)
     sums: dict[int, dict[int, int]] = {b: {} for b in stops}
     totals = dict.fromkeys(stops, 0)
     live = [b for b in stops if stops[b]]
@@ -92,17 +59,30 @@ def s_sums_exact(points_by_base: Mapping[int, Iterable[int]]) -> dict[int, dict[
     return sums
 
 
-def s_sum_exact(N: int, spec: SeriesSpec) -> Fraction:
-    """Exact S_N: the sum of the first N terms (empty sum for N = 0), one
-    point of `s_sums_exact`."""
-    b = spec.base
+def s_sum_exact(N: int, b: int) -> Fraction:
+    """Exact S_N(b) at the signed base b: the sum of the first N terms (empty
+    sum for N = 0), one point of `s_sums_exact`."""
     scaled = s_sums_exact({b: (N,)})[b][N]
     return Fraction(scaled, b ** (N - 1)) if N else Fraction(0)
 
 
-def _require_unit(m: int, p: int) -> None:
-    if m % p == 0:
+def require_unit(m: int, p: int | None = None) -> None:
+    """Reject base 0 and, given p, a base that p divides; the error names m as given."""
+    if m == 0:
+        raise ValueError("series base m must be nonzero")
+    if p is not None and m % p == 0:
         raise NotPIntegralError(f"series terms at m = {m} are not p-integral for p = {p}")
+
+
+def _stops(points_by_base: Mapping[int, Iterable[int]], p: int | None = None) -> dict[int, list[int]]:
+    """Each base's distinct points, last first, after `require_unit` and a check that none is < 0."""
+    stops: dict[int, list[int]] = {}
+    for b, points in points_by_base.items():
+        require_unit(b, p)
+        stops[b] = sorted(set(points), reverse=True)
+        if stops[b] and stops[b][-1] < 0:
+            raise ValueError(f"term count must be >= 0, got {stops[b][-1]}")
+    return stops
 
 
 def _p_split(c: int, p: int) -> tuple[int, int]:
@@ -232,12 +212,7 @@ def _walk(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx, level: int
     """`s_sums_mod` in blocks of p^level terms; every level gives the same residues."""
     p, prec, mod = ctx.p, ctx.prec, ctx.modulus
     big = p**level
-    stops: dict[int, list[int]] = {}
-    for m, points in points_by_base.items():
-        _require_unit(m, p)
-        stops[m] = sorted(set(points), reverse=True)
-        if stops[m] and stops[m][-1] < 0:
-            raise ValueError(f"term count must be >= 0, got {stops[m][-1]}")
+    stops = _stops(points_by_base, p)
     sums: dict[int, dict[int, int]] = {m: {} for m in stops}
     cuts = sorted({point // big for points in stops.values() for point in points})
     if not cuts:
@@ -394,10 +369,10 @@ def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> di
     return _walk(points, ctx, _level(ctx.p, ctx.prec, points))
 
 
-def s_sum_mod(N: int, spec: SeriesSpec, ctx: PadicCtx) -> int:
-    """S_N mod p^prec in [0, p^prec): one point of `s_sums_mod`; needs p not dividing m."""
-    _require_unit(spec.m, ctx.p)  # the error names m as given, not the signed base
-    return s_sums_mod({spec.base: (N,)}, ctx)[spec.base][N]
+def s_sum_mod(N: int, b: int, ctx: PadicCtx) -> int:
+    """S_N(b) mod p^prec in [0, p^prec) at the signed base b: one point of
+    `s_sums_mod`; needs p not dividing b."""
+    return s_sums_mod({b: (N,)}, ctx)[b][N]
 
 
 def apery(n: int) -> int:

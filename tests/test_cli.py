@@ -100,7 +100,7 @@ class TestVerify:
         doc = json.loads(captured.out)
         assert doc["summary"]["passed"] == 2
 
-    def test_invalid_flags_exit_2(self):
+    def test_invalid_flags_exit_2(self, tmp_path, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "no-such-suite"])
         assert exc.value.code == 2
@@ -116,6 +116,17 @@ class TestVerify:
                 with pytest.raises(SystemExit) as exc:
                     main([command, "--suite", "eq-mod-p", flag, value])
                 assert exc.value.code == 2
+        # An unwritable --out is rejected before any case runs: one error line, exit 2.
+        capsys.readouterr()
+        monkeypatch.setattr(asdcong.engine, "run_cases", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", "eq-mod-p", "--out", str(out)])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+            assert line.startswith("asdcong verify: error: argument --out: "), line
 
     def test_self_check_disagreement_exits_3(self, capsys, monkeypatch):
         # A modular path that disagrees with the oracle is a bug: one stderr
@@ -194,6 +205,12 @@ class TestScan:
         code = main(["scan", "--suite", "thm-main", "--primes", "23..22"])
         assert code == 0
         assert capsys.readouterr().out == ""
+        # An empty --s is an empty sweep, as for every other list flag, not "every s".
+        for suite, s in (("lemma-2-3", "3..2"), ("lemma-2-4", ""), ("lemma-2-3", ",")):
+            assert main(["verify", "--suite", suite, "--s", s]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["summary"]["total"] == 0
+            assert doc["meta"]["invocation"]["ranges"]["s_values"] == []
 
     def test_stop_after(self, capsys):
         args = ["scan", "--suite", "thm-main", "--variant", "literal", "--primes", "3..20", "--alpha", "1..2"]
@@ -219,6 +236,8 @@ class TestEval:
         assert capsys.readouterr().out.strip() == "99"
         assert main(["eval", "--series", "s", "--m", "5", "--N", "3"]) == 0
         assert capsys.readouterr().out.strip() == "41/25"
+        assert main(["eval", "--series", "s", "--m", "1", "--N", "5", "--variant", "literal"]) == 0
+        assert capsys.readouterr().out.strip() == "55"  # 1 - 2 + 6 - 20 + 70
 
     def test_series_modular(self, capsys):
         assert main(["eval", "--series", "s", "--m", "2", "--N", "3", "--mod", "3^2"]) == 0
@@ -242,3 +261,11 @@ class TestEval:
         code = main(["eval", "--series", "s", "--m", "5", "--N", "3", "--mod", "5^2"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+        # The p | m error names m as given, in either variant.
+        code = main(["eval", "--series", "s", "--m", "5", "--N", "3", "--variant", "literal", "--mod", "5^2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: series terms at m = 5 are not p-integral for p = 5\n"
+        # Base 0 is rejected the same way on the exact and the modular path.
+        for mod in ([], ["--mod", "5^2"]):
+            assert main(["eval", "--series", "s", "--m", "0", "--N", "3", *mod]) == 1
+            assert capsys.readouterr().err == "error: series base m must be nonzero\n"

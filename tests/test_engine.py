@@ -20,15 +20,14 @@ from asdcong.engine import (
     pool_size,
     run_cases,
     run_suite,
-    sun_tauraso_lhs,
     sun_tauraso_rhs,
     synthesize_block_sequence,
 )
 from asdcong.exactcore import INF, is_prime, vp, vp_int
-from asdcong.lucas import LucasParams, legendre, lucas_u
+from asdcong.lucas import legendre, lucas_u
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.report import Report
-from asdcong.series import SeriesSpec, _level, s_sum_mod
+from asdcong.series import _level, s_sum_mod, s_sums_exact
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
@@ -165,7 +164,7 @@ class TestModPEquations:
         result = check("eq-mod-p", p=3, m=7)
         assert result.passed and result.rhs == 0
         result = check("eq-mod-p2", p=3, m=7)
-        assert result.passed and result.rhs == lucas_u(3, LucasParams(5))
+        assert result.passed and result.rhs == lucas_u(3, 5)
 
     def test_negative_m(self):
         for m in (-1, -2, -9):
@@ -244,9 +243,9 @@ class TestSunTauraso:
                 direct = m ** (n - 1) * sum(
                     Fraction(math.comb(2 * k, k), m**k) for k in range(n)
                 )
-                assert sun_tauraso_lhs(m, n) == direct
+                assert s_sums_exact({m: (n,)})[m][n] == direct
                 assert sun_tauraso_rhs(m, n) == sum(
-                    math.comb(2 * n, k) * lucas_u(n - k, LucasParams(m - 2))
+                    math.comb(2 * n, k) * lucas_u(n - k, m - 2)
                     for k in range(n)
                 )
 
@@ -301,12 +300,11 @@ class TestLemma24:
             for m in (1, 2, 3):
                 if m % p == 0:
                     continue
-                params = LucasParams(m - 2)
                 for alpha, s in ((1, 1), (2, 1), (2, 2)):
                     for l in (0, 1, 2 * p):
                         for n in (1, 2):
                             direct = sum(
-                                Fraction((-1) ** k * lucas_u(p**alpha * n - k, params), k)
+                                Fraction((-1) ** k * lucas_u(p**alpha * n - k, m - 2), k)
                                 for k in range(l * p**s, (l + 1) * p**s)
                                 if k % p
                             )
@@ -326,8 +324,7 @@ class TestLemma24:
                 blocks[p, s, l] = ks, math.lcm(*ks)
             ks, common = blocks[p, s, l]
             negative += ks[-1] > top
-            params = LucasParams(case.m - 2)
-            direct = Fraction(sum((-1) ** k * lucas_u(top - k, params) * (common // k) for k in ks), common)
+            direct = Fraction(sum((-1) ** k * lucas_u(top - k, case.m - 2) * (common // k) for k in ks), common)
             assert asdcong.engine._lemma_2_4_sides(case)[0] == direct, case
         assert negative > 1000  # blocks reaching past N, where the Lucas index is negative
 
@@ -427,15 +424,15 @@ def per_case_modular_valuation(case):
     """The modular verdict from streams of the case's own, at its own precision."""
     p, n, a = case.p, case.n, case.alpha
     m = 4 if case.suite == "thm-m4" else case.m
-    spec = SeriesSpec(m, case.variant)
+    b = -m if case.variant == "literal" else m
     sym = legendre(m * (m - 4), p)
     hi, lo = n * p**a, n * p ** (a - 1)
     required = a + 1 if case.suite == "eq-sun-asd" else 2 * a
     ctx = PadicCtx(p, required_guard(hi, required, p))
     factor = p if case.suite == "thm-m4" else sym
-    diff = s_sum_mod(hi, spec, ctx) - factor * s_sum_mod(lo, spec, ctx)
+    diff = s_sum_mod(hi, b, ctx) - factor * s_sum_mod(lo, b, ctx)
     if case.suite == "eq-sun-asd":
-        rhs = Fraction(lo, m ** (lo - 1)) * math.comb(2 * lo - 1, lo - 1) * lucas_u(p - sym, LucasParams(m - 2))
+        rhs = Fraction(lo, m ** (lo - 1)) * math.comb(2 * lo - 1, lo - 1) * lucas_u(p - sym, m - 2)
         diff -= from_rational(rhs, ctx)
     diff %= ctx.modulus
     if diff == 0:

@@ -4,7 +4,6 @@ import pytest
 
 from asdcong.exactcore import is_prime
 from asdcong.lucas import (
-    LucasParams,
     jacobi,
     legendre,
     lucas_u,
@@ -16,11 +15,11 @@ from asdcong.padic import PadicCtx
 ODD_PRIMES_TO_100 = [p for p in range(3, 101) if is_prime(p)]
 
 
-def naive_u_table(a, b, mod, n_max):
-    """Independent oracle: the recurrence iterated term by term."""
+def naive_u_table(a, mod, n_max):
+    """Independent oracle: the recurrence u_n = a u_(n-1) - u_(n-2) iterated term by term."""
     table = [0, 1 % mod]
     for _ in range(n_max - 1):
-        table.append((a * table[-1] - b * table[-2]) % mod)
+        table.append((a * table[-1] - table[-2]) % mod)
     return table
 
 
@@ -51,101 +50,83 @@ class TestLegendre:
 
 class TestLucasExact:
     def test_examples(self):
-        assert lucas_u(0, LucasParams(123, -7)) == 0
-        assert lucas_u(1, LucasParams(9, 2)) == 1
-        assert lucas_u(4, LucasParams(3)) == 21  # 0, 1, 3, 8, 21
-        assert lucas_u(-2, LucasParams(-1)) == 1
+        assert lucas_u(0, 123) == 0
+        assert lucas_u(1, 9) == 1
+        assert lucas_u(4, 3) == 21  # 0, 1, 3, 8, 21
+        assert lucas_u(-2, -1) == 1
 
     def test_negation_rule(self):
         rng = random.Random(11)
         for _ in range(25):
-            params = LucasParams(rng.randrange(-50, 51))
+            a = rng.randrange(-50, 51)
             for n in list(range(12)) + [rng.randrange(13, 1001) for _ in range(6)]:
-                assert lucas_u(-n, params) == -lucas_u(n, params)
-
-    def test_negative_index_needs_b_one(self):
-        with pytest.raises(ValueError):
-            lucas_u(-3, LucasParams(1, 2))
+                assert lucas_u(-n, a) == -lucas_u(n, a)
 
     def test_prime_scaling_identity(self):
         # u_{pl}(m-2, 1) = (m(m-4)/p) u_l(m-2, 1) exactly, for m in {1,2,3}.
         for m in (1, 2, 3):
-            params = LucasParams(m - 2)
             for p in ODD_PRIMES_TO_100:
                 sym = legendre(m * (m - 4), p)
                 for l in range(51):
-                    assert lucas_u(p * l, params) == sym * lucas_u(l, params)
+                    assert lucas_u(p * l, m - 2) == sym * lucas_u(l, m - 2)
 
     def test_periodicity(self):
         for m, period in ((1, 3), (2, 4), (3, 6)):
-            params = LucasParams(m - 2)
             for n in range(-100, 101):
-                assert lucas_u(n + period, params) == lucas_u(n, params)
+                assert lucas_u(n + period, m - 2) == lucas_u(n, m - 2)
 
     def test_periodic_path_matches_recurrence(self):
         for a in (-1, 0, 1):
-            table = naive_u_table(a, 1, 10**9, 60)
+            table = naive_u_table(a, 10**9, 60)
             for n in range(60):
-                assert lucas_u(n, LucasParams(a)) % 10**9 == table[n]
+                assert lucas_u(n, a) % 10**9 == table[n]
 
 
 class TestLucasMod:
     def test_examples(self):
         ctx = PadicCtx(7, 3)
-        assert lucas_u_mod(1, LucasParams(5, 9), ctx) == 1
-        assert lucas_u_mod(6, LucasParams(1), ctx) == 0
+        assert lucas_u_mod(1, 5, ctx) == 1
+        assert lucas_u_mod(6, 1, ctx) == 0
 
     def test_matches_naive_up_to_ten_thousand(self):
         rng = random.Random(31337)
         for _ in range(20):
             a = rng.randrange(-40, 41)
-            b = 1 if rng.random() < 0.5 else (rng.randrange(-20, 21) or 1)
             p = rng.choice((3, 5, 7, 11, 13))
             prec = rng.randrange(1, 6)
             ctx = PadicCtx(p, prec)
-            params = LucasParams(a, b)
             mod = ctx.modulus
-            table = naive_u_table(a, b, mod, 10**4)
+            table = naive_u_table(a, mod, 10**4)
             for n in range(10**4 + 1):
-                assert lucas_u_mod(n, params, ctx) == table[n]
-            if b == 1:
-                for n in range(1, 10**4 + 1, 97):
-                    assert lucas_u_mod(-n, params, ctx) == (-table[n]) % mod
+                assert lucas_u_mod(n, a, ctx) == table[n]
+            for n in range(1, 10**4 + 1, 97):
+                assert lucas_u_mod(-n, a, ctx) == (-table[n]) % mod
 
     def test_matches_naive_large_indices(self):
-        # a = 3, b = 1, p = 5, four digits: fast doubling against a
-        # million-step naive iteration.
+        # a = 3, p = 5, four digits: fast doubling against a million-step
+        # naive iteration.
         ctx = PadicCtx(5, 4)
-        params = LucasParams(3)
-        table = naive_u_table(3, 1, ctx.modulus, 10**6)
+        table = naive_u_table(3, ctx.modulus, 10**6)
         rng = random.Random(4)
         for n in [0, 1, 10**4, 10**6] + [rng.randrange(10**6) for _ in range(400)]:
-            assert lucas_u_mod(n, params, ctx) == table[n]
+            assert lucas_u_mod(n, 3, ctx) == table[n]
 
     def test_negative_indices(self):
         ctx = PadicCtx(11, 2)
-        params = LucasParams(4)
         for n in range(1, 200):
-            assert (
-                lucas_u_mod(-n, params, ctx)
-                == (-lucas_u(n, params)) % ctx.modulus
-            )
-        with pytest.raises(ValueError):
-            lucas_u_mod(-1, LucasParams(4, 3), ctx)
+            assert lucas_u_mod(-n, 4, ctx) == (-lucas_u(n, 4)) % ctx.modulus
 
     def test_periodic_fast_path_vs_doubling(self):
         # The m in {1,2,3} orbits answer instantly even at astronomical n;
         # they must agree with the generic fast-doubling path.
         ctx = PadicCtx(13, 5)
         for a in (-1, 0, 1):
-            params = LucasParams(a)
             for n in [0, 1, 2, 5, 6, 10**6, 10**12 + 7, 10**18 + 9]:
-                via_orbit = lucas_u_mod(n, params, ctx)
-                via_doubling = _u_pair_mod(n, a, 1, ctx.modulus)[0]
+                via_orbit = lucas_u_mod(n, a, ctx)
+                via_doubling = _u_pair_mod(n, a, ctx.modulus)[0]
                 assert via_orbit == via_doubling
 
     def test_agrees_with_exact_reduction(self):
         ctx = PadicCtx(3, 6)
-        params = LucasParams(7, 4)
         for n in range(0, 300):
-            assert lucas_u_mod(n, params, ctx) == lucas_u(n, params) % ctx.modulus
+            assert lucas_u_mod(n, 7, ctx) == lucas_u(n, 7) % ctx.modulus

@@ -8,7 +8,6 @@ from asdcong.exactcore import NotPIntegralError, vp, vp_int
 from asdcong.padic import PadicCtx, from_rational
 from asdcong.series import (
     _BLOCK,
-    SeriesSpec,
     _block_polys,
     _walk,
     apery,
@@ -41,28 +40,19 @@ def carries_adding_k_plus_k(k, p):
     return carries
 
 
-class TestSeriesSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesSpec(0)
-        with pytest.raises(ValueError):
-            SeriesSpec(1, "signed")
-        assert SeriesSpec(3).variant == "corrected"
-
-
 class TestSSumExact:
     def test_examples(self):
-        assert s_sum_exact(1, SeriesSpec(17)) == 1
-        assert s_sum_exact(0, SeriesSpec(3)) == 0
-        assert s_sum_exact(5, SeriesSpec(1)) == 99  # 1+2+6+20+70
-        assert s_sum_exact(3, SeriesSpec(4)) == Fraction(15, 8)
-        assert s_sum_exact(5, SeriesSpec(1, "literal")) == 55  # 1-2+6-20+70
+        assert s_sum_exact(1, 17) == 1
+        assert s_sum_exact(0, 3) == 0
+        assert s_sum_exact(5, 1) == 99  # 1+2+6+20+70
+        assert s_sum_exact(3, 4) == Fraction(15, 8)
+        assert s_sum_exact(5, -1) == 55  # 1-2+6-20+70, the literal variant at m = 1
 
     def test_matches_brute_force(self):
         for m in (1, -1, 2, 3, 4, -4, 5, -7, 10, -10):
             for N in (0, 1, 2, 7, 40, 150, 1000):
-                assert s_sum_exact(N, SeriesSpec(m)) == brute_s_sum(N, m)
-                assert s_sum_exact(N, SeriesSpec(m, "literal")) == brute_s_sum(N, m, -1)
+                assert s_sum_exact(N, m) == brute_s_sum(N, m)
+                assert s_sum_exact(N, -m) == brute_s_sum(N, m, -1)
 
 
 class TestSSumsExact:
@@ -109,22 +99,22 @@ class TestSSumsExact:
                 for N in (0, 1, 2, 3, 17, _BLOCK, _BLOCK + 1, 600):
                     scaled = sum(sign**k * math.comb(2 * k, k) * m ** (N - 1 - k) for k in range(N))
                     expected = Fraction(scaled, m ** (N - 1)) if N else Fraction(0)
-                    assert s_sum_exact(N, SeriesSpec(m, variant)) == expected, (m, variant, N)
+                    assert s_sum_exact(N, sign * m) == expected, (m, variant, N)
 
 
 class TestSSumMod:
     def test_examples(self):
-        out = s_sum_mod(5, SeriesSpec(1), PadicCtx(5, 2))
+        out = s_sum_mod(5, 1, PadicCtx(5, 2))
         assert out == 24  # 99 = -1 mod 25
 
-        out = s_sum_mod(3, SeriesSpec(2), PadicCtx(3, 2))
+        out = s_sum_mod(3, 2, PadicCtx(3, 2))
         assert out == 8  # 7/2 = 8 mod 9
 
-        assert s_sum_mod(0, SeriesSpec(9), PadicCtx(5, 3)) == 0
+        assert s_sum_mod(0, 9, PadicCtx(5, 3)) == 0
 
     def test_p_divides_m_rejected(self):
         with pytest.raises(NotPIntegralError):
-            s_sum_mod(4, SeriesSpec(10), PadicCtx(5, 2))
+            s_sum_mod(4, 10, PadicCtx(5, 2))
 
     def test_matches_oracle(self):
         # (3, 2) at N = 3^6: valuations of C(2k,k) rise past prec and fall back.
@@ -133,32 +123,30 @@ class TestSSumMod:
             for m in (1, 2, 3, 4, -1, -5, 9):
                 if m % p == 0:
                     continue
-                for variant in ("corrected", "literal"):
-                    spec = SeriesSpec(m, variant)
+                for b in (m, -m):  # the corrected and the literal variant
                     for N in (0, 1, 2, p, 3 * p**2, 500, *extra):
-                        expected = from_rational(s_sum_exact(N, spec), ctx)
-                        assert s_sum_mod(N, spec, ctx) == expected
+                        expected = from_rational(s_sum_exact(N, b), ctx)
+                        assert s_sum_mod(N, b, ctx) == expected
 
     def test_deep_oracle_agrees(self):
         # At N = 20000 the oracle's numerator has about 40k bits.
         ctx = PadicCtx(5, 8)
-        for variant in ("corrected", "literal"):
-            spec = SeriesSpec(3, variant)
-            assert from_rational(s_sum_exact(20000, spec), ctx) == s_sum_mod(20000, spec, ctx)
+        for b in (3, -3):
+            assert from_rational(s_sum_exact(20000, b), ctx) == s_sum_mod(20000, b, ctx)
 
     def test_checkpoints(self):
         cases = (
-            (PadicCtx(7, 4), SeriesSpec(3), (300, 0, 50, 50)),
-            (PadicCtx(3, 2), SeriesSpec(-2, "literal"), (0, 13, 3**5, 3**5 + 1, 3**6, 3**6 + 1)),
-            (PadicCtx(3, 3), SeriesSpec(4), range(41)),
-            (PadicCtx(5, 2), SeriesSpec(-7, "literal"), range(41)),
-            (PadicCtx(5, 2), SeriesSpec(1), ()),
+            (PadicCtx(7, 4), 3, (300, 0, 50, 50)),
+            (PadicCtx(3, 2), 2, (0, 13, 3**5, 3**5 + 1, 3**6, 3**6 + 1)),
+            (PadicCtx(3, 3), 4, range(41)),
+            (PadicCtx(5, 2), 7, range(41)),
+            (PadicCtx(5, 2), 1, ()),
         )
-        for ctx, spec, points in cases:
-            sums = s_sums_mod({spec.base: points}, ctx)[spec.base]
+        for ctx, b, points in cases:
+            sums = s_sums_mod({b: points}, ctx)[b]
             assert set(sums) == set(points)
             for N, residue in sums.items():
-                assert residue == from_rational(s_sum_exact(N, spec), ctx)
+                assert residue == from_rational(s_sum_exact(N, b), ctx)
                 assert 0 <= residue < ctx.modulus
             if 0 in sums:
                 assert sums[0] == 0
@@ -189,8 +177,7 @@ class TestSSumMod:
                 for b, points in points_by_base.items():
                     for N in points:
                         if (N, b) not in exact:
-                            spec = SeriesSpec(abs(b), "literal" if b < 0 else "corrected")
-                            exact[N, b] = s_sum_exact(N, spec)
+                            exact[N, b] = s_sum_exact(N, b)
                         assert sums[b][N] == from_rational(exact[N, b], ctx), (p, prec, b, N)
 
     def test_block_levels_match_oracle(self):
@@ -220,7 +207,7 @@ class TestSSumMod:
                             if N > 3000:
                                 continue
                             if (N, b) not in exact:
-                                exact[N, b] = s_sum_exact(N, SeriesSpec(b))
+                                exact[N, b] = s_sum_exact(N, b)
                             assert sums[b][N] == from_rational(exact[N, b], PadicCtx(p, prec))
                 level += 1
 
@@ -256,6 +243,9 @@ class TestSSumMod:
             s_sums_mod({-5: ()}, PadicCtx(5, 2))
         with pytest.raises(ValueError):
             s_sums_mod({1: (4,), -1: (3, -2)}, PadicCtx(5, 2))
+        # Base 0 is rejected as in `s_sums_exact`, not as a base p divides.
+        with pytest.raises(ValueError, match="series base m must be nonzero"):
+            s_sums_mod({1: (4,), 0: (3,)}, PadicCtx(5, 2))
 
 
 def central_binomials_mod(p, prec, k_max):
