@@ -122,34 +122,26 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
                      "oracle and modular, even above --oracle-cutoff")
 
 
-def _ranges_from_args(args: argparse.Namespace) -> SweepRanges:
-    return SweepRanges(
-        primes=args.primes,
-        m_values=args.m,
-        n_values=args.n,
-        alpha_values=args.alpha,
-        s_values=args.s,
-        l_values=args.l,
-        trials=args.trials,
-    )
-
-
-def _settings_from_args(args: argparse.Namespace) -> EngineSettings:
-    return EngineSettings(
-        oracle_cutoff=args.oracle_cutoff,
-        crosscheck_cutoff=args.crosscheck_cutoff,
-        seed=args.seed,
-    )
-
-
 def _run_sweep(args: argparse.Namespace):
     return run_suite(
         args.suite,
-        ranges=_ranges_from_args(args),
+        ranges=SweepRanges(
+            primes=args.primes,
+            m_values=args.m,
+            n_values=args.n,
+            alpha_values=args.alpha,
+            s_values=args.s,
+            l_values=args.l,
+            trials=args.trials,
+        ),
         variant=args.variant,
         max_index=args.max_index,
         jobs=args.jobs,
-        settings=_settings_from_args(args),
+        settings=EngineSettings(
+            oracle_cutoff=args.oracle_cutoff,
+            crosscheck_cutoff=args.crosscheck_cutoff,
+            seed=args.seed,
+        ),
     )
 
 

@@ -134,7 +134,9 @@ def _check_paths_agree(case: CongruenceCase, oracle: AchievedValuation, modular:
 
 _PARAMS = ("p", "m", "n", "alpha", "s", "l", "k", "variant", "trial")
 
-_SORT_SENTINEL = -(2**62)
+# Every case of a suite leaves the same fields None, so a tuple comparison
+# never orders None against a value.
+_SORT_KEY = attrgetter("suite", *_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -191,21 +193,7 @@ class CongruenceCase:
             raise ValueError(f"suite {self.suite} {reason}")
 
     def sort_key(self) -> tuple:
-        def key(x):
-            return _SORT_SENTINEL if x is None else x
-
-        return (
-            self.suite,
-            key(self.p),
-            key(self.m),
-            key(self.n),
-            key(self.alpha),
-            key(self.s),
-            key(self.l),
-            key(self.k),
-            key(self.trial),
-            self.variant or "",
-        )
+        return _SORT_KEY(self)
 
     def params_dict(self) -> dict:
         return {f: getattr(self, f) for f in SUITES[self.suite].fields}
@@ -765,37 +753,9 @@ def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> 
     return sorted(streams, key=lambda s: (sum(ns[-1] for ns in s[2].values()), s[0]), reverse=True)
 
 
-def _plan_walks(cases: Sequence[CongruenceCase], settings: EngineSettings) -> dict[int, set[int]]:
-    """One exact walk per signed base, to the union of its cases' points;
-    it serves every prime, as the exact S_N do not depend on p."""
-    points: dict[int, set[int]] = {}
-    for case in cases:
-        base = _sum_keys(case, settings)[1]
-        if base is not None:
-            points.setdefault(base, set()).update(SUITES[case.suite].points(case))
-    return points
-
-
 def _stream_sums(stream: Stream) -> dict[tuple[int, int], dict[int, int]]:
     p, prec, points_by_base = stream
     return {(p, base): by_n for base, by_n in s_sums_mod(points_by_base, PadicCtx(p, prec)).items()}
-
-
-def _run_sums(
-    cases: Sequence[CongruenceCase], settings: EngineSettings, by_stream: Iterable[dict]
-) -> tuple[dict[tuple[int, int], dict[int, int]], dict[int, dict[int, int]]]:
-    """S_N mod p^prec by (p, signed base) from the streams' results, and
-    b^(N-1) S_N by signed base b, walked here while a pool runs the streams."""
-    scaled = s_sums_exact(_plan_walks(cases, settings))
-    return {key: by_n for part in by_stream for key, by_n in part.items()}, scaled
-
-
-def _case_sums(
-    case: CongruenceCase, settings: EngineSettings, sums: dict, scaled: dict
-) -> tuple[dict[int, int] | None, dict[int, int] | None]:
-    """What a case reads of the values `_run_sums` gives: its bases' dicts, by N."""
-    stream, walk = _sum_keys(case, settings)
-    return sums.get(stream), scaled.get(walk)
 
 
 def evaluate_case(
@@ -810,8 +770,8 @@ def evaluate_case(
     give for the case's index; every other suite takes the oracle path.  A
     suite with points reads S_N there, by N: S_N mod p^E (E at least its
     working precision) from `partial_sums`, b^(N-1) S_N (b the signed base)
-    from `exact_sums`.  run_cases passes them from the streams and walks it
-    shares across the sweep; given neither, the case runs its own.
+    from `exact_sums`, as run_cases passes them.  Given neither, a lone call
+    is `run_cases([case], settings)`: a sweep of one case.
     """
     suite = SUITES[case.suite]
     required = suite.required(case)
@@ -819,12 +779,11 @@ def evaluate_case(
     if suite.p_divides_m is not None and m % case.p == 0:
         error = f"p = {case.p} divides m = {m}: {suite.p_divides_m}"
         return CaseResult(case, required, None, False, error=error)
+    if suite.points is not None and partial_sums is None and exact_sums is None:
+        return run_cases([case], settings)[0]
     path = _path(case, settings)
     oracle = modular = None
     try:
-        if suite.points is not None and partial_sums is None and exact_sums is None:
-            by_stream = map(_stream_sums, _plan_streams([case], settings))
-            partial_sums, exact_sums = _case_sums(case, settings, *_run_sums([case], settings, by_stream))
         if suite.evaluate is not None:
             return suite.evaluate(case, settings, exact_sums)
         if path != "modular":
@@ -951,10 +910,11 @@ def run_cases(
 ) -> list[CaseResult]:
     """Evaluate cases on up to `jobs` processes and sort deterministically.
 
-    A case whose suite has points reads S_N from one stream per prime and
-    one exact walk per signed base, and is evaluated in this process, which
-    holds them.  The map, the builtin one or a pool's, runs the streams, most
-    terms first, then the cases that read no sums in contiguous batches;
+    Every case finds its S_N here; a lone evaluate_case call is
+    `run_cases([case])`.  A case whose suite has points reads them from one
+    stream per prime and one exact walk per signed base, in this process,
+    which holds them.  The map, the builtin one or a pool's, runs the
+    streams, most terms first, then the other cases in contiguous batches;
     meanwhile this process walks and evaluates the cases that read sums.
     """
     reading = [case for case in cases if SUITES[case.suite].points is not None]
@@ -966,8 +926,19 @@ def run_cases(
     with _mapper(workers) as map_:
         by_stream = map_(_stream_sums, streams)
         by_batch = map_(partial(_evaluate_batch, settings), [free[i : i + size] for i in range(0, len(free), size)])
-        sums, scaled = _run_sums(reading, settings, by_stream)
-        results = [evaluate_case(case, settings, *_case_sums(case, settings, sums, scaled)) for case in reading]
+        groups, walks = {}, {}  # cases by the sums they read; the N each exact walk reads out
+        for case in reading:
+            keys = _sum_keys(case, settings)
+            groups.setdefault(keys, []).append(case)
+            if keys[1] is not None:
+                walks.setdefault(keys[1], set()).update(SUITES[case.suite].points(case))
+        scaled = s_sums_exact(walks)
+        sums = {key: by_n for part in by_stream for key, by_n in part.items()}
+        results = [
+            evaluate_case(case, settings, sums.get(stream), scaled.get(walk))
+            for (stream, walk), group in groups.items()
+            for case in group
+        ]
         results.extend(chain.from_iterable(by_batch))
     return sorted(results, key=lambda result: result.case.sort_key())
 

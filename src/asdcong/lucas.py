@@ -1,9 +1,10 @@
 """Legendre symbols and Lucas sequences u_n(a, 1), exact and modular.
 
 u_n = a u_{n-1} - u_{n-2} with u_0 = 0, u_1 = 1, and u_{-n} = -u_n.  The
-congruence suites take a = m - 2; for m in {1, 2, 3} the sequence is purely
-periodic with a tiny period, a fast path cross-checked against the generic
-fast-doubling path in the tests.
+congruence suites take a = m - 2.  Modulo p^e every term comes from fast
+doubling.  For m in {1, 2, 3} the sequence is purely periodic with period 3,
+4 or 6; those orbits serve the exact `lucas_u` and lemma-2-4's block sums,
+and the tests check the modular path against them.
 """
 
 from __future__ import annotations
@@ -78,14 +79,8 @@ def _u_pair_mod(n: int, a: int, mod: int) -> tuple[int, int]:
 
 
 def lucas_u_mod(n: int, a: int, ctx: PadicCtx) -> int:
-    """u_n(a, 1) modulo p^prec, in [0, p^prec); n may be astronomically large.
-
-    For a in {-1, 0, 1} the orbit is periodic with period 3, 4 or 6 and the
-    value is looked up directly; otherwise fast doubling is used.
-    """
+    """u_n(a, 1) modulo p^prec, in [0, p^prec), by fast doubling; n may be
+    astronomically large."""
     if n < 0:
         return -lucas_u_mod(-n, a, ctx) % ctx.modulus
-    if a in _PERIODIC_ORBITS:
-        orbit = _PERIODIC_ORBITS[a]
-        return orbit[n % len(orbit)] % ctx.modulus
     return _u_pair_mod(n, a, ctx.modulus)[0]

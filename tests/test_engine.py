@@ -643,9 +643,9 @@ class TestSweeps:
 
     def test_shared_sums_match_lone_cases(self, monkeypatch):
         # run_cases reads every S_N from one stream per prime and one exact
-        # walk per signed base; a lone evaluate_case streams and walks on its
-        # own.  Both must give the same verdicts and sides, serially and on a
-        # pool, and a serial sweep walks once.
+        # walk per signed base; a lone evaluate_case is a sweep of its one
+        # case.  Both must give the same verdicts and sides, serially and on
+        # a pool, and a serial sweep walks once.
         walks = []
         walk = asdcong.engine.s_sums_exact
         monkeypatch.setattr(asdcong.engine, "s_sums_exact", lambda points: walks.append(points) or walk(points))
@@ -663,6 +663,38 @@ class TestSweeps:
                 assert [r.case for r in shared] == [r.case for r in lone]
                 for a, b in zip(shared, lone):
                     assert (a.achieved, a.passed, a.path, a.lhs, a.rhs) == (b.achieved, b.passed, b.path, b.lhs, b.rhs), a.case
+
+    def test_p_divides_m_inside_a_sweep(self):
+        # The enumerator skips p | m, so these cases are built by hand: each
+        # must come back errored from a sweep that also streams and walks
+        # valid cases at the same primes, and every result must equal a lone
+        # evaluate_case of its case.
+        def series(suite, p, m, **params):
+            return [CongruenceCase(suite, p=p, m=m, variant=v, **params) for v in ("corrected", "literal")]
+
+        divided = [
+            *series("thm-main", 3, 3, n=1, alpha=2),
+            *series("eq-sun-asd", 5, 5, n=1, alpha=1),
+            *series("eq-sun-asd", 5, -10, n=2, alpha=1),
+            *series("eq-mod-p2", 5, 10),
+            CongruenceCase("lemma-2-4", p=3, m=3, n=1, alpha=2, s=1, l=0),
+        ]
+        valid = [
+            *series("thm-main", 3, 1, n=1, alpha=2),
+            *series("thm-main", 3, 2, n=2, alpha=3),
+            *series("eq-sun-asd", 5, 2, n=1, alpha=1),
+            *series("eq-sun-asd", 5, -3, n=2, alpha=1),
+            *series("eq-mod-p2", 5, 2),
+            CongruenceCase("lemma-2-4", p=3, m=1, n=1, alpha=2, s=1, l=0),
+        ]
+        for settings in (DEFAULT_SETTINGS, MODULAR_ONLY):
+            lone = {c: evaluate_case(c, settings) for c in divided + valid}
+            for jobs in (1, 2):
+                results = run_cases(divided + valid, settings, jobs)
+                assert [r.case for r in results if r.error] == sorted(divided, key=CongruenceCase.sort_key)
+                for r in results:
+                    alone = lone[r.case]
+                    assert (r.achieved, r.lhs, r.rhs, r.error) == (alone.achieved, alone.lhs, alone.rhs, alone.error)
 
     def test_prime_cap_before_primality(self, monkeypatch):
         # Every suite's index is at least p, so candidates above the cap give

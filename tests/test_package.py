@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import asdcong
 
 # The package's public names.  A change that widens or narrows the API
@@ -16,3 +19,27 @@ def test_star_import_binds_the_public_names_only():
     namespace = {}
     exec("from asdcong import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC  # no submodule among them
+
+
+def test_every_private_helper_is_used():
+    # A module-level _name in the package that nothing outside its own
+    # definition reads, in the package or its tests, is dead code.
+    root = pathlib.Path(asdcong.__file__).parent
+    files = [*root.glob("*.py"), *pathlib.Path(__file__).parent.glob("*.py")]
+    defined, used = {}, set()
+    for path in files:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            if path.parent == root:
+                defined.update((name, path.name) for name in own if name.startswith("_") and not name.startswith("__"))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name not in own:
+                    used.add(name)
+    assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []
