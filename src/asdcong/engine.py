@@ -1,10 +1,12 @@
 """Congruence cases and their dual-path evaluation.
 
 Every congruence statement the package knows about is a suite of cases,
-described by one `Suite` record in `SUITES`.  A case is evaluated on the
-exact-rational oracle path, on the modular residue pipeline, or on both; when
-both run they must agree (disagreement is a bug detector and aborts the
-sweep, it is never reported as a mere failure).
+described by one `Suite` record in `SUITES`.  A series statement is one
+`sides` function of S_N and u_n(a, 1), read two ways: over Q from the exact
+walk and the exact Lucas numbers (the oracle path), and as residues mod p^E
+from the modular stream and fast doubling (the modular path).  A case takes
+either path or both; when both run they must agree (disagreement is a bug
+detector and aborts the sweep, it is never reported as a mere failure).
 
 Verdict semantics: a case passes when the p-adic valuation of LHS - RHS
 reaches the required exponent.  Degenerate inputs (e.g. p dividing the series
@@ -269,13 +271,9 @@ class SweepRanges:
 # Suite records
 # ---------------------------------------------------------------------------
 
-#: (lhs, rhs) of a case as exact rationals.
-Sides = Callable[[CongruenceCase], tuple[Fraction, Fraction]]
-#: (lhs, rhs) of a series case as exact rationals, given S_N exactly by N.
-SeriesSides = Callable[[CongruenceCase, Callable[[int], Fraction]], tuple[Fraction, Fraction]]
-#: (lhs, rhs) of a series case as ints standing for their classes mod p^E,
-#: given S_N mod p^E by N.
-ModularSides = Callable[[CongruenceCase, PadicCtx, Callable[[int], int]], tuple[int, int]]
+#: (lhs, rhs) of a case: `sides(case)` as exact rationals, or a series suite's
+#: `sides(case, s_sum, u)` as read from S_N by N and u_n(a, 1) by (n, a).
+Sides = Callable[..., tuple]
 
 
 @dataclass(frozen=True)
@@ -284,11 +282,14 @@ class Suite:
 
     `index` is the largest summation bound a case touches: it picks the
     evaluation path and is what the sweep's index cap bounds.  The verdict
-    compares vp(lhs - rhs) from `exact` with `required`, unless the statement
+    compares vp(lhs - rhs) from `sides` with `required`, unless the statement
     is of another kind and brings its own `evaluate`.  A suite with `points`
-    reads S_N(m) at those term counts from the sweep's shared exact walk
-    and, if it is a series suite (one with `modular`), S_N mod p^E from its
-    shared stream; a series suite is checked on either path or both.
+    reads S_N(m) at those term counts.  A series suite (`points` and no
+    `evaluate`) is checked on either path or both: its `sides(case, s_sum,
+    u)` gets S_N from the sweep's exact walk and `lucas_u` on the oracle
+    path, S_N mod p^E from its stream and `lucas_u_mod` on the modular path,
+    where each side is then reduced mod the case's own p^E.  Every other
+    suite's `sides(case)` is exact.
 
     `index` and `rule` read only the case's parameters: the enumerator
     applies them to a candidate's values before it builds the case.
@@ -299,10 +300,9 @@ class Suite:
     index: Callable[[CongruenceCase], int]
     defaults: SweepRanges
     cap: int
-    exact: Sides | SeriesSides | None = None
+    sides: Sides | None = None
     #: A verdict of another kind, given b^(N-1) S_N by N if the suite has points.
     evaluate: Callable[[CongruenceCase, EngineSettings, Mapping[int, int] | None], CaseResult] | None = None
-    modular: ModularSides | None = None
     points: Callable[[CongruenceCase], tuple[int, ...]] | None = None
     #: A condition beyond the shared ones: returns why a case breaks it.
     rule: Callable[[CongruenceCase], str | None] | None = None
@@ -359,7 +359,7 @@ def sun_tauraso_rhs(m: int, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Series suites: exact and modular sides
+# Series suites: sides over Q or mod p^E, as the S_N and u_n they are given
 # ---------------------------------------------------------------------------
 
 
@@ -385,48 +385,28 @@ def _lucas_term(case: CongruenceCase) -> tuple[int, int]:
     return case.p - _symbol(case), _statement_m(case) - 2
 
 
-def _scaling_exact(multiplier: Callable[[CongruenceCase], int], case, s_sum) -> tuple[Fraction, Fraction]:
+def _scaling(multiplier: Callable[[CongruenceCase], int], case, s_sum, u) -> tuple:
     hi, lo = _scaled(case)
     return s_sum(hi), multiplier(case) * s_sum(lo)
 
 
-def _scaling_modular(multiplier: Callable[[CongruenceCase], int], case, ctx, s_sum) -> tuple[int, int]:
-    hi, lo = _scaled(case)
-    return s_sum(hi), multiplier(case) * s_sum(lo)
-
-
-def _mod_p_exact(case, s_sum) -> tuple[Fraction, Fraction]:
+def _mod_p(case, s_sum, u) -> tuple:
     return s_sum(case.p), Fraction(_symbol(case))
 
 
-def _mod_p_modular(case, ctx, s_sum) -> tuple[int, int]:
-    return s_sum(case.p), _symbol(case)
+def _mod_p2(case, s_sum, u) -> tuple:
+    return s_sum(case.p), Fraction(_symbol(case) + u(*_lucas_term(case)))
 
 
-def _mod_p2_exact(case, s_sum) -> tuple[Fraction, Fraction]:
-    return s_sum(case.p), Fraction(_symbol(case) + lucas_u(*_lucas_term(case)))
-
-
-def _mod_p2_modular(case, ctx, s_sum) -> tuple[int, int]:
-    return s_sum(case.p), _symbol(case) + lucas_u_mod(*_lucas_term(case), ctx)
-
-
-def _sun_asd_exact(case, s_sum) -> tuple[Fraction, Fraction]:
-    hi, M = _scaled(case)
-    lhs = s_sum(hi) - _symbol(case) * s_sum(M)
-    rhs = Fraction(M, _statement_m(case) ** (M - 1)) * binomial(2 * M - 1, M - 1) * lucas_u(*_lucas_term(case))
-    return lhs, rhs
-
-
-def _sun_asd_modular(case, ctx, s_sum) -> tuple[int, int]:
+def _sun_asd(case, s_sum, u) -> tuple:
     hi, M = _scaled(case)
     lhs = s_sum(hi) - _symbol(case) * s_sum(M)
     # Term M of the series is sign^M C(2M,M) / m^M and C(2M-1, M-1) is half
     # of C(2M, M), so M C(2M-1, M-1) / m^(M-1) = M m sign^M (S_{M+1} - S_M) / 2,
-    # where m sign^M is the signed base b for odd M and m for even M.
+    # where m sign^M is the signed base b for odd M and m for even M.  Unlike
+    # the binomial form, this one reads the same mod p^E as over Q.
     m_sign = _base(case) if M % 2 else _statement_m(case)
-    factor = from_rational(Fraction(M * m_sign, 2), ctx)
-    rhs = (s_sum(M + 1) - s_sum(M)) * factor * lucas_u_mod(*_lucas_term(case), ctx)
+    rhs = Fraction(M * m_sign, 2) * (s_sum(M + 1) - s_sum(M)) * u(*_lucas_term(case))
     return lhs, rhs
 
 
@@ -561,7 +541,7 @@ def _lemma_2_1(
         index=_top,
         defaults=SweepRanges(primes=_SMALL_PRIMES, n_values=(1, 2), alpha_values=(1, 2)),
         cap=10_000,
-        exact=sides,
+        sides=sides,
         rule=rule,
     )
 
@@ -576,8 +556,7 @@ SUITES: dict[str, Suite] = {
         index=_top,
         defaults=SweepRanges(primes=_PRIMES, m_values=(1, 2, 3), n_values=(1, 2, 3), alpha_values=(1, 2, 3)),
         cap=10_000,
-        exact=partial(_scaling_exact, _symbol),
-        modular=partial(_scaling_modular, _symbol),
+        sides=partial(_scaling, _symbol),
         points=_scaled,
         rule=_m_in_1_2_3,
         p_divides_m=_SERIES_ILL_POSED,
@@ -589,8 +568,7 @@ SUITES: dict[str, Suite] = {
         index=_top,
         defaults=SweepRanges(primes=_PRIMES, n_values=(1, 2, 3), alpha_values=(1, 2, 3)),
         cap=10_000,
-        exact=partial(_scaling_exact, attrgetter("p")),
-        modular=partial(_scaling_modular, attrgetter("p")),
+        sides=partial(_scaling, attrgetter("p")),
         points=_scaled,
         m=4,
         p_divides_m=_SERIES_ILL_POSED,
@@ -602,7 +580,7 @@ SUITES: dict[str, Suite] = {
         index=_top,
         defaults=SweepRanges(primes=(5, 7, 11), n_values=(1, 2), alpha_values=(1, 2)),
         cap=200,
-        exact=_apery_sides,
+        sides=_apery_sides,
         rule=lambda c: f"needs p >= 5, got p={c.p}" if c.p < 5 else None,
     ),
     # S_p(m) ≡ (m(m-4)/p) mod p.
@@ -612,8 +590,7 @@ SUITES: dict[str, Suite] = {
         index=lambda c: c.p,
         defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO),
         cap=10_000,
-        exact=_mod_p_exact,
-        modular=_mod_p_modular,
+        sides=_mod_p,
         points=lambda c: (c.p,),
         p_divides_m=_SERIES_ILL_POSED,
     ),
@@ -624,8 +601,7 @@ SUITES: dict[str, Suite] = {
         index=lambda c: c.p,
         defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO),
         cap=10_000,
-        exact=_mod_p2_exact,
-        modular=_mod_p2_modular,
+        sides=_mod_p2,
         points=lambda c: (c.p,),
         p_divides_m=_SERIES_ILL_POSED,
     ),
@@ -636,8 +612,7 @@ SUITES: dict[str, Suite] = {
         index=_top,
         defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO, n_values=(1, 2), alpha_values=(1, 2)),
         cap=1_000,
-        exact=_sun_asd_exact,
-        modular=_sun_asd_modular,
+        sides=_sun_asd,
         points=_sun_asd_points,
         p_divides_m=_SERIES_ILL_POSED,
     ),
@@ -670,7 +645,7 @@ SUITES: dict[str, Suite] = {
         index=lambda c: c.p**c.alpha,
         defaults=SweepRanges(primes=_SMALL_PRIMES, m_values=(2, 3, 5, 7), alpha_values=(1, 2, 3, 4)),
         cap=10_000,
-        exact=_lemma_2_3_sides,
+        sides=_lemma_2_3_sides,
         rule=_s_at_most_alpha,
         p_divides_m="quotient is not p-integral",
     ),
@@ -681,7 +656,7 @@ SUITES: dict[str, Suite] = {
         index=lambda c: max(_top(c), (c.l + 1) * c.p**c.s),
         defaults=SweepRanges(primes=_SMALL_PRIMES, m_values=(1, 2, 3), n_values=(1, 2), alpha_values=(1, 2, 3)),
         cap=10_000,
-        exact=_lemma_2_4_sides,
+        sides=_lemma_2_4_sides,
         rule=lambda c: _m_in_1_2_3(c) or _s_at_most_alpha(c),
         p_divides_m="the scaling factor is not p-integral",
     ),
@@ -712,10 +687,12 @@ def _working_precision(case: CongruenceCase) -> int:
 
 
 def _path(case: CongruenceCase, settings: EngineSettings) -> str:
-    """A series suite takes the path its settings give for the case's index;
-    every other suite takes the oracle path."""
+    """A series suite (points and no evaluate) takes the path its settings
+    give for the case's index; every other suite takes the oracle path."""
     suite = SUITES[case.suite]
-    return "oracle" if suite.modular is None else settings.path_for(suite.index(case))
+    if suite.points is None or suite.evaluate is not None:
+        return "oracle"
+    return settings.path_for(suite.index(case))
 
 
 def _sum_keys(case: CongruenceCase, settings: EngineSettings) -> tuple[tuple[int, int] | None, int | None]:
@@ -728,8 +705,12 @@ def _sum_keys(case: CongruenceCase, settings: EngineSettings) -> tuple[tuple[int
     return None if path == "oracle" else (case.p, base), None if path == "modular" else base
 
 
-def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> list[Stream]:
-    """One stream per prime the cases read, most terms first.
+def _plan(
+    cases: Sequence[CongruenceCase], settings: EngineSettings
+) -> tuple[dict[tuple, list[CongruenceCase]], list[Stream], dict[int, set[int]]]:
+    """Where cases of suites with points read their sums, in one pass: the
+    cases grouped by `_sum_keys`, one stream per prime most terms first, and
+    the N each signed base's exact walk reads out.
 
     Every series case at p reads prefixes of S_N(m) for one signed base m,
     and the bases at p share one walk over C(2k,k) mod p^E.  It runs at the
@@ -738,19 +719,24 @@ def _plan_streams(cases: Sequence[CongruenceCase], settings: EngineSettings) -> 
     precision would have.  A base reads the union of its cases' points, so
     (m, literal) and (-m, corrected) are one base.
     """
+    groups: dict[tuple, list[CongruenceCase]] = {}
     precs: dict[int, int] = {}
-    points: dict[int, dict[int, set[int]]] = {}
+    reads: dict[int, dict[int, set[int]]] = {}
+    walks: dict[int, set[int]] = {}
     for case in cases:
-        key = _sum_keys(case, settings)[0]
-        if key is None:
-            continue
-        p, base = key
-        precs[p] = max(precs.get(p, 1), _working_precision(case))
-        points.setdefault(p, {}).setdefault(base, set()).update(SUITES[case.suite].points(case))
+        keys = stream, walk = _sum_keys(case, settings)
+        groups.setdefault(keys, []).append(case)
+        if stream is not None:
+            p, base = stream
+            precs[p] = max(precs.get(p, 1), _working_precision(case))
+            reads.setdefault(p, {}).setdefault(base, set()).update(SUITES[case.suite].points(case))
+        if walk is not None:
+            walks.setdefault(walk, set()).update(SUITES[case.suite].points(case))
     streams = [
-        (p, precs[p], {base: tuple(sorted(ns)) for base, ns in points[p].items()}) for p in precs
+        (p, precs[p], {base: tuple(sorted(ns)) for base, ns in reads[p].items()}) for p in precs
     ]
-    return sorted(streams, key=lambda s: (sum(ns[-1] for ns in s[2].values()), s[0]), reverse=True)
+    streams.sort(key=lambda s: (sum(ns[-1] for ns in s[2].values()), s[0]), reverse=True)
+    return groups, streams, walks
 
 
 def _stream_sums(stream: Stream) -> dict[tuple[int, int], dict[int, int]]:
@@ -758,29 +744,29 @@ def _stream_sums(stream: Stream) -> dict[tuple[int, int], dict[int, int]]:
     return {(p, base): by_n for base, by_n in s_sums_mod(points_by_base, PadicCtx(p, prec)).items()}
 
 
-def evaluate_case(
-    case: CongruenceCase,
-    settings: EngineSettings = DEFAULT_SETTINGS,
-    partial_sums: dict[int, int] | None = None,
-    exact_sums: dict[int, int] | None = None,
-) -> CaseResult:
+def evaluate_case(case: CongruenceCase, settings: EngineSettings = DEFAULT_SETTINGS) -> CaseResult:
     """Evaluate one case; degeneracies become errored results, never raises.
 
-    A series suite (one with modular sides) takes the path its settings
-    give for the case's index; every other suite takes the oracle path.  A
-    suite with points reads S_N there, by N: S_N mod p^E (E at least its
-    working precision) from `partial_sums`, b^(N-1) S_N (b the signed base)
-    from `exact_sums`, as run_cases passes them.  Given neither, a lone call
-    is `run_cases([case], settings)`: a sweep of one case.
+    A lone case is a sweep of one: this is `run_cases([case], settings)[0]`.
     """
+    return run_cases([case], settings)[0]
+
+
+def _evaluate(
+    case: CongruenceCase,
+    settings: EngineSettings,
+    partial_sums: Mapping[int, int] | None,
+    exact_sums: Mapping[int, int] | None,
+) -> CaseResult:
+    """One case's verdict on its path.  A suite with points reads S_N there,
+    by N: S_N mod p^E (E at least its working precision) from `partial_sums`,
+    b^(N-1) S_N (b the signed base) from `exact_sums`."""
     suite = SUITES[case.suite]
     required = suite.required(case)
     m = _statement_m(case)
     if suite.p_divides_m is not None and m % case.p == 0:
         error = f"p = {case.p} divides m = {m}: {suite.p_divides_m}"
         return CaseResult(case, required, None, False, error=error)
-    if suite.points is not None and partial_sums is None and exact_sums is None:
-        return run_cases([case], settings)[0]
     path = _path(case, settings)
     oracle = modular = None
     try:
@@ -788,18 +774,19 @@ def evaluate_case(
             return suite.evaluate(case, settings, exact_sums)
         if path != "modular":
             if suite.points is None:
-                lhs, rhs = suite.exact(case)
+                lhs, rhs = suite.sides(case)
             else:
                 base = _base(case)
-                lhs, rhs = suite.exact(case, lambda N: Fraction(exact_sums[N], base ** (N - 1)))
+                lhs, rhs = suite.sides(case, lambda N: Fraction(exact_sums[N], base ** (N - 1)), lucas_u)
             oracle = _oracle_achieved(rat_congruent(lhs, rhs, case.p, required).achieved)
         if path != "oracle":
             ctx = PadicCtx(case.p, _working_precision(case))
-            mod_lhs, mod_rhs = suite.modular(case, ctx, partial_sums.__getitem__)
+            sides = suite.sides(case, partial_sums.__getitem__, partial(lucas_u_mod, ctx=ctx))
+            # The shared stream may carry more digits than this case.
+            mod_lhs, mod_rhs = (from_rational(side, ctx) for side in sides)
             modular = _modular_achieved(mod_lhs - mod_rhs, ctx)
             if oracle is None:
-                # The shared stream may carry more digits than this case.
-                lhs, rhs = mod_lhs % ctx.modulus, mod_rhs % ctx.modulus
+                lhs, rhs = mod_lhs, mod_rhs
     except (NotPIntegralError, ZeroDivisionError) as exc:
         return CaseResult(case, required, None, False, error=str(exc))
     if oracle is not None and modular is not None:
@@ -900,7 +887,7 @@ def _mapper(workers: int) -> Iterator[Callable]:
 
 
 def _evaluate_batch(settings: EngineSettings, cases: Sequence[CongruenceCase]) -> list[CaseResult]:
-    return [evaluate_case(case, settings) for case in cases]
+    return [_evaluate(case, settings, None, None) for case in cases]
 
 
 def run_cases(
@@ -919,23 +906,17 @@ def run_cases(
     """
     reading = [case for case in cases if SUITES[case.suite].points is not None]
     free = [case for case in cases if SUITES[case.suite].points is None]
-    streams = _plan_streams(reading, settings)
+    groups, streams, walks = _plan(reading, settings)
     workers = pool_size(jobs, len(streams) + len(free))
     # Eight batches per worker: with four, one worker got lemma-2-5's heavy tail.
     size = max(1, -(-len(free) // (8 * workers)))
     with _mapper(workers) as map_:
         by_stream = map_(_stream_sums, streams)
         by_batch = map_(partial(_evaluate_batch, settings), [free[i : i + size] for i in range(0, len(free), size)])
-        groups, walks = {}, {}  # cases by the sums they read; the N each exact walk reads out
-        for case in reading:
-            keys = _sum_keys(case, settings)
-            groups.setdefault(keys, []).append(case)
-            if keys[1] is not None:
-                walks.setdefault(keys[1], set()).update(SUITES[case.suite].points(case))
         scaled = s_sums_exact(walks)
         sums = {key: by_n for part in by_stream for key, by_n in part.items()}
         results = [
-            evaluate_case(case, settings, sums.get(stream), scaled.get(walk))
+            _evaluate(case, settings, sums.get(stream), scaled.get(walk))
             for (stream, walk), group in groups.items()
             for case in group
         ]

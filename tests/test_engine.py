@@ -188,6 +188,31 @@ class TestSunAsd:
         result = check("eq-sun-asd", p=3, n=2, alpha=2, m=5)
         assert result.passed and result.required_exponent == 3
 
+    def test_series_form_of_the_correction_term(self):
+        # The sides read M C(2M-1, M-1) / m^(M-1) off the series as
+        # M m sign^M (S_{M+1} - S_M) / 2, M = n p^(alpha-1); the paper's
+        # binomial form is the reference.  Odd M on the literal variant
+        # fails it if sign^M is dropped.
+        cases = [
+            CongruenceCase("eq-sun-asd", p=p, m=m, n=n, alpha=a, variant=v)
+            for p in (3, 5, 7, 11, 13)
+            for m in range(-10, 11)
+            if m % p
+            for n in (1, 2, 3)
+            for a in (1, 2, 3)
+            for v in ("corrected", "literal")
+        ]
+        points = {}
+        for c in cases:
+            points.setdefault(-c.m if c.variant == "literal" else c.m, set()).update(SUITES[c.suite].points(c))
+        sums = s_sums_exact(points)
+        for c in cases:
+            b = -c.m if c.variant == "literal" else c.m
+            M = c.n * c.p ** (c.alpha - 1)
+            _, rhs = asdcong.engine._sun_asd(c, lambda N: Fraction(sums[b][N], b ** (N - 1)), lucas_u)
+            paper = Fraction(M, c.m ** (M - 1)) * math.comb(2 * M - 1, M - 1) * lucas_u(*asdcong.engine._lucas_term(c))
+            assert rhs == paper, c
+
 
 class TestApery:
     def test_anchor_exact_valuation(self):
@@ -389,16 +414,29 @@ class TestDualPath:
         assert [DEFAULT_SETTINGS.path_for(i) for i in (1500, 1501, 3000, 3001)] == ["both", "oracle", "oracle", "modular"]
         assert check("thm-main", no_oracle, p=3, m=1, n=1, alpha=6).path == "both"  # index 729
 
-    def test_suites_without_modular_sides_take_the_oracle_path(self):
-        default, modular = (run_suite("all", settings=s).results for s in (EngineSettings(), MODULAR_ONLY))
+    def test_only_series_suites_take_the_modular_path(self):
+        # A series suite has points and no evaluate; every other suite takes
+        # the oracle path whatever the cutoffs.
+        default = run_suite("all", settings=EngineSettings()).results
+        reports = {v: run_suite("all", variant=v, settings=MODULAR_ONLY) for v in ("corrected", "literal")}
+        modular = reports["corrected"].results
         assert [r.case for r in default] == [r.case for r in modular]
         for a, b in zip(default, modular):
             assert (a.passed, a.error) == (b.passed, b.error)
-            if SUITES[a.case.suite].modular is None:
+            suite = SUITES[a.case.suite]
+            if suite.points is None or suite.evaluate is not None:
                 assert a.path == b.path == "oracle"
                 assert a.achieved == b.achieved
             elif b.error is None:
                 assert b.path == "modular"
+        # These bytes pin the ">=E" and exact valuations of every series case
+        # on the modular path alone.
+        digests = {
+            "corrected": "73834001dec160aa47d6e90430bcb91e78e8bd94097f0c9e0e3e1682358af984",
+            "literal": "c4634766baf040f898f286165c54b339e6cbb406ff1f1f5e16b9253cfcfe15a7",
+        }
+        for variant, report in reports.items():
+            assert hashlib.sha256(report.to_json_text().encode("utf-8")).hexdigest() == digests[variant], variant
 
     def test_modular_matches_oracle_sample(self):
         rng = random.Random(77)
@@ -606,7 +644,7 @@ class TestSweeps:
     def test_stream_plan(self):
         # One stream per prime, at the prime's highest working precision.
         wide = enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000)
-        streams = asdcong.engine._plan_streams(wide, DEFAULT_SETTINGS)
+        streams = asdcong.engine._plan(wide, DEFAULT_SETTINGS)[1]
         assert sorted(p for p, _, _ in streams) == [p for p in range(3, 48, 2) if is_prime(p)]
         assert len(streams) == 14
         totals = [sum(ns[-1] for ns in by_base.values()) for _, _, by_base in streams]
@@ -614,7 +652,7 @@ class TestSweeps:
 
         ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2, 3), alpha_values=tuple(range(1, 11)))
         deep = enumerate_cases("thm-main", ranges, max_index=200_000)
-        ((p, prec, by_base),) = asdcong.engine._plan_streams(deep, MODULAR_ONLY)
+        ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[1]
         assert (p, set(by_base)) == (3, {1, 2})
         assert prec == max(required_guard(c.n * 3**c.alpha, 2 * c.alpha, 3) for c in deep)
         reads = {c.n * 3**a for c in deep for a in (c.alpha, c.alpha - 1)}
@@ -625,20 +663,20 @@ class TestSweeps:
             CongruenceCase("eq-sun-asd", p=5, m=2, n=1, alpha=1, variant="literal"),
             CongruenceCase("eq-sun-asd", p=5, m=-2, n=2, alpha=1, variant="corrected"),
         ]
-        assert asdcong.engine._plan_streams(cases, MODULAR_ONLY) == [(5, 5, {-2: (1, 2, 3, 5, 10)})]
+        assert asdcong.engine._plan(cases, MODULAR_ONLY)[1] == [(5, 5, {-2: (1, 2, 3, 5, 10)})]
 
     def test_stream_levels(self):
         # The default sweep's streams are short and dense: they stay at level
         # 0, the plain walk.  modular-deep's reads 23 points out to 3^11 and
         # walks blocks of 3^L terms.
-        default = [case for suite in SUITES for case in enumerate_cases(suite)]
-        streams = asdcong.engine._plan_streams(default, DEFAULT_SETTINGS)
+        default = [case for suite, record in SUITES.items() if record.points for case in enumerate_cases(suite)]
+        streams = asdcong.engine._plan(default, DEFAULT_SETTINGS)[1]
         assert len(streams) == 5
         for p, prec, by_base in streams:
             assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) == 0, p
         ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2, 3), alpha_values=tuple(range(1, 11)))
         deep = enumerate_cases("thm-main", ranges, max_index=200_000)
-        ((p, prec, by_base),) = asdcong.engine._plan_streams(deep, MODULAR_ONLY)
+        ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[1]
         assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) >= 1
 
     def test_shared_sums_match_lone_cases(self, monkeypatch):
@@ -646,9 +684,10 @@ class TestSweeps:
         # walk per signed base; a lone evaluate_case is a sweep of its one
         # case.  Both must give the same verdicts and sides, serially and on
         # a pool, and a serial sweep walks once.
-        walks = []
-        walk = asdcong.engine.s_sums_exact
+        walks, keyed = [], []
+        walk, keys = asdcong.engine.s_sums_exact, asdcong.engine._sum_keys
         monkeypatch.setattr(asdcong.engine, "s_sums_exact", lambda points: walks.append(points) or walk(points))
+        monkeypatch.setattr(asdcong.engine, "_sum_keys", lambda case, settings: keyed.append(case) or keys(case, settings))
         grids = [
             enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000),
             enumerate_cases("lemma-2-2"),
@@ -658,8 +697,10 @@ class TestSweeps:
             lone = sorted((evaluate_case(c) for c in cases), key=lambda r: r.case.sort_key())
             for jobs in (1, 2):
                 walks.clear()
+                keyed.clear()
                 shared = run_cases(cases, jobs=jobs)
                 assert len(walks) == 1
+                assert sorted(keyed, key=CongruenceCase.sort_key) == sorted(cases, key=CongruenceCase.sort_key)
                 assert [r.case for r in shared] == [r.case for r in lone]
                 for a, b in zip(shared, lone):
                     assert (a.achieved, a.passed, a.path, a.lhs, a.rhs) == (b.achieved, b.passed, b.path, b.lhs, b.rhs), a.case

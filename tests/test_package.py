@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import pathlib
 
 import asdcong
+from asdcong.engine import SUITES, Suite
 
 # The package's public names.  A change that widens or narrows the API
 # changes this set on purpose.
@@ -43,3 +45,14 @@ def test_every_private_helper_is_used():
                 if name is not None and name not in own:
                     used.add(name)
     assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []
+
+
+def test_suite_contract_is_documented_and_used():
+    # Every Suite field is named in README's "Adding a suite", and every
+    # optional one is set by some record: a stale doc or a dead field fails.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Adding a suite", 1)[1].split("\n#", 1)[0]
+    for field in dataclasses.fields(Suite):
+        assert f"`{field.name}`" in section, field.name
+        if field.default is not dataclasses.MISSING:
+            assert any(getattr(record, field.name) != field.default for record in SUITES.values()), field.name
