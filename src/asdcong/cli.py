@@ -88,9 +88,9 @@ def _int_values_within(low: int | None = None, below: int | None = None):
 
 def _report_path(text: str) -> str:
     """An argparse type for --out: a file the report can be written to, checked
-    before the sweep runs rather than after it."""
+    before the sweep runs rather than after it.  An empty path names no file."""
     target = text if os.path.exists(text) else os.path.dirname(text) or "."
-    if os.path.isdir(text) or not os.access(target, os.W_OK):
+    if not text or os.path.isdir(text) or not os.access(target, os.W_OK):
         raise argparse.ArgumentTypeError(f"cannot write a report to {text!r}")
     return text
 
@@ -198,6 +198,8 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         elif args.series == "apery":
             if args.index is None:
                 parser.error("--series apery needs --index")
+            if args.index < 0:
+                parser.error(f"--series apery needs --index >= 0, got {args.index}")
             value = apery(args.index)
         else:  # lucas
             if args.m is None or args.index is None:
@@ -232,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="print one value, exact or modulo p^e")
     ev.add_argument("--series", required=True, choices=("s", "apery", "lucas"))
     ev.add_argument("--m", type=int, help="series base (s) or Lucas parameter m, a = m-2 (lucas)")
-    ev.add_argument("--N", type=int, help="term count for --series s")
-    ev.add_argument("--index", type=int, help="index for apery/lucas")
+    ev.add_argument("--N", type=_int_at_least(0), help="term count for --series s")
+    ev.add_argument("--index", type=int, help="index for apery (>= 0) or lucas (any integer)")
     ev.add_argument("--variant", default="corrected", choices=("corrected", "literal"))
     ev.add_argument("--mod", metavar="P^E", help="reduce modulo the prime power p^e")
     ev.set_defaults(func=cmd_eval)

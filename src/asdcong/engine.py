@@ -212,11 +212,12 @@ class CaseResult:
     case: CongruenceCase
     required_exponent: int | float
     achieved: AchievedValuation | None
-    passed: bool
     error: str | None = None
-    lhs: object = None
-    rhs: object = None
     path: str = "oracle"
+
+    @property
+    def passed(self) -> bool:
+        return self.achieved is not None and self.achieved.satisfies(self.required_exponent)
 
     @property
     def margin(self) -> int | float | None:
@@ -283,13 +284,13 @@ class Suite:
     `index` is the largest summation bound a case touches: it picks the
     evaluation path and is what the sweep's index cap bounds.  The verdict
     compares vp(lhs - rhs) from `sides` with `required`, unless the statement
-    is of another kind and brings its own `evaluate`.  A suite with `points`
-    reads S_N(m) at those term counts.  A series suite (`points` and no
-    `evaluate`) is checked on either path or both: its `sides(case, s_sum,
-    u)` gets S_N from the sweep's exact walk and `lucas_u` on the oracle
-    path, S_N mod p^E from its stream and `lucas_u_mod` on the modular path,
-    where each side is then reduced mod the case's own p^E.  Every other
-    suite's `sides(case)` is exact.
+    is of another kind and its own `evaluate` returns the achieved valuation.
+    A suite with `points` reads S_N(m) at those term counts.  A series suite
+    (`points` and no `evaluate`) is checked on either path or both: its
+    `sides(case, s_sum, u)` gets S_N from the sweep's exact walk and
+    `lucas_u` on the oracle path, S_N mod p^E from its stream and
+    `lucas_u_mod` on the modular path, where each side is then reduced mod
+    the case's own p^E.  Every other suite's `sides(case)` is exact.
 
     `index` and `rule` read only the case's parameters: the enumerator
     applies them to a candidate's values before it builds the case.
@@ -301,8 +302,8 @@ class Suite:
     defaults: SweepRanges
     cap: int
     sides: Sides | None = None
-    #: A verdict of another kind, given b^(N-1) S_N by N if the suite has points.
-    evaluate: Callable[[CongruenceCase, EngineSettings, Mapping[int, int] | None], CaseResult] | None = None
+    #: A valuation of another kind, given b^(N-1) S_N by N if the suite has points.
+    evaluate: Callable[[CongruenceCase, EngineSettings, Mapping[int, int] | None], AchievedValuation] | None = None
     points: Callable[[CongruenceCase], tuple[int, ...]] | None = None
     #: A condition beyond the shared ones: returns why a case breaks it.
     rule: Callable[[CongruenceCase], str | None] | None = None
@@ -441,12 +442,9 @@ def _lemma_2_1_iii(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     return Fraction(binomial(top - 1, k)), Fraction(binomial(low - 1, k // p) * (-1) ** (k - k // p))
 
 
-def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: Mapping[int, int]) -> CaseResult:
-    lhs = Fraction(scaled[case.n])
-    rhs = sun_tauraso_rhs(case.m, case.n)
-    equal = lhs == rhs
-    achieved = AchievedValuation.infinite() if equal else AchievedValuation.exact(0)
-    return CaseResult(case, INF, achieved, equal, lhs=lhs, rhs=rhs)
+def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: Mapping[int, int]) -> AchievedValuation:
+    equal = scaled[case.n] == sun_tauraso_rhs(case.m, case.n)
+    return AchievedValuation.infinite() if equal else AchievedValuation.exact(0)
 
 
 def _lemma_2_3_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
@@ -501,7 +499,7 @@ def synthesize_block_sequence(p: int, alpha: int, l: int, rng: random.Random) ->
     return seq
 
 
-def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: None) -> CaseResult:
+def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: None) -> AchievedValuation:
     """One synthesized block-vanishing sequence; the weighted block sum is
     checked mod p^alpha for every m' in {1,2,3} and n' in {1,2}."""
     p, a, l = case.p, case.alpha, case.l
@@ -515,8 +513,7 @@ def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: 
                 for k, value in seq.items()
             )
             worst = min(worst, vp(Fraction(total), p))
-    achieved = AchievedValuation.infinite() if worst == INF else AchievedValuation.exact(worst)
-    return CaseResult(case, a, achieved, achieved.satisfies(a))
+    return _oracle_achieved(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +568,6 @@ SUITES: dict[str, Suite] = {
         sides=partial(_scaling, attrgetter("p")),
         points=_scaled,
         m=4,
-        p_divides_m=_SERIES_ILL_POSED,
     ),
     # A_{n p^a - 1} ≡ A_{n p^(a-1) - 1} mod p^(3a), p >= 5.
     "eq-apery": Suite(
@@ -763,16 +759,15 @@ def _evaluate(
     b^(N-1) S_N (b the signed base) from `exact_sums`."""
     suite = SUITES[case.suite]
     required = suite.required(case)
-    m = _statement_m(case)
-    if suite.p_divides_m is not None and m % case.p == 0:
-        error = f"p = {case.p} divides m = {m}: {suite.p_divides_m}"
-        return CaseResult(case, required, None, False, error=error)
     path = _path(case, settings)
     oracle = modular = None
     try:
+        m = _statement_m(case)
+        if suite.p_divides_m is not None and m % case.p == 0:
+            raise NotPIntegralError(f"p = {case.p} divides m = {m}: {suite.p_divides_m}")
         if suite.evaluate is not None:
-            return suite.evaluate(case, settings, exact_sums)
-        if path != "modular":
+            oracle = suite.evaluate(case, settings, exact_sums)
+        elif path != "modular":
             if suite.points is None:
                 lhs, rhs = suite.sides(case)
             else:
@@ -781,18 +776,14 @@ def _evaluate(
             oracle = _oracle_achieved(rat_congruent(lhs, rhs, case.p, required).achieved)
         if path != "oracle":
             ctx = PadicCtx(case.p, _working_precision(case))
-            sides = suite.sides(case, partial_sums.__getitem__, partial(lucas_u_mod, ctx=ctx))
+            lhs, rhs = suite.sides(case, partial_sums.__getitem__, partial(lucas_u_mod, ctx=ctx))
             # The shared stream may carry more digits than this case.
-            mod_lhs, mod_rhs = (from_rational(side, ctx) for side in sides)
-            modular = _modular_achieved(mod_lhs - mod_rhs, ctx)
-            if oracle is None:
-                lhs, rhs = mod_lhs, mod_rhs
+            modular = _modular_achieved(from_rational(lhs, ctx) - from_rational(rhs, ctx), ctx)
     except (NotPIntegralError, ZeroDivisionError) as exc:
-        return CaseResult(case, required, None, False, error=str(exc))
+        return CaseResult(case, required, None, str(exc))
     if oracle is not None and modular is not None:
         _check_paths_agree(case, oracle, modular)
-    achieved = oracle if oracle is not None else modular
-    return CaseResult(case, required, achieved, achieved.satisfies(required), lhs=lhs, rhs=rhs, path=path)
+    return CaseResult(case, required, oracle if oracle is not None else modular, path=path)
 
 
 # ---------------------------------------------------------------------------

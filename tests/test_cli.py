@@ -116,10 +116,11 @@ class TestVerify:
                 with pytest.raises(SystemExit) as exc:
                     main([command, "--suite", "eq-mod-p", flag, value])
                 assert exc.value.code == 2
-        # An unwritable --out is rejected before any case runs: one error line, exit 2.
+        # An unwritable --out, or an empty one, is rejected before any case
+        # runs: one error line, exit 2.
         capsys.readouterr()
         monkeypatch.setattr(asdcong.engine, "run_cases", lambda *args, **kwargs: pytest.fail("the sweep ran"))
-        for out in (tmp_path / "missing" / "x.json", tmp_path):
+        for out in (tmp_path / "missing" / "x.json", tmp_path, ""):
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--suite", "eq-mod-p", "--out", str(out)])
             assert exc.value.code == 2
@@ -256,6 +257,17 @@ class TestEval:
             with pytest.raises(SystemExit) as exc:
                 main(["eval", "--series", "s", "--m", "1", "--N", "5", "--mod", bad])
             assert exc.value.code == 2
+
+    def test_negative_counts_exit_2(self, capsys):
+        # A negative term count or Apery index is a bad flag, not a run-time
+        # error; a Lucas index may be negative.
+        for argv in (["--series", "s", "--m", "1", "--N", "-1"], ["--series", "apery", "--index", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", *argv])
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["eval", "--series", "lucas", "--m", "3", "--index", "-1"]) == 0
+        assert capsys.readouterr().out.strip() == "-1"
 
     def test_degenerate_modulus_reports_error(self, capsys):
         code = main(["eval", "--series", "s", "--m", "5", "--N", "3", "--mod", "5^2"])

@@ -28,6 +28,7 @@ from asdcong.lucas import legendre, lucas_u
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.report import Report
 from asdcong.series import _level, s_sum_mod, s_sums_exact
+from sides import oracle_sides
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
@@ -93,26 +94,26 @@ class TestTheoremMain:
     def test_anchor_m3_p5(self):
         result = check("thm-main", p=5, n=1, alpha=1, m=3)
         assert result.passed
-        assert result.lhs == Fraction(319, 81)
-        assert result.rhs == -1
+        assert oracle_sides(result.case) == (Fraction(319, 81), -1)
         assert result.achieved == AchievedValuation.exact(2)  # 400/81 has v5 = 2
 
     def test_anchor_m2_p3(self):
         result = check("thm-main", p=3, n=1, alpha=1, m=2)
         assert result.passed
-        assert result.lhs == Fraction(7, 2) and result.rhs == -1
+        assert oracle_sides(result.case) == (Fraction(7, 2), -1)
 
     def test_degenerate_symbol_m1_p3(self):
         # (m(m-4)/3) = 0 for m = 1, so the sum itself must vanish mod 3^(2a).
         result = check("thm-main", p=3, n=1, alpha=2, m=1)
         assert result.passed
-        assert result.lhs == 17577 and result.rhs == 0  # 17577 = 81 * 217
+        assert oracle_sides(result.case) == (17577, 0)  # 17577 = 81 * 217
         assert result.achieved == AchievedValuation.exact(4)
 
     def test_literal_variant_fails(self):
         result = check("thm-main", p=5, n=1, alpha=1, m=1, variant="literal")
         assert not result.passed and result.error is None
-        assert result.lhs == 55 and result.achieved == AchievedValuation.exact(0)
+        assert result.achieved == AchievedValuation.exact(0)
+        assert oracle_sides(result.case)[0] == 55
 
     def test_p_divides_m_is_errored(self):
         result = check("thm-main", p=3, n=1, alpha=1, m=3)
@@ -131,12 +132,12 @@ class TestTheoremM4:
     def test_anchor_p3(self):
         result = check("thm-m4", p=3, n=1, alpha=1)
         assert result.passed
-        assert result.lhs == Fraction(15, 8) and result.rhs == 3
+        assert oracle_sides(result.case) == (Fraction(15, 8), 3)
 
     def test_anchor_p5(self):
         result = check("thm-m4", p=5, n=1, alpha=1)
         assert result.passed
-        assert result.lhs == Fraction(315, 128)
+        assert oracle_sides(result.case)[0] == Fraction(315, 128)
         assert result.achieved == AchievedValuation.exact(2)  # -325/128, 325 = 13*25
 
     def test_anchor_p7(self):
@@ -148,23 +149,23 @@ class TestModPEquations:
     def test_eq_mod_p_anchor(self):
         result = check("eq-mod-p", p=7, m=1)
         assert result.passed
-        assert result.lhs == 1275 and result.rhs == 1  # (-3/7) = +1
+        assert oracle_sides(result.case) == (1275, 1)  # (-3/7) = +1
 
     def test_eq_mod_p2_anchors(self):
         result = check("eq-mod-p2", p=3, m=5)
         assert result.passed
-        assert result.lhs == Fraction(41, 25) and result.rhs == 20  # -1 + u_4(3,1)
+        assert oracle_sides(result.case) == (Fraction(41, 25), 20)  # -1 + u_4(3,1)
 
         result = check("eq-mod-p2", p=5, m=1)
         assert result.passed
-        assert result.lhs == 99 and result.rhs == -1  # u_6(-1,1) = 0
+        assert oracle_sides(result.case) == (99, -1)  # u_6(-1,1) = 0
 
     def test_symbol_zero_branch(self):
         # p | m-4 makes the symbol vanish; both statements still hold.
         result = check("eq-mod-p", p=3, m=7)
-        assert result.passed and result.rhs == 0
+        assert result.passed and oracle_sides(result.case)[1] == 0
         result = check("eq-mod-p2", p=3, m=7)
-        assert result.passed and result.rhs == lucas_u(3, 5)
+        assert result.passed and oracle_sides(result.case)[1] == lucas_u(3, 5)
 
     def test_negative_m(self):
         for m in (-1, -2, -9):
@@ -176,13 +177,14 @@ class TestSunAsd:
     def test_anchor_p3_m5(self):
         result = check("eq-sun-asd", p=3, n=1, alpha=1, m=5)
         assert result.passed
-        assert result.lhs == Fraction(66, 25) and result.rhs == 21
+        lhs, rhs = oracle_sides(result.case)
+        assert (lhs, rhs) == (Fraction(66, 25), 21)
         # both sides are 3 mod 9
-        assert (result.lhs - result.rhs) % 9 == 0 or vp(result.lhs - result.rhs, 3) >= 2
+        assert (lhs - rhs) % 9 == 0 or vp(lhs - rhs, 3) >= 2
 
     def test_vanishing_correction_term(self):
         result = check("eq-sun-asd", p=5, n=1, alpha=1, m=1)
-        assert result.passed and result.rhs == 0  # u_6(-1,1) = 0
+        assert result.passed and oracle_sides(result.case)[1] == 0  # u_6(-1,1) = 0
 
     def test_higher_alpha(self):
         result = check("eq-sun-asd", p=3, n=2, alpha=2, m=5)
@@ -235,17 +237,17 @@ class TestLemma21:
     def test_part_i_anchor(self):
         result = check("lemma-2-1-i", p=3, n=2, alpha=1, k=3)
         assert result.passed
-        assert result.lhs == 20 and result.rhs == 2  # C(6,3) vs C(2,1), diff 18
+        assert oracle_sides(result.case) == (20, 2)  # C(6,3) vs C(2,1), diff 18
 
     def test_part_ii_anchor(self):
         result = check("lemma-2-1-ii", p=3, n=1, alpha=1, k=2)
         assert result.passed
-        assert result.lhs == 3 and result.rhs == Fraction(-3, 2)  # diff 9/2
+        assert oracle_sides(result.case) == (3, Fraction(-3, 2))  # diff 9/2
 
     def test_part_iii_anchor(self):
         result = check("lemma-2-1-iii", p=3, n=1, alpha=2, k=4)
         assert result.passed
-        assert result.lhs == 70 and result.rhs == -2  # diff 72 = 8 * 9
+        assert oracle_sides(result.case) == (70, -2)  # diff 72 = 8 * 9
 
     def test_boundary_k(self):
         top = check("lemma-2-1-i", p=5, n=2, alpha=1, k=10)
@@ -256,9 +258,9 @@ class TestLemma21:
 class TestSunTauraso:
     def test_examples(self):
         result = check("lemma-2-2", m=1, n=2)
-        assert result.passed and result.lhs == result.rhs == 3
+        assert result.passed and oracle_sides(result.case) == (3, 3)
         result = check("lemma-2-2", m=2, n=1)
-        assert result.passed and result.lhs == result.rhs == 1
+        assert result.passed and oracle_sides(result.case) == (1, 1)
         result = check("lemma-2-2", m=-7, n=40)
         assert result.passed and result.achieved == AchievedValuation.infinite()
 
@@ -279,7 +281,7 @@ class TestLemma23:
     def test_anchor(self):
         result = check("lemma-2-3", m=2, p=3, alpha=2, s=1)
         assert result.passed
-        assert result.lhs == Fraction(7, 2) and result.rhs == Fraction(1, 2)
+        assert oracle_sides(result.case) == (Fraction(7, 2), Fraction(1, 2))
         assert result.achieved == AchievedValuation.exact(1)
 
     def test_alpha_equals_s(self):
@@ -304,12 +306,12 @@ class TestLemma24:
     def test_anchor_two_term_sum(self):
         result = check("lemma-2-4", m=2, p=3, n=1, l=0, alpha=1, s=1)
         assert result.passed
-        assert result.lhs == Fraction(1, 2) and result.rhs == Fraction(1, 2)
+        assert oracle_sides(result.case) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_m1_symbol_kills_rhs(self):
         result = check("lemma-2-4", m=1, p=5, n=1, l=0, alpha=1, s=1)
         assert result.passed
-        assert result.rhs == 0 and result.lhs == Fraction(-5, 12)
+        assert oracle_sides(result.case) == (Fraction(-5, 12), 0)
         assert result.achieved == AchievedValuation.exact(1)
 
     def test_wider_block(self):
@@ -333,7 +335,8 @@ class TestLemma24:
                                 for k in range(l * p**s, (l + 1) * p**s)
                                 if k % p
                             )
-                            assert check("lemma-2-4", m=m, p=p, n=n, l=l, alpha=alpha, s=s).lhs == direct
+                            case = CongruenceCase("lemma-2-4", m=m, p=p, n=n, l=l, alpha=alpha, s=s)
+                            assert oracle_sides(case)[0] == direct
 
     def test_shared_weights_match_per_term_sum(self):
         # Every s <= alpha and l <= 2p: 7070 cases, many on the same block.
@@ -564,6 +567,15 @@ class TestSweeps:
                 "deliberate, noted in CHANGES.md, and this digest updated with it"
             )
 
+    def test_modular_deep_report_digest(self):
+        # thm-main at p = 3 out to alpha = 10 on the modular path alone: one
+        # stream at up to 33 digits, walked in blocks of 3^L terms with
+        # L >= 1 (see test_stream_levels).  No other digest pins such a walk.
+        ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2, 3), alpha_values=tuple(range(1, 11)))
+        report = run_suite("thm-main", ranges, max_index=200_000, settings=MODULAR_ONLY)
+        digest = hashlib.sha256(report.to_json_text().encode("utf-8")).hexdigest()
+        assert digest == "17bd0439a755b59dbbab8e1fdaba918606befb15ca8295cd6227090d31c37fc1"
+
     def test_parallel_determinism(self):
         ranges = SweepRanges(primes=(3, 5), n_values=(1, 2), alpha_values=(1, 2))
         sequential = run_suite("thm-main", ranges, jobs=1)
@@ -634,12 +646,8 @@ class TestSweeps:
         for result in serial:
             assert result.path == "modular"
             assert result.achieved == per_case_modular_valuation(result.case)
-            # The sides are residues mod the case's own p^E, whatever the
-            # precision of the stream it shared.
-            modulus = result.case.p ** precision(result.case)
-            assert 0 <= result.lhs < modulus and 0 <= result.rhs < modulus, result.case
             alone = evaluate_case(result.case, MODULAR_ONLY)
-            assert (alone.achieved, alone.lhs, alone.rhs) == (result.achieved, result.lhs, result.rhs), result.case
+            assert alone.achieved == result.achieved, result.case
 
     def test_stream_plan(self):
         # One stream per prime, at the prime's highest working precision.
@@ -682,7 +690,7 @@ class TestSweeps:
     def test_shared_sums_match_lone_cases(self, monkeypatch):
         # run_cases reads every S_N from one stream per prime and one exact
         # walk per signed base; a lone evaluate_case is a sweep of its one
-        # case.  Both must give the same verdicts and sides, serially and on
+        # case.  Both must give the same verdicts, serially and on
         # a pool, and a serial sweep walks once.
         walks, keyed = [], []
         walk, keys = asdcong.engine.s_sums_exact, asdcong.engine._sum_keys
@@ -703,7 +711,7 @@ class TestSweeps:
                 assert sorted(keyed, key=CongruenceCase.sort_key) == sorted(cases, key=CongruenceCase.sort_key)
                 assert [r.case for r in shared] == [r.case for r in lone]
                 for a, b in zip(shared, lone):
-                    assert (a.achieved, a.passed, a.path, a.lhs, a.rhs) == (b.achieved, b.passed, b.path, b.lhs, b.rhs), a.case
+                    assert (a.achieved, a.passed, a.path) == (b.achieved, b.passed, b.path), a.case
 
     def test_p_divides_m_inside_a_sweep(self):
         # The enumerator skips p | m, so these cases are built by hand: each
@@ -735,7 +743,7 @@ class TestSweeps:
                 assert [r.case for r in results if r.error] == sorted(divided, key=CongruenceCase.sort_key)
                 for r in results:
                     alone = lone[r.case]
-                    assert (r.achieved, r.lhs, r.rhs, r.error) == (alone.achieved, alone.lhs, alone.rhs, alone.error)
+                    assert (r.achieved, r.error) == (alone.achieved, alone.error)
 
     def test_prime_cap_before_primality(self, monkeypatch):
         # Every suite's index is at least p, so candidates above the cap give

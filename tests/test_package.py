@@ -3,7 +3,7 @@ import dataclasses
 import pathlib
 
 import asdcong
-from asdcong.engine import SUITES, Suite
+from asdcong.engine import SUITES, CaseResult, Suite
 
 # The package's public names.  A change that widens or narrows the API
 # changes this set on purpose.
@@ -56,3 +56,10 @@ def test_suite_contract_is_documented_and_used():
         assert f"`{field.name}`" in section, field.name
         if field.default is not dataclasses.MISSING:
             assert any(getattr(record, field.name) != field.default for record in SUITES.values()), field.name
+
+
+def test_case_result_holds_the_verdict_only():
+    # The report reads the first four fields; `path` says which evaluation
+    # ran (ROADMAP item 6).  The sides of the congruence are not kept: tests
+    # read them from the suite's `sides`, and a sweep need not hold them.
+    assert [f.name for f in dataclasses.fields(CaseResult)] == ["case", "required_exponent", "achieved", "error", "path"]

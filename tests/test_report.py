@@ -49,7 +49,6 @@ RESULTS = st.builds(
     ),
     required_exponent=st.one_of(st.just(INF), st.integers(0, 40), INTS),
     achieved=ACHIEVED,
-    passed=st.booleans(),
     error=st.one_of(st.none(), STRINGS),
 )
 META = st.recursive(
@@ -63,6 +62,10 @@ class TestJsonText:
     def test_equals_json_dumps_of_the_dict(self, results, invocation):
         report = Report.from_results(invocation, results)
         assert report.to_json_text() == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        # A result passes exactly when its valuation reaches the required exponent.
+        for result, entry in zip(results, report.to_json_dict()["cases"]):
+            achieved = result.achieved
+            assert entry["pass"] == (achieved is not None and achieved.satisfies(result.required_exponent))
 
     def test_empty_sweep(self):
         text = Report.from_results({}, []).to_json_text()
