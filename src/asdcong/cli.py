@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .engine import DEFAULT_SETTINGS, SUITES, EngineSelfCheckError, EngineSettings, SweepRanges, run_suite
 from .exactcore import PRIMALITY_LIMIT
@@ -99,12 +100,12 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--suite", default="all", choices=("all", *SUITES))
     cmd.add_argument("--primes", type=_int_values_within(below=PRIMALITY_LIMIT), metavar="A..B|LIST",
                      help="candidate primes below 2^64; non-(odd-prime) values are skipped")
-    cmd.add_argument("--m", type=_int_values_within(), metavar="LIST",
+    cmd.add_argument("--m", dest="m_values", type=_int_values_within(), metavar="LIST",
                      help="series bases / identity parameters where applicable")
-    cmd.add_argument("--n", type=_int_values_within(1), metavar="A..B|LIST")
-    cmd.add_argument("--alpha", type=_int_values_within(1), metavar="A..B|LIST")
-    cmd.add_argument("--s", type=_int_values_within(), metavar="A..B|LIST")
-    cmd.add_argument("--l", type=_int_values_within(0), metavar="A..B|LIST")
+    cmd.add_argument("--n", dest="n_values", type=_int_values_within(1), metavar="A..B|LIST")
+    cmd.add_argument("--alpha", dest="alpha_values", type=_int_values_within(1), metavar="A..B|LIST")
+    cmd.add_argument("--s", dest="s_values", type=_int_values_within(), metavar="A..B|LIST")
+    cmd.add_argument("--l", dest="l_values", type=_int_values_within(0), metavar="A..B|LIST")
     cmd.add_argument("--trials", type=_int_at_least(0),
                      help="trial count for synthesized-sequence suites")
     cmd.add_argument("--variant", default="corrected", choices=("corrected", "literal"))
@@ -125,15 +126,7 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
 def _run_sweep(args: argparse.Namespace):
     return run_suite(
         args.suite,
-        ranges=SweepRanges(
-            primes=args.primes,
-            m_values=args.m,
-            n_values=args.n,
-            alpha_values=args.alpha,
-            s_values=args.s,
-            l_values=args.l,
-            trials=args.trials,
-        ),
+        ranges=SweepRanges(**{f.name: getattr(args, f.name) for f in fields(SweepRanges)}),
         variant=args.variant,
         max_index=args.max_index,
         jobs=args.jobs,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, islice
@@ -56,75 +56,42 @@ class EngineSelfCheckError(RuntimeError):
 class AchievedValuation:
     """What we certifiably know about vp(LHS - RHS).
 
-    kind "exact": the valuation is exactly `value` (unit part seen).
-    kind "at_least": the difference vanished at `value` working digits; the
-    true valuation may be anything >= value.  kind "infinite": LHS == RHS as
-    exact values.  The distinction keeps modular runs honest: they can never
-    claim more digits than they carried.
+    Exact: the valuation is `value`, INF when LHS == RHS as exact values.
+    Not exact: the difference vanished at `value` working digits, and the
+    true valuation may be anything >= value.  The flag keeps modular runs
+    honest: they can never claim more digits than they carried.
     """
 
-    kind: str
-    value: int | None = None
-
-    @classmethod
-    def exact(cls, v: int) -> AchievedValuation:
-        return cls("exact", v)
-
-    @classmethod
-    def at_least(cls, bound: int) -> AchievedValuation:
-        return cls("at_least", bound)
-
-    @classmethod
-    def infinite(cls) -> AchievedValuation:
-        return cls("infinite")
+    value: int | float
+    exact: bool = True
 
     def satisfies(self, e: int | float) -> bool:
-        if self.kind == "infinite":
-            return True
-        if e == INF:
-            return False
         return self.value >= e
 
     def margin(self, e: int | float) -> int | float:
         """Certified lower bound on achieved - required."""
-        if self.kind == "infinite":
-            return INF
-        if e == INF:
-            return -INF
-        return self.value - e
+        return INF if self.value == INF else self.value - e
 
     def to_json(self) -> int | str:
-        if self.kind == "infinite":
+        if self.value == INF:
             return "inf"
-        if self.kind == "at_least":
-            return f">={self.value}"
-        return self.value
+        return self.value if self.exact else f">={self.value}"
 
     def __str__(self) -> str:
         return str(self.to_json())
 
 
-def _oracle_achieved(achieved: int | float) -> AchievedValuation:
-    if achieved == INF:
-        return AchievedValuation.infinite()
-    return AchievedValuation.exact(achieved)
-
-
 def _modular_achieved(diff: int, ctx: PadicCtx) -> AchievedValuation:
     diff %= ctx.modulus
     if diff == 0:
-        return AchievedValuation.at_least(ctx.prec)
-    return AchievedValuation.exact(vp_int(diff, ctx.p))
+        return AchievedValuation(ctx.prec, exact=False)
+    return AchievedValuation(vp_int(diff, ctx.p))
 
 
 def _check_paths_agree(case: CongruenceCase, oracle: AchievedValuation, modular: AchievedValuation) -> None:
-    if modular.kind == "exact":
-        ok = oracle.kind == "exact" and oracle.value == modular.value
-    else:  # modular saw zero through `value` digits
-        ok = oracle.kind == "infinite" or (
-            oracle.kind == "exact" and oracle.value >= modular.value
-        )
-    if not ok:
+    # The oracle is exact; a modular bound saw zero through `value` digits.
+    agree = modular.value == oracle.value if modular.exact else modular.value <= oracle.value
+    if not agree:
         raise EngineSelfCheckError(
             f"oracle says {oracle}, modular pipeline says {modular} for {case}"
         )
@@ -276,6 +243,9 @@ class SweepRanges:
 #: `sides(case, s_sum, u)` as read from S_N by N and u_n(a, 1) by (n, a).
 Sides = Callable[..., tuple]
 
+#: b^(N-1) S_N from the sweep's exact walks, by signed base b and N.
+Scaled = Mapping[int, Mapping[int, int]]
+
 
 @dataclass(frozen=True)
 class Suite:
@@ -302,15 +272,13 @@ class Suite:
     defaults: SweepRanges
     cap: int
     sides: Sides | None = None
-    #: A valuation of another kind, given b^(N-1) S_N by N if the suite has points.
-    evaluate: Callable[[CongruenceCase, EngineSettings, Mapping[int, int] | None], AchievedValuation] | None = None
+    #: A valuation of another kind, given the sweep's exact sums.
+    evaluate: Callable[[CongruenceCase, EngineSettings, Scaled], AchievedValuation] | None = None
     points: Callable[[CongruenceCase], tuple[int, ...]] | None = None
     #: A condition beyond the shared ones: returns why a case breaks it.
     rule: Callable[[CongruenceCase], str | None] | None = None
     #: The series base when the statement fixes it rather than taking m.
     m: int | None = None
-    #: Why the statement is ill-posed when p | m (such cases are errored).
-    p_divides_m: str | None = None
 
 
 def _top(case) -> int:
@@ -442,9 +410,9 @@ def _lemma_2_1_iii(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     return Fraction(binomial(top - 1, k)), Fraction(binomial(low - 1, k // p) * (-1) ** (k - k // p))
 
 
-def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: Mapping[int, int]) -> AchievedValuation:
-    equal = scaled[case.n] == sun_tauraso_rhs(case.m, case.n)
-    return AchievedValuation.infinite() if equal else AchievedValuation.exact(0)
+def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: Scaled) -> AchievedValuation:
+    equal = scaled[case.m][case.n] == sun_tauraso_rhs(case.m, case.n)
+    return AchievedValuation(INF if equal else 0)
 
 
 def _lemma_2_3_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
@@ -499,7 +467,7 @@ def synthesize_block_sequence(p: int, alpha: int, l: int, rng: random.Random) ->
     return seq
 
 
-def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: None) -> AchievedValuation:
+def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: Scaled) -> AchievedValuation:
     """One synthesized block-vanishing sequence; the weighted block sum is
     checked mod p^alpha for every m' in {1,2,3} and n' in {1,2}."""
     p, a, l = case.p, case.alpha, case.l
@@ -513,7 +481,7 @@ def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: 
                 for k, value in seq.items()
             )
             worst = min(worst, vp(Fraction(total), p))
-    return _oracle_achieved(worst)
+    return AchievedValuation(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +491,6 @@ def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: 
 _PRIMES = (3, 5, 7, 11, 13)
 _SMALL_PRIMES = (3, 5, 7)
 _M_AROUND_ZERO = tuple(range(-10, 11))
-_SERIES_ILL_POSED = "series values are not p-integral"
 
 
 def _lemma_2_1(
@@ -556,7 +523,6 @@ SUITES: dict[str, Suite] = {
         sides=partial(_scaling, _symbol),
         points=_scaled,
         rule=_m_in_1_2_3,
-        p_divides_m=_SERIES_ILL_POSED,
     ),
     # S_{n p^a}(4) ≡ p S_{n p^(a-1)}(4) mod p^(2a).
     "thm-m4": Suite(
@@ -588,7 +554,6 @@ SUITES: dict[str, Suite] = {
         cap=10_000,
         sides=_mod_p,
         points=lambda c: (c.p,),
-        p_divides_m=_SERIES_ILL_POSED,
     ),
     # S_p(m) ≡ (m(m-4)/p) + u_{p-(m(m-4)/p)}(m-2, 1) mod p^2.
     "eq-mod-p2": Suite(
@@ -599,7 +564,6 @@ SUITES: dict[str, Suite] = {
         cap=10_000,
         sides=_mod_p2,
         points=lambda c: (c.p,),
-        p_divides_m=_SERIES_ILL_POSED,
     ),
     # The mod p^(a+1) refinement with the binomial-weighted Lucas correction.
     "eq-sun-asd": Suite(
@@ -610,7 +574,6 @@ SUITES: dict[str, Suite] = {
         cap=1_000,
         sides=_sun_asd,
         points=_sun_asd_points,
-        p_divides_m=_SERIES_ILL_POSED,
     ),
     # The binomial transfer congruences, parts (i)-(iii).
     "lemma-2-1-i": _lemma_2_1(
@@ -643,7 +606,6 @@ SUITES: dict[str, Suite] = {
         cap=10_000,
         sides=_lemma_2_3_sides,
         rule=_s_at_most_alpha,
-        p_divides_m="quotient is not p-integral",
     ),
     # Block sums of (-1)^k u_{p^a n - k}/k against the scaled Lucas pair, mod p^s.
     "lemma-2-4": Suite(
@@ -654,7 +616,6 @@ SUITES: dict[str, Suite] = {
         cap=10_000,
         sides=_lemma_2_4_sides,
         rule=lambda c: _m_in_1_2_3(c) or _s_at_most_alpha(c),
-        p_divides_m="the scaling factor is not p-integral",
     ),
     # Block-vanishing sequences feeding the alternating binomial-weighted sum.
     "lemma-2-5": Suite(
@@ -691,22 +652,16 @@ def _path(case: CongruenceCase, settings: EngineSettings) -> str:
     return settings.path_for(suite.index(case))
 
 
-def _sum_keys(case: CongruenceCase, settings: EngineSettings) -> tuple[tuple[int, int] | None, int | None]:
-    """Where a case reads S_N: the (p, signed base) of its modular stream and
-    the signed base of its exact walk, each None when it reads none."""
-    suite = SUITES[case.suite]
-    if suite.points is None or case.p is not None and _statement_m(case) % case.p == 0:
-        return None, None
-    path, base = _path(case, settings), _base(case)
-    return None if path == "oracle" else (case.p, base), None if path == "modular" else base
+def _p_divides_m(case: CongruenceCase) -> bool:
+    """Whether p divides the statement's m: such a case is ill-posed."""
+    m = _statement_m(case)
+    return case.p is not None and m is not None and m % case.p == 0
 
 
-def _plan(
-    cases: Sequence[CongruenceCase], settings: EngineSettings
-) -> tuple[dict[tuple, list[CongruenceCase]], list[Stream], dict[int, set[int]]]:
-    """Where cases of suites with points read their sums, in one pass: the
-    cases grouped by `_sum_keys`, one stream per prime most terms first, and
-    the N each signed base's exact walk reads out.
+def _plan(cases: Sequence[CongruenceCase], settings: EngineSettings) -> tuple[list[Stream], dict[int, set[int]]]:
+    """Where cases of suites with points read their sums, in one pass: one
+    stream per prime, most terms first, and the N each signed base's exact
+    walk reads out.  An ill-posed case reads none.
 
     Every series case at p reads prefixes of S_N(m) for one signed base m,
     and the bases at p share one walk over C(2k,k) mod p^E.  It runs at the
@@ -715,24 +670,23 @@ def _plan(
     precision would have.  A base reads the union of its cases' points, so
     (m, literal) and (-m, corrected) are one base.
     """
-    groups: dict[tuple, list[CongruenceCase]] = {}
     precs: dict[int, int] = {}
     reads: dict[int, dict[int, set[int]]] = {}
     walks: dict[int, set[int]] = {}
     for case in cases:
-        keys = stream, walk = _sum_keys(case, settings)
-        groups.setdefault(keys, []).append(case)
-        if stream is not None:
-            p, base = stream
-            precs[p] = max(precs.get(p, 1), _working_precision(case))
-            reads.setdefault(p, {}).setdefault(base, set()).update(SUITES[case.suite].points(case))
-        if walk is not None:
-            walks.setdefault(walk, set()).update(SUITES[case.suite].points(case))
+        if _p_divides_m(case):
+            continue
+        path, base, points = _path(case, settings), _base(case), SUITES[case.suite].points(case)
+        if path != "oracle":
+            precs[case.p] = max(precs.get(case.p, 1), _working_precision(case))
+            reads.setdefault(case.p, {}).setdefault(base, set()).update(points)
+        if path != "modular":
+            walks.setdefault(base, set()).update(points)
     streams = [
         (p, precs[p], {base: tuple(sorted(ns)) for base, ns in reads[p].items()}) for p in precs
     ]
     streams.sort(key=lambda s: (sum(ns[-1] for ns in s[2].values()), s[0]), reverse=True)
-    return groups, streams, walks
+    return streams, walks
 
 
 def _stream_sums(stream: Stream) -> dict[tuple[int, int], dict[int, int]]:
@@ -751,32 +705,32 @@ def evaluate_case(case: CongruenceCase, settings: EngineSettings = DEFAULT_SETTI
 def _evaluate(
     case: CongruenceCase,
     settings: EngineSettings,
-    partial_sums: Mapping[int, int] | None,
-    exact_sums: Mapping[int, int] | None,
+    sums: Mapping[tuple[int, int], Mapping[int, int]],
+    scaled: Scaled,
 ) -> CaseResult:
     """One case's verdict on its path.  A suite with points reads S_N there,
-    by N: S_N mod p^E (E at least its working precision) from `partial_sums`,
-    b^(N-1) S_N (b the signed base) from `exact_sums`."""
+    by N: S_N mod p^E (E at least its working precision) from `sums` at
+    (p, b), b^(N-1) S_N from `scaled` at b, where b is the signed base."""
     suite = SUITES[case.suite]
     required = suite.required(case)
     path = _path(case, settings)
     oracle = modular = None
     try:
-        m = _statement_m(case)
-        if suite.p_divides_m is not None and m % case.p == 0:
-            raise NotPIntegralError(f"p = {case.p} divides m = {m}: {suite.p_divides_m}")
+        if _p_divides_m(case):
+            m = _statement_m(case)
+            raise NotPIntegralError(f"p = {case.p} divides m = {m}: series values are not p-integral")
         if suite.evaluate is not None:
-            oracle = suite.evaluate(case, settings, exact_sums)
+            oracle = suite.evaluate(case, settings, scaled)
         elif path != "modular":
             if suite.points is None:
                 lhs, rhs = suite.sides(case)
             else:
                 base = _base(case)
-                lhs, rhs = suite.sides(case, lambda N: Fraction(exact_sums[N], base ** (N - 1)), lucas_u)
-            oracle = _oracle_achieved(rat_congruent(lhs, rhs, case.p, required).achieved)
+                lhs, rhs = suite.sides(case, lambda N: Fraction(scaled[base][N], base ** (N - 1)), lucas_u)
+            oracle = AchievedValuation(rat_congruent(lhs, rhs, case.p, required).achieved)
         if path != "oracle":
             ctx = PadicCtx(case.p, _working_precision(case))
-            lhs, rhs = suite.sides(case, partial_sums.__getitem__, partial(lucas_u_mod, ctx=ctx))
+            lhs, rhs = suite.sides(case, sums[case.p, _base(case)].__getitem__, partial(lucas_u_mod, ctx=ctx))
             # The shared stream may carry more digits than this case.
             modular = _modular_achieved(from_rational(lhs, ctx) - from_rational(rhs, ctx), ctx)
     except (NotPIntegralError, ZeroDivisionError) as exc:
@@ -791,14 +745,11 @@ def _evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _merge_ranges(given: SweepRanges | None, defaults: SweepRanges) -> SweepRanges:
-    if given is None:
-        return defaults
-    merged = {}
-    for f in fields(SweepRanges):
-        value = getattr(given, f.name)
-        merged[f.name] = getattr(defaults, f.name) if value is None else value
-    return SweepRanges(**merged)
+def _given(ranges: SweepRanges | None) -> dict:
+    """The fields a sweep's ranges set, by name: each overrides a suite default."""
+    if ranges is None:
+        return {}
+    return {name: value for name, value in vars(ranges).items() if value is not None}
 
 
 def _odd_primes(values: Iterable[int], cap: int) -> list[int]:
@@ -822,7 +773,7 @@ def enumerate_cases(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     record = SUITES[suite]
-    r = _merge_ranges(ranges, record.defaults)
+    r = replace(record.defaults, **_given(ranges))
     cap = record.cap if max_index is None else max_index
     values = {
         "p": lambda c: _odd_primes(r.primes, cap),
@@ -878,7 +829,7 @@ def _mapper(workers: int) -> Iterator[Callable]:
 
 
 def _evaluate_batch(settings: EngineSettings, cases: Sequence[CongruenceCase]) -> list[CaseResult]:
-    return [_evaluate(case, settings, None, None) for case in cases]
+    return [_evaluate(case, settings, {}, {}) for case in cases]
 
 
 def run_cases(
@@ -897,7 +848,7 @@ def run_cases(
     """
     reading = [case for case in cases if SUITES[case.suite].points is not None]
     free = [case for case in cases if SUITES[case.suite].points is None]
-    groups, streams, walks = _plan(reading, settings)
+    streams, walks = _plan(reading, settings)
     workers = pool_size(jobs, len(streams) + len(free))
     # Eight batches per worker: with four, one worker got lemma-2-5's heavy tail.
     size = max(1, -(-len(free) // (8 * workers)))
@@ -906,11 +857,7 @@ def run_cases(
         by_batch = map_(partial(_evaluate_batch, settings), [free[i : i + size] for i in range(0, len(free), size)])
         scaled = s_sums_exact(walks)
         sums = {key: by_n for part in by_stream for key, by_n in part.items()}
-        results = [
-            _evaluate(case, settings, sums.get(stream), scaled.get(walk))
-            for (stream, walk), group in groups.items()
-            for case in group
-        ]
+        results = [_evaluate(case, settings, sums, scaled) for case in reading]
         results.extend(chain.from_iterable(by_batch))
     return sorted(results, key=lambda result: result.case.sort_key())
 
@@ -931,16 +878,10 @@ def run_suite(
     for one in suites:
         cases.extend(enumerate_cases(one, ranges, variant, max_index))
     results = run_cases(cases, settings, jobs)
-    overrides = {}
-    if ranges is not None:
-        for f in fields(SweepRanges):
-            value = getattr(ranges, f.name)
-            if value is not None:
-                overrides[f.name] = list(value) if isinstance(value, tuple) else value
     meta = {
         "suite": suite,
         "variant": variant,
-        "ranges": overrides,
+        "ranges": _given(ranges),
         "max_index": max_index,
         "seed": settings.seed,
         "oracle_cutoff": settings.oracle_cutoff,

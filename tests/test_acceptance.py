@@ -18,7 +18,7 @@ from asdcong.engine import (
     evaluate_case,
     run_suite,
 )
-from asdcong.exactcore import is_prime
+from asdcong.exactcore import INF, is_prime
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.series import s_sum_exact, s_sums_mod
 from sides import oracle_sides
@@ -65,14 +65,14 @@ def test_criterion_2_theorem_m4_sweep():
     p3 = CongruenceCase("thm-m4", p=3, n=1, alpha=1, variant="corrected")
     p5 = check("thm-m4", p=5, n=1, alpha=1)
     ok = ok and oracle_sides(p3) == (Fraction(15, 8), 3)
-    ok = ok and p5.achieved == AchievedValuation.exact(2)  # v5(315/128 - 5) = 2
+    ok = ok and p5.achieved == AchievedValuation(2)  # v5(315/128 - 5) = 2
     assert _verdict(2, "thm-m4 sweep", ok, f"{counts['total']} cases")
 
 
 def test_criterion_3_apery():
     report = run_suite("eq-apery")  # p in {5,7,11}, n,a in {1,2}, index <= 200
     ok, counts = _clean(report)
-    ok = ok and check("eq-apery", p=5, n=1, alpha=1).achieved == AchievedValuation.exact(3)
+    ok = ok and check("eq-apery", p=5, n=1, alpha=1).achieved == AchievedValuation(3)
     assert _verdict(3, "apery", ok, f"{counts['total']} cases")
 
 
@@ -107,7 +107,7 @@ def test_criterion_6_exact_identity():
     report = run_suite("lemma-2-2")  # m in [-10,10]\{0}, n <= 100
     ok, counts = _clean(report)
     ok = ok and counts["total"] == 20 * 100
-    ok = ok and all(r.achieved == AchievedValuation.infinite() for r in report.results)
+    ok = ok and all(r.achieved == AchievedValuation(INF) for r in report.results)
     assert _verdict(6, "exact identity", ok, f"{counts['total']} equalities")
 
 
@@ -160,12 +160,10 @@ def test_criterion_9_dual_path_equivalence():
         if oracle.error or modular.error:
             ok = ok and (oracle.error is not None) == (modular.error is not None)
             continue
-        if modular.achieved.kind == "exact":
+        if modular.achieved.exact:
             agree = oracle.achieved == modular.achieved
         else:  # difference vanished through all carried digits
-            agree = oracle.achieved.kind == "infinite" or (
-                oracle.achieved.value >= modular.achieved.value
-            )
+            agree = oracle.achieved.value >= modular.achieved.value
         ok = ok and agree and (oracle.passed == modular.passed)
     assert _verdict(9, "dual-path equivalence", ok, f"{checked} random cases")
 

@@ -132,7 +132,7 @@ class TestVerify:
     def test_self_check_disagreement_exits_3(self, capsys, monkeypatch):
         # A modular path that disagrees with the oracle is a bug: one stderr
         # line and exit 3, not a traceback and not a failed case's exit 1.
-        monkeypatch.setattr(asdcong.engine, "_modular_achieved", lambda diff, ctx: AchievedValuation.exact(-1))
+        monkeypatch.setattr(asdcong.engine, "_modular_achieved", lambda diff, ctx: AchievedValuation(-1))
         # At --jobs 2 two primes make two streams, so a pool starts; the error
         # still comes from this process, which evaluates every case that reads sums.
         runs = [("verify", "5", "1"), ("scan", "5", "1"), ("verify", "5,7", "2"), ("scan", "5,7", "2")]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import asdcong.engine
 from asdcong.engine import (
@@ -12,6 +14,7 @@ from asdcong.engine import (
     SUITES,
     AchievedValuation,
     CongruenceCase,
+    EngineSelfCheckError,
     EngineSettings,
     SweepRanges,
     enumerate_cases,
@@ -43,17 +46,55 @@ def check(suite, settings=EngineSettings(), **params):
 
 class TestAchievedValuation:
     def test_satisfies_and_margin(self):
-        assert AchievedValuation.exact(3).satisfies(3)
-        assert not AchievedValuation.exact(2).satisfies(3)
-        assert AchievedValuation.at_least(8).satisfies(5)
-        assert AchievedValuation.infinite().satisfies(10**9)
-        assert AchievedValuation.exact(5).margin(2) == 3
-        assert AchievedValuation.infinite().margin(2) == INF
+        assert AchievedValuation(3).satisfies(3)
+        assert not AchievedValuation(2).satisfies(3)
+        assert AchievedValuation(8, exact=False).satisfies(5)
+        assert AchievedValuation(INF).satisfies(10**9)
+        assert AchievedValuation(5).margin(2) == 3
+        assert AchievedValuation(INF).margin(2) == INF
 
     def test_json_forms(self):
-        assert AchievedValuation.exact(4).to_json() == 4
-        assert AchievedValuation.at_least(7).to_json() == ">=7"
-        assert AchievedValuation.infinite().to_json() == "inf"
+        assert AchievedValuation(4).to_json() == 4
+        assert AchievedValuation(7, exact=False).to_json() == ">=7"
+        assert AchievedValuation(INF).to_json() == "inf"
+
+    @given(
+        st.one_of(st.builds(AchievedValuation, st.integers(), st.booleans()), st.just(AchievedValuation(INF))),
+        st.one_of(st.integers(min_value=1), st.just(INF)),
+    )
+    def test_satisfies_is_a_nonnegative_margin(self, achieved, e):
+        assert achieved.satisfies(e) == (achieved.margin(e) >= 0)
+        text = achieved.to_json()
+        if achieved.value == INF:
+            assert text == "inf"
+        elif achieved.exact:
+            assert type(text) is int and text == achieved.value
+        else:
+            assert text == f">={achieved.value}"
+
+    # The oracle is exact.  An exact modular valuation must equal it; a
+    # modular bound (zero through all 3 carried digits) must not exceed it.
+    @pytest.mark.parametrize(
+        "oracle, modular, error",
+        [
+            (0, AchievedValuation(3), "oracle says 0, modular pipeline says 3"),
+            (3, AchievedValuation(3), None),
+            (5, AchievedValuation(3), "oracle says 5, modular pipeline says 3"),
+            (INF, AchievedValuation(3), "oracle says inf, modular pipeline says 3"),
+            (0, AchievedValuation(3, exact=False), "oracle says 0, modular pipeline says >=3"),
+            (3, AchievedValuation(3, exact=False), None),
+            (5, AchievedValuation(3, exact=False), None),
+            (INF, AchievedValuation(3, exact=False), None),
+        ],
+    )
+    def test_paths_agree(self, oracle, modular, error):
+        case = CongruenceCase("eq-mod-p", p=5, m=1, variant="corrected")
+        if error is None:
+            asdcong.engine._check_paths_agree(case, AchievedValuation(oracle), modular)
+        else:
+            with pytest.raises(EngineSelfCheckError) as exc:
+                asdcong.engine._check_paths_agree(case, AchievedValuation(oracle), modular)
+            assert str(exc.value) == f"{error} for eq-mod-p(p=5, m=1, variant=corrected)"
 
 
 class TestCaseValidation:
@@ -95,7 +136,7 @@ class TestTheoremMain:
         result = check("thm-main", p=5, n=1, alpha=1, m=3)
         assert result.passed
         assert oracle_sides(result.case) == (Fraction(319, 81), -1)
-        assert result.achieved == AchievedValuation.exact(2)  # 400/81 has v5 = 2
+        assert result.achieved == AchievedValuation(2)  # 400/81 has v5 = 2
 
     def test_anchor_m2_p3(self):
         result = check("thm-main", p=3, n=1, alpha=1, m=2)
@@ -107,12 +148,12 @@ class TestTheoremMain:
         result = check("thm-main", p=3, n=1, alpha=2, m=1)
         assert result.passed
         assert oracle_sides(result.case) == (17577, 0)  # 17577 = 81 * 217
-        assert result.achieved == AchievedValuation.exact(4)
+        assert result.achieved == AchievedValuation(4)
 
     def test_literal_variant_fails(self):
         result = check("thm-main", p=5, n=1, alpha=1, m=1, variant="literal")
         assert not result.passed and result.error is None
-        assert result.achieved == AchievedValuation.exact(0)
+        assert result.achieved == AchievedValuation(0)
         assert oracle_sides(result.case)[0] == 55
 
     def test_p_divides_m_is_errored(self):
@@ -138,7 +179,7 @@ class TestTheoremM4:
         result = check("thm-m4", p=5, n=1, alpha=1)
         assert result.passed
         assert oracle_sides(result.case)[0] == Fraction(315, 128)
-        assert result.achieved == AchievedValuation.exact(2)  # -325/128, 325 = 13*25
+        assert result.achieved == AchievedValuation(2)  # -325/128, 325 = 13*25
 
     def test_anchor_p7(self):
         result = check("thm-m4", p=7, n=1, alpha=1)
@@ -220,13 +261,13 @@ class TestApery:
     def test_anchor_exact_valuation(self):
         result = check("eq-apery", p=5, n=1, alpha=1)
         assert result.passed
-        assert result.achieved == AchievedValuation.exact(3)
+        assert result.achieved == AchievedValuation(3)
 
     def test_p7(self):
         result = check("eq-apery", p=7, n=1, alpha=1)
         assert result.passed
         diff = sum(math.comb(6, k) ** 2 * math.comb(6 + k, k) ** 2 for k in range(7)) - 1
-        assert result.achieved == AchievedValuation.exact(vp(diff, 7))
+        assert result.achieved == AchievedValuation(vp(diff, 7))
 
     def test_alpha2(self):
         result = check("eq-apery", p=5, n=1, alpha=2)
@@ -262,7 +303,7 @@ class TestSunTauraso:
         result = check("lemma-2-2", m=2, n=1)
         assert result.passed and oracle_sides(result.case) == (1, 1)
         result = check("lemma-2-2", m=-7, n=40)
-        assert result.passed and result.achieved == AchievedValuation.infinite()
+        assert result.passed and result.achieved == AchievedValuation(INF)
 
     def test_helpers_match_definitions(self):
         for m in (m for m in range(-10, 11) if m):
@@ -282,11 +323,11 @@ class TestLemma23:
         result = check("lemma-2-3", m=2, p=3, alpha=2, s=1)
         assert result.passed
         assert oracle_sides(result.case) == (Fraction(7, 2), Fraction(1, 2))
-        assert result.achieved == AchievedValuation.exact(1)
+        assert result.achieved == AchievedValuation(1)
 
     def test_alpha_equals_s(self):
         result = check("lemma-2-3", m=7, p=5, alpha=2, s=2)
-        assert result.passed and result.achieved == AchievedValuation.infinite()
+        assert result.passed and result.achieved == AchievedValuation(INF)
 
     def test_deeper_case(self):
         result = check("lemma-2-3", m=3, p=5, alpha=3, s=2)
@@ -312,7 +353,7 @@ class TestLemma24:
         result = check("lemma-2-4", m=1, p=5, n=1, l=0, alpha=1, s=1)
         assert result.passed
         assert oracle_sides(result.case) == (Fraction(-5, 12), 0)
-        assert result.achieved == AchievedValuation.exact(1)
+        assert result.achieved == AchievedValuation(1)
 
     def test_wider_block(self):
         result = check("lemma-2-4", m=3, p=5, n=2, l=1, alpha=2, s=2)
@@ -454,11 +495,10 @@ class TestDualPath:
             oracle = check("thm-main", ORACLE_ONLY, p=p, n=n, alpha=alpha, m=m)
             modular = check("thm-main", MODULAR_ONLY, p=p, n=n, alpha=alpha, m=m)
             assert oracle.passed == modular.passed
-            if modular.achieved.kind == "exact":
+            if modular.achieved.exact:
                 assert oracle.achieved == modular.achieved
             else:
-                bound = modular.achieved.value
-                assert oracle.achieved.kind == "infinite" or oracle.achieved.value >= bound
+                assert oracle.achieved.exact and oracle.achieved.value >= modular.achieved.value
 
 
 def per_case_modular_valuation(case):
@@ -477,8 +517,8 @@ def per_case_modular_valuation(case):
         diff -= from_rational(rhs, ctx)
     diff %= ctx.modulus
     if diff == 0:
-        return AchievedValuation.at_least(ctx.prec)
-    return AchievedValuation.exact(vp_int(diff, p))
+        return AchievedValuation(ctx.prec, exact=False)
+    return AchievedValuation(vp_int(diff, p))
 
 
 class TestSweeps:
@@ -652,7 +692,7 @@ class TestSweeps:
     def test_stream_plan(self):
         # One stream per prime, at the prime's highest working precision.
         wide = enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000)
-        streams = asdcong.engine._plan(wide, DEFAULT_SETTINGS)[1]
+        streams = asdcong.engine._plan(wide, DEFAULT_SETTINGS)[0]
         assert sorted(p for p, _, _ in streams) == [p for p in range(3, 48, 2) if is_prime(p)]
         assert len(streams) == 14
         totals = [sum(ns[-1] for ns in by_base.values()) for _, _, by_base in streams]
@@ -660,7 +700,7 @@ class TestSweeps:
 
         ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2, 3), alpha_values=tuple(range(1, 11)))
         deep = enumerate_cases("thm-main", ranges, max_index=200_000)
-        ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[1]
+        ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[0]
         assert (p, set(by_base)) == (3, {1, 2})
         assert prec == max(required_guard(c.n * 3**c.alpha, 2 * c.alpha, 3) for c in deep)
         reads = {c.n * 3**a for c in deep for a in (c.alpha, c.alpha - 1)}
@@ -671,31 +711,31 @@ class TestSweeps:
             CongruenceCase("eq-sun-asd", p=5, m=2, n=1, alpha=1, variant="literal"),
             CongruenceCase("eq-sun-asd", p=5, m=-2, n=2, alpha=1, variant="corrected"),
         ]
-        assert asdcong.engine._plan(cases, MODULAR_ONLY)[1] == [(5, 5, {-2: (1, 2, 3, 5, 10)})]
+        assert asdcong.engine._plan(cases, MODULAR_ONLY)[0] == [(5, 5, {-2: (1, 2, 3, 5, 10)})]
 
     def test_stream_levels(self):
         # The default sweep's streams are short and dense: they stay at level
         # 0, the plain walk.  modular-deep's reads 23 points out to 3^11 and
         # walks blocks of 3^L terms.
         default = [case for suite, record in SUITES.items() if record.points for case in enumerate_cases(suite)]
-        streams = asdcong.engine._plan(default, DEFAULT_SETTINGS)[1]
+        streams = asdcong.engine._plan(default, DEFAULT_SETTINGS)[0]
         assert len(streams) == 5
         for p, prec, by_base in streams:
             assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) == 0, p
         ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2, 3), alpha_values=tuple(range(1, 11)))
         deep = enumerate_cases("thm-main", ranges, max_index=200_000)
-        ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[1]
+        ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[0]
         assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) >= 1
 
     def test_shared_sums_match_lone_cases(self, monkeypatch):
         # run_cases reads every S_N from one stream per prime and one exact
         # walk per signed base; a lone evaluate_case is a sweep of its one
         # case.  Both must give the same verdicts, serially and on
-        # a pool, and a serial sweep walks once.
-        walks, keyed = [], []
-        walk, keys = asdcong.engine.s_sums_exact, asdcong.engine._sum_keys
+        # a pool, and a sweep plans its reading cases and walks once.
+        walks, planned = [], []
+        walk, plan = asdcong.engine.s_sums_exact, asdcong.engine._plan
         monkeypatch.setattr(asdcong.engine, "s_sums_exact", lambda points: walks.append(points) or walk(points))
-        monkeypatch.setattr(asdcong.engine, "_sum_keys", lambda case, settings: keyed.append(case) or keys(case, settings))
+        monkeypatch.setattr(asdcong.engine, "_plan", lambda cases, settings: planned.append(cases) or plan(cases, settings))
         grids = [
             enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000),
             enumerate_cases("lemma-2-2"),
@@ -705,10 +745,10 @@ class TestSweeps:
             lone = sorted((evaluate_case(c) for c in cases), key=lambda r: r.case.sort_key())
             for jobs in (1, 2):
                 walks.clear()
-                keyed.clear()
+                planned.clear()
                 shared = run_cases(cases, jobs=jobs)
-                assert len(walks) == 1
-                assert sorted(keyed, key=CongruenceCase.sort_key) == sorted(cases, key=CongruenceCase.sort_key)
+                assert len(walks) == len(planned) == 1
+                assert sorted(planned[0], key=CongruenceCase.sort_key) == sorted(cases, key=CongruenceCase.sort_key)
                 assert [r.case for r in shared] == [r.case for r in lone]
                 for a, b in zip(shared, lone):
                     assert (a.achieved, a.passed, a.path) == (b.achieved, b.passed, b.path), a.case

@@ -3,7 +3,7 @@ import dataclasses
 import pathlib
 
 import asdcong
-from asdcong.engine import SUITES, CaseResult, Suite
+from asdcong.engine import SUITES, AchievedValuation, CaseResult, Suite
 
 # The package's public names.  A change that widens or narrows the API
 # changes this set on purpose.
@@ -63,3 +63,9 @@ def test_case_result_holds_the_verdict_only():
     # ran (ROADMAP item 6).  The sides of the congruence are not kept: tests
     # read them from the suite's `sides`, and a sweep need not hold them.
     assert [f.name for f in dataclasses.fields(CaseResult)] == ["case", "required_exponent", "achieved", "error", "path"]
+
+
+def test_achieved_valuation_is_a_number_and_a_flag():
+    # Equality (INF) and a lower bound from a modular run (exact=False) need
+    # no third form.
+    assert [f.name for f in dataclasses.fields(AchievedValuation)] == ["value", "exact"]

@@ -36,9 +36,9 @@ FLOATS = st.one_of(st.floats(), st.sampled_from([INF, -INF, math.nan, -0.0, 2.0,
 SCALARS = st.one_of(st.none(), st.booleans(), INTS, STRINGS, FLOATS)
 ACHIEVED = st.one_of(
     st.none(),
-    st.builds(AchievedValuation.exact, INTS),
-    st.builds(AchievedValuation.at_least, st.integers(0, 60)),
-    st.just(AchievedValuation.infinite()),
+    st.builds(AchievedValuation, INTS),
+    st.builds(AchievedValuation, st.integers(0, 60), st.just(False)),
+    st.just(AchievedValuation(INF)),
 )
 RESULTS = st.builds(
     CaseResult,
