@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import os
 import random
-from contextlib import contextmanager
+import threading
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
@@ -26,7 +27,7 @@ from itertools import chain, islice
 from math import lcm
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactcore import (
     INF,
@@ -787,11 +788,11 @@ def enumerate_cases(
         "trial": lambda c: range(r.trials or 0),
         "variant": lambda c: (variant,),
     }
-    c = SimpleNamespace(**dict.fromkeys(_PARAMS))
+    c = SimpleNamespace(suite=suite, **dict.fromkeys(_PARAMS))
     cases: list[CongruenceCase] = []
 
     def admitted() -> bool:
-        if c.m is not None and (c.m == 0 or c.p is not None and c.m % c.p == 0):
+        if c.m == 0 or _p_divides_m(c):
             return False
         if record.rule is not None and record.rule(c):
             return False
@@ -804,28 +805,33 @@ def enumerate_cases(
             if i + 1 < len(record.fields):
                 walk(i + 1)
             elif admitted():
-                cases.append(CongruenceCase(suite, **vars(c)))
+                cases.append(CongruenceCase(**vars(c)))
 
     walk(0)
     return cases
 
 
 def pool_size(jobs: int, units: int) -> int:
-    """Worker processes worth starting: no more than asked for, usable CPUs, or work units."""
+    """Worker processes worth starting: no more than asked for, usable CPUs,
+    or work units.  Workers are forked, so this process is the only one where
+    fork is missing or another thread runs: a forked worker would get that
+    thread's locks, held by no one left to release them."""
+    if jobs <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(jobs, cpus, units))
 
 
-@contextmanager
-def _mapper(workers: int) -> Iterator[Callable]:
-    """The builtin map for one worker, else the map of a pool of `workers`."""
+def _pool(calls: Sequence[Callable[[], object]], workers: int) -> AbstractContextManager[Callable[[], list]]:
+    """A context that runs `calls` on `workers` processes, this one among
+    them, and gives a function that returns their results in order: this
+    process runs them when they are asked for, with workers forked by
+    `pool.forked` beside it."""
     if workers == 1:
-        yield map
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # a fresh interpreter pays 20 ms or more for it
+        return nullcontext(lambda: [call() for call in calls])
+    from .pool import forked  # compiled and imported for a parallel sweep only
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool.map
+    return forked(calls, workers)
 
 
 def _evaluate_batch(settings: EngineSettings, cases: Sequence[CongruenceCase]) -> list[CaseResult]:
@@ -842,23 +848,22 @@ def run_cases(
     Every case finds its S_N here; a lone evaluate_case call is
     `run_cases([case])`.  A case whose suite has points reads them from one
     stream per prime and one exact walk per signed base, in this process,
-    which holds them.  The map, the builtin one or a pool's, runs the
-    streams, most terms first, then the other cases in contiguous batches;
-    meanwhile this process walks and evaluates the cases that read sums.
+    which holds them.  The streams run first, most terms first, while this
+    process walks; then the other cases run in contiguous batches while
+    this process evaluates the cases that read sums.
     """
     reading = [case for case in cases if SUITES[case.suite].points is not None]
     free = [case for case in cases if SUITES[case.suite].points is None]
     streams, walks = _plan(reading, settings)
-    workers = pool_size(jobs, len(streams) + len(free))
     # Eight batches per worker: with four, one worker got lemma-2-5's heavy tail.
-    size = max(1, -(-len(free) // (8 * workers)))
-    with _mapper(workers) as map_:
-        by_stream = map_(_stream_sums, streams)
-        by_batch = map_(partial(_evaluate_batch, settings), [free[i : i + size] for i in range(0, len(free), size)])
+    size = max(1, -(-len(free) // (8 * pool_size(jobs, len(free)))))
+    batches = [partial(_evaluate_batch, settings, free[i : i + size]) for i in range(0, len(free), size)]
+    with _pool([partial(_stream_sums, stream) for stream in streams], pool_size(jobs, len(streams))) as streamed:
         scaled = s_sums_exact(walks)
-        sums = {key: by_n for part in by_stream for key, by_n in part.items()}
+        sums = {key: by_n for part in streamed() for key, by_n in part.items()}
+    with _pool(batches, pool_size(jobs, len(batches))) as evaluated:
         results = [_evaluate(case, settings, sums, scaled) for case in reading]
-        results.extend(chain.from_iterable(by_batch))
+        results.extend(chain.from_iterable(evaluated()))
     return sorted(results, key=lambda result: result.case.sort_key())
 
 

@@ -129,15 +129,18 @@ class TestVerify:
             (line,) = [line for line in captured.err.splitlines() if "error:" in line]
             assert line.startswith("asdcong verify: error: argument --out: "), line
 
-    def test_self_check_disagreement_exits_3(self, capsys, monkeypatch):
+    def test_self_check_disagreement_exits_3(self, capsys, monkeypatch, pool):
         # A modular path that disagrees with the oracle is a bug: one stderr
         # line and exit 3, not a traceback and not a failed case's exit 1.
         monkeypatch.setattr(asdcong.engine, "_modular_achieved", lambda diff, ctx: AchievedValuation(-1))
-        # At --jobs 2 two primes make two streams, so a pool starts; the error
-        # still comes from this process, which evaluates every case that reads sums.
+        # At --jobs 2 two primes make two streams, which run on two
+        # workers; the error still comes from this process, which evaluates
+        # every case that reads sums.
         runs = [("verify", "5", "1"), ("scan", "5", "1"), ("verify", "5,7", "2"), ("scan", "5,7", "2")]
         for command, primes, jobs in runs:
+            pool.clear()
             code = main([command, "--suite", "eq-mod-p", "--primes", primes, "--m", "1", "--jobs", jobs])
+            assert pool == [int(jobs), 1]
             captured = capsys.readouterr()
             assert code == 3
             assert captured.out == ""

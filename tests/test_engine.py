@@ -2,7 +2,10 @@ import hashlib
 import math
 import os
 import random
+import threading
+import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -585,16 +588,19 @@ class TestSweeps:
             if passed and alpha > 1 and (p, m, n, alpha - 1) in by_key:
                 assert by_key[(p, m, n, alpha - 1)]
 
-    def test_default_report_digest(self):
+    def test_default_report_digest(self, pool):
         # The default report is the one every user runs; its bytes are part
-        # of the contract.  At jobs=2 the cases that read no series sums run
-        # on a pool while the series cases are evaluated in this process.
+        # of the contract.  At jobs=2 the streams, then the cases that read
+        # no series sums, run on two workers while this process walks and
+        # evaluates the series cases.
         for jobs in (1, 2):
+            pool.clear()
             digest = hashlib.sha256(run_suite("all", jobs=jobs).to_json_text().encode("utf-8")).hexdigest()
             assert digest == "ba4a41bc9c916b2ff120c06538b56ec7be9767a5b6c2088c4520c60df4213d3b", (
                 f"the default report's bytes changed at jobs={jobs}; a report change must be "
                 "deliberate, noted in CHANGES.md, and this digest updated with it"
             )
+            assert pool == [jobs, jobs]
 
     def test_literal_report_digest(self):
         # The literal variant fails 659 cases, so this report holds the
@@ -616,10 +622,11 @@ class TestSweeps:
         digest = hashlib.sha256(report.to_json_text().encode("utf-8")).hexdigest()
         assert digest == "17bd0439a755b59dbbab8e1fdaba918606befb15ca8295cd6227090d31c37fc1"
 
-    def test_parallel_determinism(self):
+    def test_parallel_determinism(self, pool):
         ranges = SweepRanges(primes=(3, 5), n_values=(1, 2), alpha_values=(1, 2))
         sequential = run_suite("thm-main", ranges, jobs=1)
         parallel = run_suite("thm-main", ranges, jobs=3)
+        assert pool == [1, 1, 2, 1]
         assert sequential.to_json_text() == parallel.to_json_text()
 
     def test_report_shape(self):
@@ -647,8 +654,89 @@ class TestSweeps:
         # Pinned to one CPU (taskset -c 0), a process gets one worker.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert pool_size(8, 100) == 1
+        # Workers are forked: without fork, or beside another thread, there
+        # is only this process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert pool_size(8, 100) == 2
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert pool_size(8, 100) == 1
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert pool_size(8, 100) == 2
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert pool_size(8, 100) == 1
 
-    def test_shared_streams(self):
+    def test_serial_sweep_starts_nothing(self, monkeypatch):
+        # At jobs=1 neither pool_size nor a sweep reads the affinity mask or
+        # forks: a lone evaluate_case pays for neither.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: pytest.fail("affinity looked up"), raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+        assert pool_size(1, 100) == 1
+        cases = enumerate_cases("eq-mod-p", SweepRanges(primes=(5, 7), m_values=(1,))) + enumerate_cases("lemma-2-3")
+        assert all(r.passed for r in run_cases(cases, jobs=1))
+        assert evaluate_case(cases[0]).passed
+
+    def test_pool(self, monkeypatch):
+        # Every worker, this process and the forked ones, takes calls while
+        # they last, and the results come back in the calls' order.
+        me = os.getpid()
+
+        def pid_after(k):
+            time.sleep(0.005)
+            return k, os.getpid()
+
+        calls = [partial(pid_after, k) for k in range(40)]
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(fork()) or forked[-1])
+        for workers in (1, 2, 3):
+            forked.clear()
+            with asdcong.engine._pool(calls, workers) as gathered:
+                results = gathered()
+            assert [k for k, _ in results] == list(range(40))
+            assert len(forked) == workers - 1
+            assert {pid for _, pid in results} == {me, *forked}
+            for pid in forked:  # reaped
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+
+        # A forked worker's exception is raised here, and a worker that ends
+        # without sending its results is an error too.
+        def elsewhere(action):
+            if os.getpid() != me:
+                action()
+            time.sleep(0.005)
+
+        def disagree():
+            raise EngineSelfCheckError("in a worker")
+
+        with pytest.raises(EngineSelfCheckError, match="in a worker"):
+            with asdcong.engine._pool([partial(elsewhere, disagree)] * 20, 2) as gathered:
+                gathered()
+        with pytest.raises(ChildProcessError):
+            with asdcong.engine._pool([partial(elsewhere, partial(os._exit, 0))] * 20, 2) as gathered:
+                gathered()
+
+        # More workers than CPUs share out more numbers than a pipe holds at
+        # once (64 KiB on Linux): every result lands in its place, so no
+        # number was lost or torn.
+        start = time.perf_counter()
+        with asdcong.engine._pool([partial(int, k) for k in range(20_000)], 4) as gathered:
+            assert gathered() == list(range(20_000))
+        assert time.perf_counter() - start < 30
+
+        # An exception here stops the forked workers at once.
+        start = time.perf_counter()
+        with pytest.raises(KeyError):
+            with asdcong.engine._pool([partial(time.sleep, 60)] * 2, 2):
+                raise KeyError
+        assert time.perf_counter() - start < 30
+
+    def test_shared_streams(self, pool):
         # Cases of one (p, m, variant) at different working precisions share
         # one stream; each must see what a stream of its own would give.
         cases = [
@@ -682,6 +770,7 @@ class TestSweeps:
         assert len(precs[(3, 1, "corrected")]) > 1
 
         serial, parallel = (run_cases(cases, MODULAR_ONLY, jobs) for jobs in (1, 2))
+        assert pool == [1, 1, 2, 1]
         assert Report.from_results({}, serial).to_json_text() == Report.from_results({}, parallel).to_json_text()
         for result in serial:
             assert result.path == "modular"
@@ -727,7 +816,7 @@ class TestSweeps:
         ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[0]
         assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) >= 1
 
-    def test_shared_sums_match_lone_cases(self, monkeypatch):
+    def test_shared_sums_match_lone_cases(self, monkeypatch, pool):
         # run_cases reads every S_N from one stream per prime and one exact
         # walk per signed base; a lone evaluate_case is a sweep of its one
         # case.  Both must give the same verdicts, serially and on
@@ -736,24 +825,27 @@ class TestSweeps:
         walk, plan = asdcong.engine.s_sums_exact, asdcong.engine._plan
         monkeypatch.setattr(asdcong.engine, "s_sums_exact", lambda points: walks.append(points) or walk(points))
         monkeypatch.setattr(asdcong.engine, "_plan", lambda cases, settings: planned.append(cases) or plan(cases, settings))
+        # lemma-2-2 reads exact walks only: no stream, so no work for a pool.
         grids = [
-            enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000),
-            enumerate_cases("lemma-2-2"),
-            enumerate_cases("eq-sun-asd") + enumerate_cases("eq-sun-asd", variant="literal"),
+            (enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000), 2),
+            (enumerate_cases("lemma-2-2"), 1),
+            (enumerate_cases("eq-sun-asd") + enumerate_cases("eq-sun-asd", variant="literal"), 2),
         ]
-        for cases in grids:
+        for cases, workers in grids:
             lone = sorted((evaluate_case(c) for c in cases), key=lambda r: r.case.sort_key())
             for jobs in (1, 2):
                 walks.clear()
                 planned.clear()
+                pool.clear()
                 shared = run_cases(cases, jobs=jobs)
+                assert pool == [1 if jobs == 1 else workers, 1]
                 assert len(walks) == len(planned) == 1
                 assert sorted(planned[0], key=CongruenceCase.sort_key) == sorted(cases, key=CongruenceCase.sort_key)
                 assert [r.case for r in shared] == [r.case for r in lone]
                 for a, b in zip(shared, lone):
                     assert (a.achieved, a.passed, a.path) == (b.achieved, b.passed, b.path), a.case
 
-    def test_p_divides_m_inside_a_sweep(self):
+    def test_p_divides_m_inside_a_sweep(self, pool):
         # The enumerator skips p | m, so these cases are built by hand: each
         # must come back errored from a sweep that also streams and walks
         # valid cases at the same primes, and every result must equal a lone
@@ -779,7 +871,9 @@ class TestSweeps:
         for settings in (DEFAULT_SETTINGS, MODULAR_ONLY):
             lone = {c: evaluate_case(c, settings) for c in divided + valid}
             for jobs in (1, 2):
+                pool.clear()
                 results = run_cases(divided + valid, settings, jobs)
+                assert pool == [jobs, jobs]
                 assert [r.case for r in results if r.error] == sorted(divided, key=CongruenceCase.sort_key)
                 for r in results:
                     alone = lone[r.case]
