@@ -4,7 +4,6 @@ for truncated central-binomial series and related sequences."""
 from ._version import __version__
 from .exactcore import (
     INF,
-    CongruenceVerdict,
     NotPIntegralError,
     binomial,
     is_prime,
@@ -12,7 +11,7 @@ from .exactcore import (
     vp,
 )
 from .padic import PadicCtx, from_rational, required_guard
-from .lucas import jacobi, legendre, lucas_u, lucas_u_mod
+from .lucas import legendre, lucas_u, lucas_u_mod
 from .series import apery, s_sum_exact, s_sum_mod
 from .engine import (
     AchievedValuation,
@@ -32,9 +31,9 @@ from .engine import (
 from .report import Report
 
 __all__ = [
-    "INF", "SUITES", "AchievedValuation", "CaseResult", "CongruenceCase", "CongruenceVerdict",
+    "INF", "SUITES", "AchievedValuation", "CaseResult", "CongruenceCase",
     "EngineSettings", "NotPIntegralError", "PadicCtx", "Report", "SweepRanges", "apery", "binomial",
-    "enumerate_cases", "evaluate_case", "fermat_quotient_factor", "from_rational", "is_prime", "jacobi",
+    "enumerate_cases", "evaluate_case", "fermat_quotient_factor", "from_rational", "is_prime",
     "legendre", "lucas_u", "lucas_u_mod", "rat_congruent", "required_guard", "run_cases", "run_suite",
     "s_sum_exact", "s_sum_mod", "sun_tauraso_rhs", "synthesize_block_sequence", "vp",
 ]

@@ -46,9 +46,9 @@ def parse_int_values(text: str) -> tuple[int, ...]:
 
 def parse_modulus(text: str) -> tuple[int, int]:
     """A prime power written p^e (or a bare prime p, meaning e = 1)."""
-    base, _, exp = text.partition("^")
+    base, caret, exp = text.partition("^")
     p = int(base)
-    e = int(exp) if exp else 1
+    e = int(exp) if caret else 1  # "3^" is malformed, not 3^1
     if e < 1:
         raise ValueError(f"exponent in {text!r} must be >= 1")
     return p, e

@@ -41,6 +41,7 @@ from .exactcore import (
 )
 from .lucas import _PERIODIC_ORBITS, _u_values, legendre, lucas_u, lucas_u_mod
 from .padic import PadicCtx, from_rational, required_guard
+from .report import Report
 from .series import apery, s_sums_exact, s_sums_mod
 
 
@@ -728,7 +729,7 @@ def _evaluate(
             else:
                 base = _base(case)
                 lhs, rhs = suite.sides(case, lambda N: Fraction(scaled[base][N], base ** (N - 1)), lucas_u)
-            oracle = AchievedValuation(rat_congruent(lhs, rhs, case.p, required).achieved)
+            oracle = AchievedValuation(rat_congruent(lhs, rhs, case.p))
         if path != "oracle":
             ctx = PadicCtx(case.p, _working_precision(case))
             lhs, rhs = suite.sides(case, sums[case.p, _base(case)].__getitem__, partial(lucas_u_mod, ctx=ctx))
@@ -874,10 +875,8 @@ def run_suite(
     max_index: int | None = None,
     jobs: int = 1,
     settings: EngineSettings = DEFAULT_SETTINGS,
-):
+) -> Report:
     """Enumerate and evaluate one suite (or "all"), returning a Report."""
-    from .report import Report
-
     suites = list(SUITES) if suite == "all" else [suite]
     cases: list[CongruenceCase] = []
     for one in suites:

@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives: binomials, p-adic valuations, rational congruence.
+"""Exact arithmetic primitives: binomials, primality, p-adic valuations.
 
 Everything in this module is ground truth for the rest of the package: plain
 Python integers (arbitrary precision) and ``fractions.Fraction`` (always in
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 RatLike = Union[int, Fraction]
 
@@ -78,15 +78,20 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def vp_int(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer (p >= 2 assumed, not checked)."""
+def p_split(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v), v the exponent of p in a nonzero n; p >= 2 assumed (at 1 it never ends)."""
     if n == 0:
-        raise ValueError("vp_int needs a nonzero integer")
+        raise ValueError("a p-power split needs a nonzero integer")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
+
+
+def vp_int(n: int, p: int) -> int:
+    """Exponent of p in a nonzero integer, from `p_split` (p >= 2 assumed, not checked)."""
+    return p_split(n, p)[0]
 
 
 def vp(x: RatLike, p: int) -> int | float:
@@ -98,27 +103,24 @@ def vp(x: RatLike, p: int) -> int | float:
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-class CongruenceVerdict(NamedTuple):
-    holds: bool
-    achieved: int | float  # exact valuation of the difference; INF when equal
+def p_integral(x: RatLike, p: int, label: str = "") -> Fraction:
+    """x as a Fraction, after a check that p does not divide its denominator;
+    NotPIntegralError, naming `label` and x, when it does."""
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise NotPIntegralError(f"{label}{x} is not p-integral at p = {p}")
+    return x
 
 
-def rat_congruent(x: RatLike, y: RatLike, p: int, e: int) -> CongruenceVerdict:
-    """Decide x ≡ y (mod p^e) for p-integral rationals.
+def rat_congruent(x: RatLike, y: RatLike, p: int) -> int | float:
+    """vp(x - y) for p-integral rationals: x ≡ y (mod p^e) exactly when it is
+    >= e, and it is INF when x == y.
 
-    The congruence is vp(x - y) >= e.  Inputs with negative valuation raise
-    NotPIntegralError rather than returning False: "the statement is
-    ill-posed" is a different answer than "the congruence fails".
+    Inputs with negative valuation raise NotPIntegralError rather than giving
+    a valuation: "the statement is ill-posed" is a different answer than "the
+    congruence fails".
     """
     require_prime(p)
-    if e < 1:
-        raise ValueError(f"required exponent must be >= 1, got {e}")
-    x = Fraction(x)
-    y = Fraction(y)
-    for side, name in ((x, "left"), (y, "right")):
-        if side != 0 and vp_int(side.denominator, p) > 0:
-            raise NotPIntegralError(
-                f"{name} side {side} is not p-integral at p = {p}"
-            )
-    achieved = vp(x - y, p)
-    return CongruenceVerdict(achieved >= e, achieved)
+    diff = p_integral(x, p, "left side ") - p_integral(y, p, "right side ")
+    # Both sides are p-integral, so only the numerator carries p.
+    return INF if diff == 0 else vp_int(diff.numerator, p)

@@ -1,4 +1,4 @@
-"""Legendre symbols and Lucas sequences u_n(a, 1), exact and modular.
+"""The Legendre symbol and Lucas sequences u_n(a, 1), exact and modular.
 
 u_n = a u_{n-1} - u_{n-2} with u_0 = 0, u_1 = 1, and u_{-n} = -u_n.  The
 congruence suites take a = m - 2.  Modulo p^e every term comes from fast
@@ -16,28 +16,12 @@ from .exactcore import require_odd_prime
 from .padic import PadicCtx
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1, computed by reciprocity."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"Jacobi symbol needs odd n >= 1, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p): 0 when p | a, else +-1 by quadratic residuosity."""
+    """Legendre symbol (a/p) by Euler's criterion: a^((p-1)/2) mod p is 0 when
+    p | a, else 1 or p - 1 by quadratic residuosity."""
     require_odd_prime(p)
-    return jacobi(a, p)
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 # Exact periodic orbits of u_n(a, 1) for the degenerate discriminants.

@@ -11,9 +11,8 @@ and no further, so a verdict drawn from it claims ">= E", never more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exactcore import NotPIntegralError, RatLike, require_odd_prime, vp_int
+from .exactcore import RatLike, p_integral, p_split, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -38,15 +37,14 @@ def describe(r: int, ctx: PadicCtx) -> str:
     """The residue r mod p^prec as "u * p^v mod p^prec", u a unit or 0."""
     p, prec = ctx.p, ctx.prec
     r %= ctx.modulus
-    v = prec if r == 0 else vp_int(r, p)
-    return f"{r // p**v} * {p}^{v} mod {p}^{prec}"
+    v, u = p_split(r, p) if r else (prec, 0)
+    return f"{u} * {p}^{v} mod {p}^{prec}"
 
 
 def from_rational(x: RatLike, ctx: PadicCtx) -> int:
-    """Reduce a p-integral rational into [0, p^prec), inverting the denominator."""
-    x = Fraction(x)
-    if vp_int(x.denominator, ctx.p) > 0:
-        raise NotPIntegralError(f"{x} is not p-integral at p = {ctx.p}")
+    """Reduce a p-integral rational into [0, p^prec), inverting the denominator;
+    NotPIntegralError, from `exactcore.p_integral`, when p divides it."""
+    x = p_integral(x, ctx.p)
     return x.numerator * pow(x.denominator, -1, ctx.modulus) % ctx.modulus
 
 

@@ -15,7 +15,7 @@ from itertools import accumulate, zip_longest
 from operator import add, mul
 from typing import Iterable, Mapping
 
-from .exactcore import NotPIntegralError, binomial
+from .exactcore import NotPIntegralError, binomial, p_split
 from .padic import PadicCtx
 
 
@@ -85,15 +85,6 @@ def _stops(points_by_base: Mapping[int, Iterable[int]], p: int | None = None) ->
     return stops
 
 
-def _p_split(c: int, p: int) -> tuple[int, int]:
-    """(v, c / p^v) with v the exact valuation of c > 0."""
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v, c
-
-
 def _add(f: list[int], g: list[int], mod: int) -> list[int]:
     """f + g mod `mod`, without zero top coefficients (the constant stays)."""
     if len(f) < len(g):
@@ -136,7 +127,7 @@ def _block_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[l
     big, mod = p**level, p**prec
     d_poly, nr_poly = [1], [pow(2, big - 1, mod)]
     for c in range(1, 2 * big):
-        v, u = _p_split(c, p)
+        v, u = p_split(c, p)
         if c < big:
             d_poly = _times_linear(d_poly, big // p**v, u, mod)
         if c % 2 and c != big:
@@ -144,8 +135,8 @@ def _block_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[l
     nq = {m: [1] for m in bases}
     prefix, w = [1], 0
     for r in range(1, big):
-        v_num, u_num = _p_split(2 * r - 1, p)
-        v_den, u_den = _p_split(r, p)
+        v_num, u_num = p_split(2 * r - 1, p)
+        v_den, u_den = p_split(r, p)
         prefix = _times_linear(prefix, 4 * big // p**v_num, 2 * u_num, mod)
         w += v_num - v_den
         scaled = list(map(pow(p, w, mod).__mul__, prefix))
@@ -197,8 +188,8 @@ def _read_tail(base: _Base, edge: int, stop: int, t: int, v: int, p: int, mod: i
         point = base.stops.pop()
         for k in range(k, point):
             a += pow(p, v, mod) * t
-            v_num, num = _p_split(4 * k + 2, p)
-            v_den, den = _p_split(k + 1, p)
+            v_num, num = p_split(4 * k + 2, p)
+            v_den, den = p_split(k + 1, p)
             v += v_num - v_den
             t = t * num % mod
             scale = den * base.m % mod

@@ -256,7 +256,7 @@ class TestEval:
         assert capsys.readouterr().out.strip() == "-1"
 
     def test_malformed_modulus_exits_2(self):
-        for bad in ("x", "4^2", "5^-1", "2^3"):
+        for bad in ("x", "4^2", "5^-1", "2^3", "3^", "3^^2", "9^2"):
             with pytest.raises(SystemExit) as exc:
                 main(["eval", "--series", "s", "--m", "1", "--N", "5", "--mod", bad])
             assert exc.value.code == 2

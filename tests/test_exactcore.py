@@ -11,8 +11,10 @@ from asdcong.exactcore import (
     NotPIntegralError,
     binomial,
     is_prime,
+    p_split,
     rat_congruent,
     vp,
+    vp_int,
 )
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
@@ -102,45 +104,59 @@ class TestVp:
                 assert vp(x + y, p) == lo
 
 
-class TestRatCongruent:
+class TestPSplit:
     def test_examples(self):
-        holds, achieved = rat_congruent(99, -1, 5, 2)
-        assert holds and achieved == 2  # 99 + 1 = 100 = 4 * 5^2
-        holds, achieved = rat_congruent(5, -1, 5, 2)
-        assert not holds and achieved == 0  # 5 + 1 = 6, coprime to 5
-        holds, achieved = rat_congruent(Fraction(7, 3), Fraction(7, 3), 11, 4)
-        assert holds and achieved == INF
+        assert p_split(33000, 5) == (3, 264)
+        assert p_split(-18, 3) == (2, -2)
+        assert p_split(7, 3) == (0, 7)
+        assert vp_int(-18, 3) == 2
+
+    def test_zero_rejected(self):
+        for split in (p_split, vp_int):
+            with pytest.raises(ValueError):
+                split(0, 3)
+
+
+class TestRatCongruent:
+    # rat_congruent(x, y, p) is vp(x - y); x = y (mod p^e) when it is >= e.
+    def test_examples(self):
+        assert rat_congruent(99, -1, 5) == 2  # 99 + 1 = 100 = 4 * 5^2
+        assert rat_congruent(5, -1, 5) == 0  # 5 + 1 = 6, coprime to 5
+        assert rat_congruent(Fraction(7, 3), Fraction(7, 3), 11) == INF
+        assert rat_congruent(Fraction(1, 2), Fraction(-13, 2), 7) == 1  # 7, over a unit
 
     def test_not_p_integral_raises(self):
-        with pytest.raises(NotPIntegralError):
-            rat_congruent(Fraction(1, 5), 0, 5, 1)
-        with pytest.raises(NotPIntegralError):
-            rat_congruent(0, Fraction(3, 25), 5, 1)
+        with pytest.raises(NotPIntegralError, match="left side 1/5"):
+            rat_congruent(Fraction(1, 5), 0, 5)
+        with pytest.raises(NotPIntegralError, match="right side 3/25"):
+            rat_congruent(0, Fraction(3, 25), 5)
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            rat_congruent(1, 1, 4, 1)
-        with pytest.raises(ValueError):
-            rat_congruent(1, 1, 5, 0)
+        # p = 1 must raise, not hang: 1 divides every integer, so a p-power
+        # split at p = 1 never ends.
+        for bad in (0, 1, 4):
+            with pytest.raises(ValueError):
+                rat_congruent(1, 1, bad)
 
     @given(
         p=st.sampled_from(SMALL_PRIMES),
-        e=st.integers(1, 4),
         nums=st.tuples(*(st.integers(-500, 500) for _ in range(3))),
         dens=st.tuples(*(st.integers(1, 60) for _ in range(3))),
     )
     @settings(max_examples=150, deadline=None)
-    def test_equivalence_relation(self, p, e, nums, dens):
+    def test_equivalence_relation(self, p, nums, dens):
+        # Congruence mod p^e is an equivalence relation for every e: in
+        # valuations, v(x - x) = INF, v(x - y) = v(y - x), and
+        # v(x - z) >= min(v(x - y), v(y - z)).
         def integralize(num, den):
             while den % p == 0:
                 den //= p
             return Fraction(num, den)
 
         x, y, z = (integralize(n, d) for n, d in zip(nums, dens))
-        assert rat_congruent(x, x, p, e).holds
-        assert rat_congruent(x, y, p, e).holds == rat_congruent(y, x, p, e).holds
-        if rat_congruent(x, y, p, e).holds and rat_congruent(y, z, p, e).holds:
-            assert rat_congruent(x, z, p, e).holds
+        assert rat_congruent(x, x, p) == INF
+        assert rat_congruent(x, y, p) == rat_congruent(y, x, p) == vp(x - y, p)
+        assert rat_congruent(x, z, p) >= min(rat_congruent(x, y, p), rat_congruent(y, z, p))
 
 
 class TestIsPrime:

@@ -4,7 +4,6 @@ import pytest
 
 from asdcong.exactcore import is_prime
 from asdcong.lucas import (
-    jacobi,
     legendre,
     lucas_u,
     lucas_u_mod,
@@ -33,8 +32,22 @@ class TestLegendre:
             legendre(3, 2)
         with pytest.raises(ValueError):
             legendre(3, 15)
-        with pytest.raises(ValueError):
-            jacobi(3, 4)
+
+    def test_matches_nonzero_squares(self):
+        # Independent of Euler's criterion, which is the implementation.
+        for p in [p for p in range(3, 201) if is_prime(p)]:
+            squares = {x * x % p for x in range(1, p)}
+            for a in range(-2 * p, 2 * p + 1):
+                expected = 0 if a % p == 0 else 1 if a % p in squares else -1
+                assert legendre(a, p) == expected
+
+    def test_supplementary_laws_at_a_large_prime(self):
+        # (-1/p) = 1 iff p = 1 mod 4, (2/p) = 1 iff p = +-1 mod 8.
+        p = 2**61 - 1  # p = 7 mod 8
+        assert legendre(-1, p) == (1 if p % 4 == 1 else -1) == -1
+        assert legendre(2, p) == (1 if p % 8 in (1, 7) else -1) == 1
+        assert legendre(-2, p) == legendre(-1, p) * legendre(2, p)
+        assert legendre(p, p) == legendre(-p, p) == 0
 
     def test_euler_criterion(self):
         for p in [p for p in range(3, 201) if is_prime(p)]:

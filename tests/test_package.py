@@ -8,9 +8,9 @@ from asdcong.engine import SUITES, AchievedValuation, CaseResult, Suite
 # The package's public names.  A change that widens or narrows the API
 # changes this set on purpose.
 PUBLIC = {
-    "INF", "SUITES", "AchievedValuation", "CaseResult", "CongruenceCase", "CongruenceVerdict",
+    "INF", "SUITES", "AchievedValuation", "CaseResult", "CongruenceCase",
     "EngineSettings", "NotPIntegralError", "PadicCtx", "Report", "SweepRanges", "apery", "binomial",
-    "enumerate_cases", "evaluate_case", "fermat_quotient_factor", "from_rational", "is_prime", "jacobi",
+    "enumerate_cases", "evaluate_case", "fermat_quotient_factor", "from_rational", "is_prime",
     "legendre", "lucas_u", "lucas_u_mod", "rat_congruent", "required_guard", "run_cases", "run_suite",
     "s_sum_exact", "s_sum_mod", "sun_tauraso_rhs", "synthesize_block_sequence", "vp",
 }
