@@ -3,9 +3,9 @@
 `verify` runs congruence sweeps and writes the JSON report (stdout or --out),
 exiting 0 only when every evaluated case passed.  `scan` prints failures and
 errors only, for counterexample hunting.  Either exits 3 when the oracle and
-modular paths disagree on a case: that is a bug, not a finding.  `eval`
-prints single values (series sums, Apery numbers, Lucas terms), exactly or
-modulo p^e.
+modular paths disagree on a case: that is a bug, not a finding, and 2 when
+its output cannot be written.  `eval` prints single values (series sums,
+Apery numbers, Lucas terms), exactly or modulo p^e.
 
 Reports are byte-identical across reruns and worker counts; everything that
 could vary (timing, scheduling) is kept out of them.
@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
+from typing import Iterator
 
 from .engine import DEFAULT_SETTINGS, SUITES, EngineSelfCheckError, EngineSettings, SweepRanges, run_suite
 from .exactcore import PRIMALITY_LIMIT
@@ -138,14 +140,31 @@ def _run_sweep(args: argparse.Namespace):
     )
 
 
+@contextmanager
+def _writing() -> Iterator[None]:
+    """Write the report in this context, flushed to stdout at its end.  A
+    reader that closed the pipe ends the writing quietly, and the command
+    exits as its sweep says; any other write error exits 2.  Either way
+    stdout then points at os.devnull, so the flush at exit cannot fail."""
+    try:
+        yield
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            sys.exit(2)
+
+
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     report = _run_sweep(args)
     text = report.to_json_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _writing():
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     counts = report.counts()
     print(
         "verify: {total} cases, {passed} passed, {failed} failed, {errored} errored".format(**counts),
@@ -167,8 +186,9 @@ def _result_line(result) -> str:
 
 def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     failures = _run_sweep(args).failures()
-    for result in failures[: args.stop_after or None]:
-        print(_result_line(result))
+    with _writing():
+        for result in failures[: args.stop_after or None]:
+            print(_result_line(result))
     return 1 if failures else 0
 
 

@@ -241,9 +241,8 @@ class SweepRanges:
 # Suite records
 # ---------------------------------------------------------------------------
 
-#: (lhs, rhs) of a case: `sides(case)` as exact rationals, or a series suite's
-#: `sides(case, s_sum, u)` as read from S_N by N and u_n(a, 1) by (n, a).
-Sides = Callable[..., tuple]
+#: (lhs, rhs) of a case, as read from S_N by N and u_n(a, 1) by (n, a).
+Sides = Callable[[CongruenceCase, Callable, Callable], tuple]
 
 #: b^(N-1) S_N from the sweep's exact walks, by signed base b and N.
 Scaled = Mapping[int, Mapping[int, int]]
@@ -254,25 +253,27 @@ class Suite:
     """Everything the engine knows about one statement.
 
     `index` is the largest summation bound a case touches: it picks the
-    evaluation path and is what the sweep's index cap bounds.  The verdict
-    compares vp(lhs - rhs) from `sides` with `required`, unless the statement
-    is of another kind and its own `evaluate` returns the achieved valuation.
-    A suite with `points` reads S_N(m) at those term counts.  A series suite
-    (`points` and no `evaluate`) is checked on either path or both: its
-    `sides(case, s_sum, u)` gets S_N from the sweep's exact walk and
-    `lucas_u` on the oracle path, S_N mod p^E from its stream and
-    `lucas_u_mod` on the modular path, where each side is then reduced mod
-    the case's own p^E.  Every other suite's `sides(case)` is exact.
+    evaluation path and is what the sweep's index cap bounds, `cap` unless
+    the sweep gives one.  The verdict compares vp(lhs - rhs) from `sides`
+    with `required`, unless the statement is of another kind and its own
+    `evaluate` returns the achieved valuation.  A suite with `points` reads
+    S_N(m) at those term counts, and its `index` is the largest of them.
+    Every `sides(case, s_sum, u)` gets S_N from the sweep's exact walk and
+    `lucas_u` on the oracle path.  A series suite (`points` and no
+    `evaluate`) is checked on either path or both: on the modular path it
+    gets S_N mod p^E from its stream and `lucas_u_mod`, and each side is
+    then reduced mod the case's own p^E.
 
-    `index` and `rule` read only the case's parameters: the enumerator
-    applies them to a candidate's values before it builds the case.
+    `index`, `points` and `rule` read only the case's parameters: the
+    enumerator applies `index` and `rule` to a candidate's values before it
+    builds the case.
     """
 
     fields: tuple[str, ...]
     required: Callable[[CongruenceCase], int | float]
-    index: Callable[[CongruenceCase], int]
     defaults: SweepRanges
-    cap: int
+    index: Callable[[CongruenceCase], int] | None = None
+    cap: int = 10_000
     sides: Sides | None = None
     #: A valuation of another kind, given the sweep's exact sums.
     evaluate: Callable[[CongruenceCase, EngineSettings, Scaled], AchievedValuation] | None = None
@@ -281,6 +282,10 @@ class Suite:
     rule: Callable[[CongruenceCase], str | None] | None = None
     #: The series base when the statement fixes it rather than taking m.
     m: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.index is None:
+            object.__setattr__(self, "index", lambda case: max(self.points(case)))
 
 
 def _top(case) -> int:
@@ -391,23 +396,23 @@ def _sun_asd_points(case: CongruenceCase) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _apery_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+def _apery_sides(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
     top, low = _scaled(case)
     return Fraction(apery(top - 1)), Fraction(apery(low - 1))
 
 
-def _lemma_2_1_i(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+def _lemma_2_1_i(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
     top, low = _scaled(case)
     return Fraction(binomial(top, case.k)), Fraction(binomial(low, case.k // case.p))
 
 
-def _lemma_2_1_ii(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+def _lemma_2_1_ii(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
     (top, low), p, k = _scaled(case), case.p, case.k
     rhs = Fraction(top, k) * binomial(low - 1, (k - 1) // p) * (-1) ** (k - 1 - (k - 1) // p)
     return Fraction(binomial(top, k)), rhs
 
 
-def _lemma_2_1_iii(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+def _lemma_2_1_iii(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
     (top, low), p, k = _scaled(case), case.p, case.k
     return Fraction(binomial(top - 1, k)), Fraction(binomial(low - 1, k // p) * (-1) ** (k - k // p))
 
@@ -417,7 +422,7 @@ def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: 
     return AchievedValuation(INF if equal else 0)
 
 
-def _lemma_2_3_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+def _lemma_2_3_sides(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
     return (
         fermat_quotient_factor(case.m, case.p, case.alpha),
         fermat_quotient_factor(case.m, case.p, case.s),
@@ -436,7 +441,7 @@ def _block_weights(p: int, s: int, l: int, period: int) -> tuple[int, tuple[int,
     return common, tuple(weights)
 
 
-def _lemma_2_4_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
+def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
     p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
     # For m in {1,2,3}, u_j(m-2, 1) runs through a period-T orbit (negative j
     # too), so (-1)^k u_{N-k} depends only on k mod lcm(2, T): the block sum
@@ -446,7 +451,7 @@ def _lemma_2_4_sides(case: CongruenceCase) -> tuple[Fraction, Fraction]:
     top, period = p**a * n, lcm(2, len(orbit))
     common, weights = _block_weights(p, s, l, period)
     lhs = Fraction(sum((-1) ** r * orbit[(top - r) % len(orbit)] * w for r, w in enumerate(weights)), common)
-    tail = lucas_u(p ** (a - s) * n - l, m - 2) + lucas_u(p ** (a - s) * n - l - 1, m - 2)
+    tail = u(p ** (a - s) * n - l, m - 2) + u(p ** (a - s) * n - l - 1, m - 2)
     rhs = _symbol(case) ** s * -fermat_quotient_factor(m, p, a) * (-1) ** l * tail
     return lhs, rhs
 
@@ -506,7 +511,6 @@ def _lemma_2_1(
         required=required,
         index=_top,
         defaults=SweepRanges(primes=_SMALL_PRIMES, n_values=(1, 2), alpha_values=(1, 2)),
-        cap=10_000,
         sides=sides,
         rule=rule,
     )
@@ -519,9 +523,7 @@ SUITES: dict[str, Suite] = {
     "thm-main": Suite(
         fields=("p", "m", "n", "alpha", "variant"),
         required=lambda c: 2 * c.alpha,
-        index=_top,
         defaults=SweepRanges(primes=_PRIMES, m_values=(1, 2, 3), n_values=(1, 2, 3), alpha_values=(1, 2, 3)),
-        cap=10_000,
         sides=partial(_scaling, _symbol),
         points=_scaled,
         rule=_m_in_1_2_3,
@@ -530,9 +532,7 @@ SUITES: dict[str, Suite] = {
     "thm-m4": Suite(
         fields=("p", "n", "alpha", "variant"),
         required=lambda c: 2 * c.alpha,
-        index=_top,
         defaults=SweepRanges(primes=_PRIMES, n_values=(1, 2, 3), alpha_values=(1, 2, 3)),
-        cap=10_000,
         sides=partial(_scaling, attrgetter("p")),
         points=_scaled,
         m=4,
@@ -551,9 +551,7 @@ SUITES: dict[str, Suite] = {
     "eq-mod-p": Suite(
         fields=("p", "m", "variant"),
         required=lambda c: 1,
-        index=lambda c: c.p,
         defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO),
-        cap=10_000,
         sides=_mod_p,
         points=lambda c: (c.p,),
     ),
@@ -561,9 +559,7 @@ SUITES: dict[str, Suite] = {
     "eq-mod-p2": Suite(
         fields=("p", "m", "variant"),
         required=lambda c: 2,
-        index=lambda c: c.p,
         defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO),
-        cap=10_000,
         sides=_mod_p2,
         points=lambda c: (c.p,),
     ),
@@ -571,7 +567,6 @@ SUITES: dict[str, Suite] = {
     "eq-sun-asd": Suite(
         fields=("p", "m", "n", "alpha", "variant"),
         required=lambda c: c.alpha + 1,
-        index=_top,
         defaults=SweepRanges(primes=_PRIMES, m_values=_M_AROUND_ZERO, n_values=(1, 2), alpha_values=(1, 2)),
         cap=1_000,
         sides=_sun_asd,
@@ -593,9 +588,7 @@ SUITES: dict[str, Suite] = {
     "lemma-2-2": Suite(
         fields=("m", "n"),
         required=lambda c: INF,
-        index=lambda c: c.n,
         defaults=SweepRanges(m_values=_M_AROUND_ZERO, n_values=tuple(range(1, 101))),
-        cap=10_000,
         evaluate=_evaluate_lemma_2_2,
         points=lambda c: (c.n,),
     ),
@@ -605,7 +598,6 @@ SUITES: dict[str, Suite] = {
         required=lambda c: c.s,
         index=lambda c: c.p**c.alpha,
         defaults=SweepRanges(primes=_SMALL_PRIMES, m_values=(2, 3, 5, 7), alpha_values=(1, 2, 3, 4)),
-        cap=10_000,
         sides=_lemma_2_3_sides,
         rule=_s_at_most_alpha,
     ),
@@ -615,7 +607,6 @@ SUITES: dict[str, Suite] = {
         required=lambda c: c.s,
         index=lambda c: max(_top(c), (c.l + 1) * c.p**c.s),
         defaults=SweepRanges(primes=_SMALL_PRIMES, m_values=(1, 2, 3), n_values=(1, 2), alpha_values=(1, 2, 3)),
-        cap=10_000,
         sides=_lemma_2_4_sides,
         rule=lambda c: _m_in_1_2_3(c) or _s_at_most_alpha(c),
     ),
@@ -625,7 +616,6 @@ SUITES: dict[str, Suite] = {
         required=lambda c: c.alpha,
         index=lambda c: (c.l + 1) * c.p**c.alpha,
         defaults=SweepRanges(primes=(3, 5), alpha_values=(1, 2), l_values=(0,), trials=100),
-        cap=10_000,
         evaluate=_evaluate_lemma_2_5,
     ),
 }
@@ -724,11 +714,8 @@ def _evaluate(
         if suite.evaluate is not None:
             oracle = suite.evaluate(case, settings, scaled)
         elif path != "modular":
-            if suite.points is None:
-                lhs, rhs = suite.sides(case)
-            else:
-                base = _base(case)
-                lhs, rhs = suite.sides(case, lambda N: Fraction(scaled[base][N], base ** (N - 1)), lucas_u)
+            base = _base(case)
+            lhs, rhs = suite.sides(case, lambda N: Fraction(scaled[base][N], base ** (N - 1)), lucas_u)
             oracle = AchievedValuation(rat_congruent(lhs, rhs, case.p))
         if path != "oracle":
             ctx = PadicCtx(case.p, _working_precision(case))

@@ -51,15 +51,14 @@ def _u_values(a: int) -> Iterator[int]:
 
 
 def _u_pair_mod(n: int, a: int, mod: int) -> tuple[int, int]:
-    """(u_n, u_{n+1}) mod `mod` by fast doubling, O(log n) multiplications."""
-    if n == 0:
-        return 0, 1 % mod
-    un, un1 = _u_pair_mod(n >> 1, a, mod)
-    u2k = un * (2 * un1 - a * un) % mod
-    u2k1 = (un1 * un1 - un * un) % mod
-    if n & 1:
-        return u2k1, (a * u2k1 - u2k) % mod
-    return u2k, u2k1
+    """(u_n, u_{n+1}) mod `mod` for n >= 0 by fast doubling: one step per bit
+    of n, from the top, takes (u_k, u_{k+1}) to the pair at 2k or 2k + 1."""
+    uk, uk1 = 0, 1 % mod
+    for bit in bin(n)[2:]:
+        u2k = uk * (2 * uk1 - a * uk) % mod
+        u2k1 = (uk1 * uk1 - uk * uk) % mod
+        uk, uk1 = (u2k1, (a * u2k1 - u2k) % mod) if bit == "1" else (u2k, u2k1)
+    return uk, uk1
 
 
 def lucas_u_mod(n: int, a: int, ctx: PadicCtx) -> int:

@@ -7,13 +7,10 @@ from asdcong.series import s_sum_exact
 
 
 def oracle_sides(case):
-    """(lhs, rhs) of a case as the oracle path reads them: a series suite's
-    `sides` from exact S_N and `lucas_u`, lemma-2-2's identity as
-    m^(n-1) S_n(m) against the Sun-Tauraso sum, any other suite's `sides`."""
-    suite = SUITES[case.suite]
+    """(lhs, rhs) of a case as the oracle path reads them: the suite's `sides`
+    from exact S_N and `lucas_u`, or lemma-2-2's identity as m^(n-1) S_n(m)
+    against the Sun-Tauraso sum."""
     if case.suite == "lemma-2-2":
         return case.m ** (case.n - 1) * s_sum_exact(case.n, case.m), sun_tauraso_rhs(case.m, case.n)
-    if suite.points is None:
-        return suite.sides(case)
     b = asdcong.engine._base(case)
-    return suite.sides(case, lambda N: s_sum_exact(N, b), lucas_u)
+    return SUITES[case.suite].sides(case, lambda N: s_sum_exact(N, b), lucas_u)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -284,3 +288,57 @@ class TestEval:
         for mod in ([], ["--mod", "5^2"]):
             assert main(["eval", "--series", "s", "--m", "0", "--N", "3", *mod]) == 1
             assert capsys.readouterr().err == "error: series base m must be nonzero\n"
+
+
+def _run_program(*argv, stdout=subprocess.PIPE):
+    """`python -m asdcong` with argv, as a program: (exit code, stdout, stderr)."""
+    src = str(pathlib.Path(asdcong.engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asdcong", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+        text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_ONE_CASE = ("verify", "--suite", "eq-mod-p", "--primes", "5", "--m", "1")
+_ONE_CASE_SUMMARY = "verify: 1 cases, 1 passed, 0 failed, 0 errored\n"
+
+
+class TestProgram:
+    def test_verify_writes_the_report_and_one_summary_line(self):
+        code, out, err = _run_program(*_ONE_CASE)
+        assert code == 0
+        assert json.loads(out)["summary"]["passed"] == 1
+        assert err == _ONE_CASE_SUMMARY
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (_ONE_CASE, 0, _ONE_CASE_SUMMARY),
+            (("scan", "--suite", "thm-main", "--variant", "literal", "--primes", "3..20"), 1, ""),
+        ],
+        ids=["verify", "scan"],
+    )
+    def test_closed_pipe_ends_the_output_quietly(self, argv, code, err):
+        # A reader that closed the pipe stops the writing, not the command:
+        # no traceback, and the exit code is the sweep's own.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            assert _run_program(*argv, stdout=write) == (code, None, err)
+        finally:
+            os.close(write)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_exits_2(self):
+        # A report that cannot be written, to stdout or to --out, is one
+        # error line and exit 2, as an --out path that cannot be written is.
+        with open("/dev/full", "w") as full:
+            runs = [_run_program(*_ONE_CASE, stdout=full), _run_program(*_ONE_CASE, "--out", "/dev/full")]
+        for code, _, err in runs:
+            assert code == 2
+            assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1, err

@@ -397,7 +397,7 @@ class TestLemma24:
             ks, common = blocks[p, s, l]
             negative += ks[-1] > top
             direct = Fraction(sum((-1) ** k * lucas_u(top - k, case.m - 2) * (common // k) for k in ks), common)
-            assert asdcong.engine._lemma_2_4_sides(case)[0] == direct, case
+            assert asdcong.engine._lemma_2_4_sides(case, None, lucas_u)[0] == direct, case
         assert negative > 1000  # blocks reaching past N, where the Lucas index is negative
 
 

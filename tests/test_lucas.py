@@ -133,7 +133,7 @@ class TestLucasMod:
         # n; the modular fast-doubling path must agree with them.
         ctx = PadicCtx(13, 5)
         for a in (-1, 0, 1):
-            for n in [0, 1, 2, 5, 6, 10**6, 10**12 + 7, 10**18 + 9]:
+            for n in [0, 1, 2, 5, 6, 10**6, 10**12 + 7, 10**18 + 9, 10**400 + 1]:
                 assert lucas_u_mod(n, a, ctx) == lucas_u(n, a) % ctx.modulus
 
     def test_agrees_with_exact_reduction(self):
