@@ -3,9 +3,9 @@
 `verify` runs congruence sweeps and writes the JSON report (stdout or --out),
 exiting 0 only when every evaluated case passed.  `scan` prints failures and
 errors only, for counterexample hunting.  Either exits 3 when the oracle and
-modular paths disagree on a case: that is a bug, not a finding, and 2 when
-its output cannot be written.  `eval` prints single values (series sums,
-Apery numbers, Lucas terms), exactly or modulo p^e.
+modular paths disagree on a case: that is a bug, not a finding.  `eval`
+prints single values (series sums, Apery numbers, Lucas terms), exactly or
+modulo p^e.  Each command exits 2 when its output cannot be written.
 
 Reports are byte-identical across reruns and worker counts; everything that
 could vary (timing, scheduling) is kept out of them.
@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 from typing import Iterator
 
 from .engine import DEFAULT_SETTINGS, SUITES, EngineSelfCheckError, EngineSettings, SweepRanges, run_suite
@@ -128,7 +127,7 @@ def _add_sweep_flags(cmd: argparse.ArgumentParser) -> None:
 def _run_sweep(args: argparse.Namespace):
     return run_suite(
         args.suite,
-        ranges=SweepRanges(**{f.name: getattr(args, f.name) for f in fields(SweepRanges)}),
+        ranges=SweepRanges._make(getattr(args, name) for name in SweepRanges._fields),
         variant=args.variant,
         max_index=args.max_index,
         jobs=args.jobs,
@@ -142,9 +141,9 @@ def _run_sweep(args: argparse.Namespace):
 
 @contextmanager
 def _writing() -> Iterator[None]:
-    """Write the report in this context, flushed to stdout at its end.  A
+    """Write the output in this context, flushed to stdout at its end.  A
     reader that closed the pipe ends the writing quietly, and the command
-    exits as its sweep says; any other write error exits 2.  Either way
+    exits as it would have; any other write error exits 2.  Either way
     stdout then points at os.devnull, so the flush at exit cannot fail."""
     try:
         yield
@@ -218,10 +217,12 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             if args.m is None or args.index is None:
                 parser.error("--series lucas needs --m and --index")
             value = lucas_u_mod(args.index, args.m - 2, ctx) if ctx else lucas_u(args.index, args.m - 2)
-        print(describe(value, ctx) if ctx else value)
+        text = describe(value, ctx) if ctx else str(value)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    with _writing():
+        print(text)
     return 0
 
 

@@ -20,14 +20,13 @@ import os
 import random
 import threading
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, islice
 from math import lcm
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactcore import (
     INF,
@@ -54,8 +53,7 @@ class EngineSelfCheckError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AchievedValuation:
+class AchievedValuation(NamedTuple):
     """What we certifiably know about vp(LHS - RHS).
 
     Exact: the valuation is `value`, INF when LHS == RHS as exact values.
@@ -110,15 +108,7 @@ _PARAMS = ("p", "m", "n", "alpha", "s", "l", "k", "variant", "trial")
 _SORT_KEY = attrgetter("suite", *_PARAMS)
 
 
-@dataclass(frozen=True)
-class CongruenceCase:
-    """One fully-instantiated congruence instance.
-
-    Only the fields applicable to the suite may be set; construction
-    validates applicability, the structural preconditions (primality,
-    ranges, 0 <= k <= n p^alpha, ...) and the suite's own rule.
-    """
-
+class _CaseFields(NamedTuple):
     suite: str
     p: int | None = None
     m: int | None = None
@@ -130,7 +120,20 @@ class CongruenceCase:
     variant: str | None = None
     trial: int | None = None
 
-    def __post_init__(self) -> None:
+
+class CongruenceCase(_CaseFields):
+    """One fully-instantiated congruence instance.
+
+    Only the fields applicable to the suite may be set; construction
+    validates applicability, the structural preconditions (primality,
+    ranges, 0 <= k <= n p^alpha, ...) and the suite's own rule.  So do
+    `_replace`, `_make` and unpickling, which build through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CongruenceCase:
+        self = super().__new__(cls, *args, **kwargs)
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         suite = SUITES[self.suite]
@@ -162,6 +165,11 @@ class CongruenceCase:
         reason = suite.rule(self) if suite.rule is not None else None
         if reason:
             raise ValueError(f"suite {self.suite} {reason}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CongruenceCase:
+        return cls(*iterable)
 
     def sort_key(self) -> tuple:
         return _SORT_KEY(self)
@@ -174,8 +182,7 @@ class CongruenceCase:
         return f"{self.suite}({inner})"
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     """Verdict for one case: achieved valuation against the required exponent."""
 
     case: CongruenceCase
@@ -205,8 +212,7 @@ class CaseResult:
         }
 
 
-@dataclass(frozen=True)
-class EngineSettings:
+class EngineSettings(NamedTuple):
     """Evaluation policy: which path a case takes, and the sweep seed."""
 
     oracle_cutoff: int = 3000
@@ -224,8 +230,7 @@ class EngineSettings:
 DEFAULT_SETTINGS = EngineSettings()
 
 
-@dataclass(frozen=True)
-class SweepRanges:
+class SweepRanges(NamedTuple):
     """Parameter ranges for a sweep; None fields fall back to suite defaults."""
 
     primes: tuple[int, ...] | None = None
@@ -248,8 +253,23 @@ Sides = Callable[[CongruenceCase, Callable, Callable], tuple]
 Scaled = Mapping[int, Mapping[int, int]]
 
 
-@dataclass(frozen=True)
-class Suite:
+class _SuiteFields(NamedTuple):
+    fields: tuple[str, ...]
+    required: Callable[[CongruenceCase], int | float]
+    defaults: SweepRanges
+    index: Callable[[CongruenceCase], int] | None = None
+    cap: int = 10_000
+    sides: Sides | None = None
+    #: A valuation of another kind, given the sweep's exact sums.
+    evaluate: Callable[[CongruenceCase, EngineSettings, Scaled], AchievedValuation] | None = None
+    points: Callable[[CongruenceCase], tuple[int, ...]] | None = None
+    #: A condition beyond the shared ones: returns why a case breaks it.
+    rule: Callable[[CongruenceCase], str | None] | None = None
+    #: The series base when the statement fixes it rather than taking m.
+    m: int | None = None
+
+
+class Suite(_SuiteFields):
     """Everything the engine knows about one statement.
 
     `index` is the largest summation bound a case touches: it picks the
@@ -269,23 +289,18 @@ class Suite:
     builds the case.
     """
 
-    fields: tuple[str, ...]
-    required: Callable[[CongruenceCase], int | float]
-    defaults: SweepRanges
-    index: Callable[[CongruenceCase], int] | None = None
-    cap: int = 10_000
-    sides: Sides | None = None
-    #: A valuation of another kind, given the sweep's exact sums.
-    evaluate: Callable[[CongruenceCase, EngineSettings, Scaled], AchievedValuation] | None = None
-    points: Callable[[CongruenceCase], tuple[int, ...]] | None = None
-    #: A condition beyond the shared ones: returns why a case breaks it.
-    rule: Callable[[CongruenceCase], str | None] | None = None
-    #: The series base when the statement fixes it rather than taking m.
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> Suite:
+        self = super().__new__(cls, *args, **kwargs)
         if self.index is None:
-            object.__setattr__(self, "index", lambda case: max(self.points(case)))
+            points = self.points
+            return self._replace(index=lambda case: max(points(case)))
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Suite:
+        return cls(*iterable)
 
 
 def _top(case) -> int:
@@ -738,7 +753,7 @@ def _given(ranges: SweepRanges | None) -> dict:
     """The fields a sweep's ranges set, by name: each overrides a suite default."""
     if ranges is None:
         return {}
-    return {name: value for name, value in vars(ranges).items() if value is not None}
+    return {name: value for name, value in ranges._asdict().items() if value is not None}
 
 
 def _odd_primes(values: Iterable[int], cap: int) -> list[int]:
@@ -762,7 +777,7 @@ def enumerate_cases(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     record = SUITES[suite]
-    r = replace(record.defaults, **_given(ranges))
+    r = record.defaults._replace(**_given(ranges))
     cap = record.cap if max_index is None else max_index
     values = {
         "p": lambda c: _odd_primes(r.primes, cap),

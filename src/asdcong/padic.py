@@ -10,24 +10,37 @@ and no further, so a verdict drawn from it claims ">= E", never more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from .exactcore import RatLike, p_integral, p_split, require_odd_prime
 
 
-@dataclass(frozen=True)
-class PadicCtx:
-    """The ring Z/p^prec for an odd prime p."""
-
+class _CtxFields(NamedTuple):
     p: int
     prec: int
-    modulus: int = field(init=False, compare=False)
+    modulus: int  # p^prec
 
-    def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-        if self.prec < 1:
-            raise ValueError(f"working precision must be >= 1, got {self.prec}")
-        object.__setattr__(self, "modulus", self.p**self.prec)
+
+class PadicCtx(_CtxFields):
+    """The ring Z/p^prec for an odd prime p, built as `PadicCtx(p, prec)`.
+    `_replace`, `_make` and unpickling build through the constructor, which
+    checks p and prec and sets the modulus."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, prec: int) -> PadicCtx:
+        require_odd_prime(p)
+        if prec < 1:
+            raise ValueError(f"working precision must be >= 1, got {prec}")
+        return super().__new__(cls, p, prec, p**prec)
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.p, self.prec
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> PadicCtx:
+        p, prec, _ = iterable  # the modulus follows from them
+        return cls(p, prec)
 
     def __repr__(self) -> str:
         return f"PadicCtx(p={self.p}, prec={self.prec})"

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._version import __version__
 
@@ -95,12 +94,12 @@ def _entry_text(entry: dict) -> str:
     )
 
 
-@dataclass
 class Report:
     """Aggregated, deterministically ordered case results."""
 
-    meta: dict
-    results: list = field(default_factory=list)
+    def __init__(self, meta: dict, results: Iterable = ()) -> None:
+        self.meta = meta
+        self.results = list(results)
 
     @classmethod
     def from_results(cls, invocation: dict, results: Sequence) -> Report:
@@ -109,7 +108,7 @@ class Report:
             "version": __version__,
             "invocation": invocation,
         }
-        return cls(meta=meta, results=list(results))
+        return cls(meta, results)
 
     def counts(self) -> dict:
         passed = failed = errored = 0

@@ -292,10 +292,15 @@ class TestEval:
 
 def _run_program(*argv, stdout=subprocess.PIPE):
     """`python -m asdcong` with argv, as a program: (exit code, stdout, stderr)."""
+    return _run_python("-m", "asdcong", *argv, stdout=stdout)
+
+
+def _run_python(*args, stdout=subprocess.PIPE):
+    """`python` with args and the package on its path: (exit code, stdout, stderr)."""
     src = str(pathlib.Path(asdcong.engine.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-m", "asdcong", *argv],
+        [sys.executable, *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": path},
@@ -306,6 +311,7 @@ def _run_program(*argv, stdout=subprocess.PIPE):
 
 _ONE_CASE = ("verify", "--suite", "eq-mod-p", "--primes", "5", "--m", "1")
 _ONE_CASE_SUMMARY = "verify: 1 cases, 1 passed, 0 failed, 0 errored\n"
+_EVAL = ("eval", "--series", "s", "--m", "1", "--N", "5")
 
 
 class TestProgram:
@@ -320,8 +326,9 @@ class TestProgram:
         [
             (_ONE_CASE, 0, _ONE_CASE_SUMMARY),
             (("scan", "--suite", "thm-main", "--variant", "literal", "--primes", "3..20"), 1, ""),
+            (_EVAL, 0, ""),
         ],
-        ids=["verify", "scan"],
+        ids=["verify", "scan", "eval"],
     )
     def test_closed_pipe_ends_the_output_quietly(self, argv, code, err):
         # A reader that closed the pipe stops the writing, not the command:
@@ -336,9 +343,25 @@ class TestProgram:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_write_error_exits_2(self):
         # A report that cannot be written, to stdout or to --out, is one
-        # error line and exit 2, as an --out path that cannot be written is.
+        # error line and exit 2, as an --out path that cannot be written is;
+        # so is an eval value that cannot be written.
         with open("/dev/full", "w") as full:
-            runs = [_run_program(*_ONE_CASE, stdout=full), _run_program(*_ONE_CASE, "--out", "/dev/full")]
+            runs = [
+                _run_program(*_ONE_CASE, stdout=full),
+                _run_program(*_ONE_CASE, "--out", "/dev/full"),
+                _run_program(*_EVAL, stdout=full),
+            ]
         for code, _, err in runs:
             assert code == 2
             assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1, err
+
+    def test_start_up_loads_no_class_generator(self):
+        # Each run is a fresh process: the records are tuples, so neither an
+        # import nor a sweep pays for `dataclasses` and the `inspect` it loads.
+        loaded = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        for script in (
+            f"import sys, asdcong.cli; {loaded}",
+            f"import sys, asdcong.cli; asdcong.cli.main({[*_ONE_CASE, '--out', os.devnull]}); {loaded}",
+        ):
+            code, out, err = _run_python("-c", script)
+            assert (code, out) == (0, "[]\n"), err

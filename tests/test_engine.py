@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import pickle
 import random
 import threading
 import time
@@ -16,6 +17,7 @@ from asdcong.engine import (
     DEFAULT_SETTINGS,
     SUITES,
     AchievedValuation,
+    CaseResult,
     CongruenceCase,
     EngineSelfCheckError,
     EngineSettings,
@@ -124,6 +126,17 @@ class TestCaseValidation:
             CongruenceCase("lemma-2-3", p=3, m=2, alpha=1, s=2)  # s > alpha
         with pytest.raises(ValueError):
             CongruenceCase("eq-mod-p", p=5, m=0, variant="corrected")
+
+    def test_every_way_of_building_validates(self):
+        # A case is a tuple: _replace and _make build through the
+        # constructor, so they cannot give a case that it would refuse.
+        case = CongruenceCase("thm-main", p=5, m=1, n=1, alpha=1, variant="corrected")
+        with pytest.raises(ValueError):
+            case._replace(p=4)
+        with pytest.raises(ValueError):
+            CongruenceCase._make(("thm-main", 5, 1, 1, 0, None, None, None, "corrected", None))
+        moved = case._replace(p=7)
+        assert type(moved) is CongruenceCase and moved == CongruenceCase("thm-main", p=7, m=1, n=1, alpha=1, variant="corrected")
 
     def test_part_parity(self):
         with pytest.raises(ValueError):
@@ -628,6 +641,18 @@ class TestSweeps:
         parallel = run_suite("thm-main", ranges, jobs=3)
         assert pool == [1, 1, 2, 1]
         assert sequential.to_json_text() == parallel.to_json_text()
+
+    def test_results_round_trip_through_pickle(self):
+        # Forked workers send their results back pickled: every suite's
+        # result comes back equal and of the same types.
+        ranges = SweepRanges(primes=(3, 5), m_values=(1, 3), n_values=(1,), alpha_values=(1,), trials=1)
+        report = run_suite("all", ranges, max_index=30)
+        one_each = {result.case.suite: result for result in report.results}
+        assert set(one_each) == set(SUITES)
+        for result in one_each.values():
+            back = pickle.loads(pickle.dumps(result))
+            assert back == result
+            assert [type(x) for x in (back, back.case, back.achieved)] == [CaseResult, CongruenceCase, AchievedValuation]
 
     def test_report_shape(self):
         report = run_suite("eq-apery", SweepRanges(primes=(5,), n_values=(1,), alpha_values=(1,)))

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -26,6 +27,17 @@ class TestCtx:
             PadicCtx(9, 3)
         with pytest.raises(ValueError):
             PadicCtx(5, 0)
+
+    def test_replace_and_pickle_build_through_the_constructor(self):
+        ctx = PadicCtx(5, 3)
+        with pytest.raises(ValueError):
+            ctx._replace(prec=0)
+        with pytest.raises(ValueError):
+            ctx._replace(p=9)
+        assert ctx._replace(prec=4) == PadicCtx(5, 4) and ctx._replace(prec=4).modulus == 625
+        back = pickle.loads(pickle.dumps(ctx))
+        assert type(back) is PadicCtx and back == ctx and back.modulus == 125
+        assert repr(back) == "PadicCtx(p=5, prec=3)"
 
 
 class TestFromRational:
