@@ -191,6 +191,19 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 1 if failures else 0
 
 
+def _exact_text(value) -> str:
+    """str(value) at any length: CPython's int-to-str digit limit (3.10.7 on)
+    is lifted for this conversion only and then restored."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ctx = None
     if args.mod:
@@ -217,7 +230,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             if args.m is None or args.index is None:
                 parser.error("--series lucas needs --m and --index")
             value = lucas_u_mod(args.index, args.m - 2, ctx) if ctx else lucas_u(args.index, args.m - 2)
-        text = describe(value, ctx) if ctx else str(value)
+        text = describe(value, ctx) if ctx else _exact_text(value)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

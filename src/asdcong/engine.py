@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .exactcore import (
     INF,
     NotPIntegralError,
+    RatLike,
     binomial,
     is_prime,
     rat_congruent,
@@ -246,7 +247,9 @@ class SweepRanges(NamedTuple):
 # Suite records
 # ---------------------------------------------------------------------------
 
-#: (lhs, rhs) of a case, as read from S_N by N and u_n(a, 1) by (n, a).
+#: (lhs, rhs) of a case, as read from S_N by N and u_n(a, 1) by (n, a).  On
+#: the oracle path each side is an exact rational, an int unless the side
+#: divides; on the modular path it is a residue, or a Fraction of residues.
 Sides = Callable[[CongruenceCase, Callable, Callable], tuple]
 
 #: b^(N-1) S_N from the sweep's exact walks, by signed base b and N.
@@ -339,14 +342,14 @@ def fermat_quotient_factor(m: int, p: int, alpha: int) -> Fraction:
     return Fraction(m ** (p**alpha - p ** (alpha - 1)) - 1, 2 * p**alpha)
 
 
-def sun_tauraso_rhs(m: int, n: int) -> Fraction:
-    """sum_{k<n} C(2n,k) u_{n-k}(m-2, 1)."""
+def sun_tauraso_rhs(m: int, n: int) -> int:
+    """sum_{k<n} C(2n,k) u_{n-k}(m-2, 1), an integer."""
     u = list(islice(_u_values(m - 2), n + 1))
     total, c = 0, 1  # c = C(2n, k), carried by one exact division per step
     for k in range(n):
         total += c * u[n - k]
         c = c * (2 * n - k) // (k + 1)
-    return Fraction(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +385,11 @@ def _scaling(multiplier: Callable[[CongruenceCase], int], case, s_sum, u) -> tup
 
 
 def _mod_p(case, s_sum, u) -> tuple:
-    return s_sum(case.p), Fraction(_symbol(case))
+    return s_sum(case.p), _symbol(case)
 
 
 def _mod_p2(case, s_sum, u) -> tuple:
-    return s_sum(case.p), Fraction(_symbol(case) + u(*_lucas_term(case)))
+    return s_sum(case.p), _symbol(case) + u(*_lucas_term(case))
 
 
 def _sun_asd(case, s_sum, u) -> tuple:
@@ -411,25 +414,25 @@ def _sun_asd_points(case: CongruenceCase) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _apery_sides(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
+def _apery_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     top, low = _scaled(case)
-    return Fraction(apery(top - 1)), Fraction(apery(low - 1))
+    return apery(top - 1), apery(low - 1)
 
 
-def _lemma_2_1_i(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
+def _lemma_2_1_i(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     top, low = _scaled(case)
-    return Fraction(binomial(top, case.k)), Fraction(binomial(low, case.k // case.p))
+    return binomial(top, case.k), binomial(low, case.k // case.p)
 
 
-def _lemma_2_1_ii(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
+def _lemma_2_1_ii(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     (top, low), p, k = _scaled(case), case.p, case.k
     rhs = Fraction(top, k) * binomial(low - 1, (k - 1) // p) * (-1) ** (k - 1 - (k - 1) // p)
-    return Fraction(binomial(top, k)), rhs
+    return binomial(top, k), rhs
 
 
-def _lemma_2_1_iii(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
+def _lemma_2_1_iii(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     (top, low), p, k = _scaled(case), case.p, case.k
-    return Fraction(binomial(top - 1, k)), Fraction(binomial(low - 1, k // p) * (-1) ** (k - k // p))
+    return binomial(top - 1, k), binomial(low - 1, k // p) * (-1) ** (k - k // p)
 
 
 def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: Scaled) -> AchievedValuation:
@@ -437,7 +440,7 @@ def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: 
     return AchievedValuation(INF if equal else 0)
 
 
-def _lemma_2_3_sides(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
+def _lemma_2_3_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     return (
         fermat_quotient_factor(case.m, case.p, case.alpha),
         fermat_quotient_factor(case.m, case.p, case.s),
@@ -456,7 +459,7 @@ def _block_weights(p: int, s: int, l: int, period: int) -> tuple[int, tuple[int,
     return common, tuple(weights)
 
 
-def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[Fraction, Fraction]:
+def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
     # For m in {1,2,3}, u_j(m-2, 1) runs through a period-T orbit (negative j
     # too), so (-1)^k u_{N-k} depends only on k mod lcm(2, T): the block sum
@@ -502,7 +505,7 @@ def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: 
                 value * binomial(mm * p**a * nn - 1, k) * (-1) ** k
                 for k, value in seq.items()
             )
-            worst = min(worst, vp(Fraction(total), p))
+            worst = min(worst, vp(total, p))
     return AchievedValuation(worst)
 
 

@@ -95,18 +95,19 @@ def vp_int(n: int, p: int) -> int:
 
 
 def vp(x: RatLike, p: int) -> int | float:
-    """p-adic valuation of a rational: vp(num) - vp(den), and INF for zero."""
+    """p-adic valuation of an int or a Fraction, read from its numerator and
+    denominator as given (a float is not converted): vp(num) - vp(den), and
+    INF for zero."""
     require_prime(p)
-    x = Fraction(x)
     if x == 0:
         return INF
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-def p_integral(x: RatLike, p: int, label: str = "") -> Fraction:
-    """x as a Fraction, after a check that p does not divide its denominator;
-    NotPIntegralError, naming `label` and x, when it does."""
-    x = Fraction(x)
+def p_integral(x: RatLike, p: int, label: str = "") -> RatLike:
+    """x itself, an int or a Fraction, after a check that p does not divide
+    its denominator; NotPIntegralError, naming `label` and x, when it does
+    (only a Fraction can fail it)."""
     if x.denominator % p == 0:
         raise NotPIntegralError(f"{label}{x} is not p-integral at p = {p}")
     return x

@@ -55,8 +55,8 @@ def describe(r: int, ctx: PadicCtx) -> str:
 
 
 def from_rational(x: RatLike, ctx: PadicCtx) -> int:
-    """Reduce a p-integral rational into [0, p^prec), inverting the denominator;
-    NotPIntegralError, from `exactcore.p_integral`, when p divides it."""
+    """Reduce a p-integral int or Fraction into [0, p^prec), inverting the
+    denominator; NotPIntegralError, from `exactcore.p_integral`, when p divides it."""
     x = p_integral(x, ctx.p)
     return x.numerator * pow(x.denominator, -1, ctx.modulus) % ctx.modulus
 

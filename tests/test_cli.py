@@ -9,6 +9,7 @@ import pytest
 import asdcong.engine
 from asdcong.cli import main, parse_int_values, parse_modulus
 from asdcong.engine import AchievedValuation
+from asdcong.lucas import lucas_u
 
 
 class TestParsing:
@@ -258,6 +259,20 @@ class TestEval:
     def test_lucas(self, capsys):
         assert main(["eval", "--series", "lucas", "--m", "3", "--index", "4"]) == 0
         assert capsys.readouterr().out.strip() == "-1"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_exact_value_past_the_digit_limit(self, capsys):
+        # u_10000(5, 1) has 6804 digits, past CPython's default int-to-str
+        # limit of 4300: eval lifts the limit for its conversion and restores it.
+        limit = sys.get_int_max_str_digits()
+        assert main(["eval", "--series", "lucas", "--m", "7", "--index", "10000"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(lucas_u(10000, 5))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_malformed_modulus_exits_2(self):
         for bad in ("x", "4^2", "5^-1", "2^3", "3^", "3^^2", "9^2"):

@@ -328,6 +328,7 @@ class TestSunTauraso:
                     Fraction(math.comb(2 * k, k), m**k) for k in range(n)
                 )
                 assert s_sums_exact({m: (n,)})[m][n] == direct
+                assert type(sun_tauraso_rhs(m, n)) is int
                 assert sun_tauraso_rhs(m, n) == sum(
                     math.comb(2 * n, k) * lucas_u(n - k, m - 2)
                     for k in range(n)
@@ -830,7 +831,8 @@ class TestSweeps:
     def test_stream_levels(self):
         # The default sweep's streams are short and dense: they stay at level
         # 0, the plain walk.  modular-deep's reads 23 points out to 3^11 and
-        # walks blocks of 3^L terms.
+        # walks blocks of 3^L terms.  scan-wide's 14 streams walk blocks of p
+        # terms from p = 7 up, and plainly at p = 3 and 5.
         default = [case for suite, record in SUITES.items() if record.points for case in enumerate_cases(suite)]
         streams = asdcong.engine._plan(default, DEFAULT_SETTINGS)[0]
         assert len(streams) == 5
@@ -840,6 +842,10 @@ class TestSweeps:
         deep = enumerate_cases("thm-main", ranges, max_index=200_000)
         ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[0]
         assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) >= 1
+        wide = enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000)
+        streams = asdcong.engine._plan(wide, DEFAULT_SETTINGS)[0]
+        levels = {p: _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) for p, prec, by_base in streams}
+        assert levels == {p: 0 if p < 7 else 1 for p in range(3, 48, 2) if is_prime(p)}
 
     def test_shared_sums_match_lone_cases(self, monkeypatch, pool):
         # run_cases reads every S_N from one stream per prime and one exact

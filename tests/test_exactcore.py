@@ -13,9 +13,11 @@ from asdcong.exactcore import (
     is_prime,
     p_split,
     rat_congruent,
+    p_integral,
     vp,
     vp_int,
 )
+from asdcong.padic import PadicCtx, from_rational
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
@@ -157,6 +159,27 @@ class TestRatCongruent:
         assert rat_congruent(x, x, p) == INF
         assert rat_congruent(x, y, p) == rat_congruent(y, x, p) == vp(x - y, p)
         assert rat_congruent(x, z, p) >= min(rat_congruent(x, y, p), rat_congruent(y, z, p))
+
+
+class TestIntegersPassThrough:
+    # An int has the numerator and denominator the checks read: it goes
+    # through them as it is, and reads as its Fraction would.
+    @given(
+        x=st.integers(-(10**30), 10**30),
+        y=st.integers(-(10**30), 10**30),
+        p=st.sampled_from(SMALL_PRIMES),
+        prec=st.integers(1, 40),
+        mixed=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_int_matches_its_fraction(self, x, y, p, prec, mixed):
+        ctx = PadicCtx(p, prec)
+        assert p_integral(x, p) is x
+        other = Fraction(y) if mixed else y
+        assert rat_congruent(x, other, p) == rat_congruent(Fraction(x), Fraction(y), p)
+        assert rat_congruent(other, x, p) == rat_congruent(Fraction(y), Fraction(x), p)
+        assert from_rational(x, ctx) == from_rational(Fraction(x), ctx)
+        assert vp(x, p) == vp(Fraction(x), p)
 
 
 class TestIsPrime:
