@@ -140,25 +140,26 @@ def _run_sweep(args: argparse.Namespace):
 
 
 @contextmanager
-def _writing() -> Iterator[None]:
+def _writing(noun: str) -> Iterator[None]:
     """Write the output in this context, flushed to stdout at its end.  A
     reader that closed the pipe ends the writing quietly, and the command
-    exits as it would have; any other write error exits 2.  Either way
-    stdout then points at os.devnull, so the flush at exit cannot fail."""
+    exits as it would have; any other write error prints "cannot write
+    `noun`" and exits 2.  Either way stdout then points at os.devnull, so
+    the flush at exit cannot fail."""
     try:
         yield
         sys.stdout.flush()
     except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            print(f"error: cannot write {noun}: {exc}", file=sys.stderr)
             sys.exit(2)
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     report = _run_sweep(args)
     text = report.to_json_text()
-    with _writing():
+    with _writing("the report"):
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -185,7 +186,7 @@ def _result_line(result) -> str:
 
 def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     failures = _run_sweep(args).failures()
-    with _writing():
+    with _writing("the report"):
         for result in failures[: args.stop_after or None]:
             print(_result_line(result))
     return 1 if failures else 0
@@ -234,7 +235,7 @@ def cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with _writing():
+    with _writing("the value"):
         print(text)
     return 0
 

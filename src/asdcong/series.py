@@ -159,50 +159,39 @@ def _unpack(values: list[int], shift: int, mask: int, mod: int) -> list[int]:
 
 
 class _Base:
-    """One signed base m of a walk: its sum A / (U m^(Pj)) at the block edge j
-    reached, the points it still has to read out (last first), the bit where
-    NQ_m sits in the packed block polynomial, and for i below a chunk's
-    length m^(Pi+1) and m^(P(i+1)) (one list at level 0)."""
+    """One signed base m of a walk: its sum A / D, D = U m^(Pj), at the block
+    edge j reached, the points it still has to read out (last first), the bit
+    where NQ_m sits in the packed block polynomial, and m^(Pi+1) and m^(P(i+1))
+    for i below the longest chunk from `start` (one list at level 0)."""
 
     __slots__ = ("m", "a", "d", "stops", "sums", "shift", "powers", "scales")
 
-    def __init__(self, m: int, stops: list[int], sums: dict[int, int], shift: int, big: int, mod: int) -> None:
-        self.m, self.a, self.d, self.stops, self.sums, self.shift = m, 0, 1, stops, sums, shift
-        count, step = min(_BLOCK, stops[0] // big), pow(m, big, mod)
+    def __init__(self, m: int, ad: tuple[int, int], stops: list[int], sums: dict[int, int], shift: int, start: int, big: int, mod: int) -> None:
+        self.m, (self.a, self.d), self.stops, self.sums, self.shift = m, ad, stops, sums, shift
+        count, step = min(_BLOCK, (stops[0] - start) // big), pow(m, big, mod)
         power = m % mod
         self.powers = [power] + [power := power * step % mod for _ in range(count - 1)]
         power = 1
         self.scales = self.powers if big == 1 else [power := power * step % mod for _ in range(count)]
 
 
-def _read_tail(base: _Base, edge: int, stop: int, t: int, v: int, p: int, mod: int) -> None:
-    """Read out the points of `base` in (edge, stop), inside one block.
+def _walk(
+    points_by_base: Mapping[int, Iterable[int]],
+    ctx: PadicCtx,
+    level: int,
+    start: tuple[int, int, int, Mapping[int, tuple[int, int]]] = (0, 1, 0, {}),
+) -> dict[int, dict[int, int]]:
+    """`s_sums_mod` in blocks of p^level terms; every level gives the same residues.
 
-    At the edge the sum is A / (U m^edge) and the term is p^v T / (U m^edge).
-    The points past it step the terms one at a time under one running
-    denominator, so each still costs one inverse.  From level 2 up, k + 1
-    can be divisible by p in these steps.
+    The walk starts from `start`: a block edge k (a term index), T_k, v_k
+    and each base's (A, D), its sum A / D at the edge; a base not named
+    there starts from the empty sum.  The default is term 0.  The points
+    past an edge inside its block are read by one level-0 walk from that
+    edge, which has no such points, so this recursion is one level deep.
     """
-    a, d, k = base.a, base.d, edge
-    while base.stops and base.stops[-1] < stop:
-        point = base.stops.pop()
-        for k in range(k, point):
-            a += pow(p, v, mod) * t
-            v_num, num = p_split(4 * k + 2, p)
-            v_den, den = p_split(k + 1, p)
-            v += v_num - v_den
-            t = t * num % mod
-            scale = den * base.m % mod
-            a = a * scale % mod
-            d = d * scale % mod
-        k = point
-        base.sums[point] = a * pow(d, -1, mod) % mod
-
-
-def _walk(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx, level: int) -> dict[int, dict[int, int]]:
-    """`s_sums_mod` in blocks of p^level terms; every level gives the same residues."""
     p, prec, mod = ctx.p, ctx.prec, ctx.modulus
     big = p**level
+    k, t, v, starts = start
     stops = _stops(points_by_base, p)
     sums: dict[int, dict[int, int]] = {m: {} for m in stops}
     cuts = sorted({point // big for points in stops.values() for point in points})
@@ -217,11 +206,11 @@ def _walk(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx, level: int
     width = ((degree + 1) * mod * cuts[-1] ** degree).bit_length()
     packed = [sum(c << width * i for i, c in enumerate(cs)) for cs in zip_longest(*polys, fillvalue=0)]
     mask = (1 << width) - 1
-    bases = [_Base(m, stops[m], sums[m], width * i, big, mod) for i, m in enumerate(live, 2)]
+    bases = [_Base(m, starts.get(m, (0, 1)), stops[m], sums[m], width * i, k, big, mod) for i, m in enumerate(live, 2)]
     # p^v, and 0 once v reaches prec; v_j stays below the bit length of 2j.
     p_powers = [p**v for v in range(prec)] + [0] * (2 * cuts[-1]).bit_length()
     strip, up, down = p.__rfloordiv__, (1).__add__, (-1).__add__
-    t, v, k = 1, 0, 0
+    k //= big
     for cut in cuts:
         while k < cut:
             e = min(k + _BLOCK, cut)
@@ -267,12 +256,18 @@ def _walk(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx, level: int
                 base.d = base.d * scale % mod
             k = e
         edge, stop = big * cut, big * (cut + 1)
+        tails, tail_starts = {}, {}
         for base in bases:
-            if base.stops[-1] < stop:
-                if base.stops[-1] == edge:
-                    base.sums[base.stops.pop()] = base.a * pow(base.d, -1, mod) % mod
-                if base.stops and base.stops[-1] < stop:
-                    _read_tail(base, edge, stop, t, v, p, mod)
+            if base.stops[-1] == edge:
+                base.sums[base.stops.pop()] = base.a * pow(base.d, -1, mod) % mod
+            tail = []
+            while base.stops and base.stops[-1] < stop:
+                tail.append(base.stops.pop())
+            if tail:
+                tails[base.m], tail_starts[base.m] = tail, (base.a, base.d)
+        if tails:
+            for m, read in _walk(tails, ctx, 0, (edge, t, v, tail_starts)).items():
+                sums[m].update(read)
         bases = [base for base in bases if base.stops]
     return sums
 
@@ -302,10 +297,12 @@ def _level(p: int, prec: int, stops: Mapping[int, list[int]]) -> int:
     index, a step of the shared walk and of each base's fold, and from level
     1 up a pass per coefficient and per slot of the packed polynomial; per
     cut (a block holding a point), a chunk's set-up and each live base's
-    fold; the polynomials' build; and a single step for every term between a
-    point and the edge of its block.  The inverse per point is the same at
-    every level.  So a stream with few points far out walks blocks of tens
-    or hundreds of terms, and a short or dense one stays at level 0.
+    fold; the polynomials' build; and for every term between a point and the
+    edge of its block, a step of the level-0 walk from that edge (still at
+    700 ns, the price of the single steps that read those terms before).
+    The inverse per point is the same at every level.  So a stream with few
+    points far out walks blocks of tens or hundreds of terms, and a short or
+    dense one stays at level 0.
     """
     points = {point for ns in stops.values() for point in ns}
     lasts = [max(ns) for ns in stops.values() if ns]
@@ -352,9 +349,10 @@ def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> di
     (U_j D(j)), which do not depend on m.  A base keeps its sum as
     A / (U m^(Pj)) and updates it once per chunk,
     A <- A (U_e / U_b) m^(P(e-b)) + sum y_j NQ_m(j) m^(P(e-1-j)+1), one dot
-    product against its powers of m.  A point N = PJ + R reads A at edge J
-    and steps the last R terms singly; each point costs one modular inverse,
-    and each base stops at its own last point.  Needs p not dividing any m.
+    product against its powers of m.  A point N = PJ reads A at edge J; the
+    points N = PJ + R, 0 < R < P, of every base are read by one level-0 walk
+    of `_walk` from edge J.  Each point costs one modular inverse, and each
+    base stops at its own last point.  Needs p not dividing any m.
     """
     points = {m: list(ns) for m, ns in points_by_base.items()}
     return _walk(points, ctx, _level(ctx.p, ctx.prec, points))

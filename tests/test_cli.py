@@ -362,13 +362,13 @@ class TestProgram:
         # so is an eval value that cannot be written.
         with open("/dev/full", "w") as full:
             runs = [
-                _run_program(*_ONE_CASE, stdout=full),
-                _run_program(*_ONE_CASE, "--out", "/dev/full"),
-                _run_program(*_EVAL, stdout=full),
+                ("the report", _run_program(*_ONE_CASE, stdout=full)),
+                ("the report", _run_program(*_ONE_CASE, "--out", "/dev/full")),
+                ("the value", _run_program(*_EVAL, stdout=full)),
             ]
-        for code, _, err in runs:
+        for noun, (code, _, err) in runs:
             assert code == 2
-            assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1, err
+            assert err.startswith(f"error: cannot write {noun}: ") and err.count("\n") == 1, err
 
     def test_start_up_loads_no_class_generator(self):
         # Each run is a fresh process: the records are tuples, so neither an

@@ -183,11 +183,15 @@ class TestSSumMod:
     def test_block_levels_match_oracle(self):
         # Every level walks the same sums: blocks of P = p^L terms against
         # the level-0 walk at every point and the exact oracle at the smaller
-        # ones, with points on and around block edges and chunk edges.
+        # ones, with points on and around block edges and chunk edges.  Base
+        # 1 also reads every point of one block past the first chunk, whose
+        # edge term p divides (so at prec 1 its valuation has reached prec),
+        # while base -1 walks through that block and reads nothing in it.
         rng = random.Random(7)
         exact = {}
         for p in (3, 5, 7, 11, 101):
             units = [m for m in range(-12, 13) if m % p]
+            full = next(j for j in range(_BLOCK + 2, 2 * _BLOCK) if math.comb(2 * j, j) % p == 0)
             level = 1
             while p**level <= 400:
                 big = p**level
@@ -197,6 +201,8 @@ class TestSSumMod:
                     bases = {b for b in (1, -1, 10, -10) if b % p} | set(rng.sample(units, 2))
                     points_by_base = {b: {*rng.sample(edges, 4), *rng.sample(range(3 * big), 2)} for b in bases}
                     points_by_base[1].update(edges, rng.sample(range(_BLOCK * big), 3))
+                    points_by_base[1].update(range(full * big, (full + 1) * big))
+                    points_by_base[-1].add((full + 1) * big + 1)
                     idle = rng.choice([u for u in units if u not in bases])
                     points_by_base[idle] = ()
                     sums = _walk(points_by_base, PadicCtx(p, prec), level)
