@@ -17,8 +17,6 @@ ill-posed there rather than false.
 from __future__ import annotations
 
 import os
-import random
-import threading
 from contextlib import AbstractContextManager, nullcontext
 from fractions import Fraction
 from functools import cache, partial
@@ -26,7 +24,7 @@ from itertools import chain, islice
 from math import lcm
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactcore import (
     INF,
@@ -43,6 +41,9 @@ from .lucas import _PERIODIC_ORBITS, _u_values, legendre, lucas_u, lucas_u_mod
 from .padic import PadicCtx, from_rational, required_guard
 from .report import Report
 from .series import apery, s_sums_exact, s_sums_mod
+
+if TYPE_CHECKING:
+    from random import Random
 
 
 class EngineSelfCheckError(RuntimeError):
@@ -474,7 +475,7 @@ def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     return lhs, rhs
 
 
-def synthesize_block_sequence(p: int, alpha: int, l: int, rng: random.Random) -> dict[int, int]:
+def synthesize_block_sequence(p: int, alpha: int, l: int, rng: Random) -> dict[int, int]:
     """Random integers on block l at scale p^alpha whose level-s block sums
     vanish mod p^s for every 1 <= s <= alpha.
 
@@ -495,8 +496,10 @@ def synthesize_block_sequence(p: int, alpha: int, l: int, rng: random.Random) ->
 def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: Scaled) -> AchievedValuation:
     """One synthesized block-vanishing sequence; the weighted block sum is
     checked mod p^alpha for every m' in {1,2,3} and n' in {1,2}."""
+    from random import Random  # only this suite pays for the import
+
     p, a, l = case.p, case.alpha, case.l
-    rng = random.Random(f"{settings.seed}:{p}:{a}:{l}:{case.trial}")
+    rng = Random(f"{settings.seed}:{p}:{a}:{l}:{case.trial}")
     seq = synthesize_block_sequence(p, a, l, rng)
     worst: int | float = INF
     for mm in (1, 2, 3):
@@ -822,7 +825,11 @@ def pool_size(jobs: int, units: int) -> int:
     or work units.  Workers are forked, so this process is the only one where
     fork is missing or another thread runs: a forked worker would get that
     thread's locks, held by no one left to release them."""
-    if jobs <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return 1
+    import threading  # only a parallel sweep pays for the import
+
+    if threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(jobs, cpus, units))

@@ -11,8 +11,8 @@ signs), is kept as a falsification target for the scan command.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, zip_longest
-from operator import add, mul
+from itertools import accumulate, count, repeat, zip_longest
+from operator import add, lshift, mul, rshift
 from typing import Iterable, Mapping
 
 from .exactcore import NotPIntegralError, binomial, p_split
@@ -85,24 +85,134 @@ def _stops(points_by_base: Mapping[int, Iterable[int]], p: int | None = None) ->
     return stops
 
 
+# Polynomial toolkit.  A polynomial is its list of coefficients mod `mod`,
+# constant first, without zero top coefficients (the constant stays).  A
+# product or shift keeps the coefficients up to x^top: every one of them is
+# then exact, as the map to polynomials mod x^(top+1) is a ring map.
+
+
+def _trim(poly: list[int]) -> list[int]:
+    """poly without its zero top coefficients (the constant stays)."""
+    while len(poly) > 1 and not poly[-1]:
+        poly.pop()
+    return poly
+
+
 def _add(f: list[int], g: list[int], mod: int) -> list[int]:
-    """f + g mod `mod`, without zero top coefficients (the constant stays)."""
+    """f + g mod `mod`."""
     if len(f) < len(g):
         f, g = g, f
-    total = list(map(mod.__rmod__, map(add, f, [*g, *[0] * (len(f) - len(g))])))
-    while len(total) > 1 and not total[-1]:
-        total.pop()
-    return total
+    return _trim(list(map(mod.__rmod__, map(add, f, [*g, *[0] * (len(f) - len(g))]))))
 
 
 def _times_linear(poly: list[int], a: int, b: int, mod: int) -> list[int]:
-    """poly * (a j + b) mod `mod`."""
+    """poly * (a x + b) mod `mod`."""
     return _add(list(map(b.__mul__, poly)), [0, *map(a.__mul__, poly)], mod)
 
 
-def _block_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[list[int], list[int], dict[int, list[int]]]:
+def _pack(coefficients: Iterable[int], width: int) -> int:
+    """The coefficients as one integer, a slot of `width` bits each, the first lowest."""
+    return sum(map(lshift, coefficients, count(0, width)))
+
+
+def _unpack(values: Iterable[int], shifts: Iterable[int], mask: int, mod: int) -> list[int]:
+    """The slot of `mask`'s width at bit `shift` of `value`, mod `mod`, for
+    each value and shift in step: one slot of many values, or many slots of
+    one value."""
+    return list(map(mod.__rmod__, map(mask.__and__, map(rshift, values, shifts))))
+
+
+def _horner(poly: list[int], xs: range) -> list[int]:
+    """poly(x) at every x, by Horner's rule: one C-level pass per coefficient."""
+    values = [poly[-1]] * len(xs)
+    for c in poly[-2::-1]:
+        values = list(map(c.__add__, map(mul, values, xs)))
+    return values
+
+
+def _slots(value: int, size: int, width: int, mod: int) -> list[int]:
+    """The first `size` slots of `width` bits of `value`, mod `mod`, trimmed."""
+    return _trim(_unpack(repeat(value), range(0, size * width, width), (1 << width) - 1, mod))
+
+
+def _times(f: list[int], g: list[int], mod: int, top: int) -> list[int]:
+    """f g mod `mod` up to x^top, by one product of the packed coefficients
+    (Kronecker substitution); a constant factor scales the other."""
+    if len(g) > len(f):
+        f, g = g, f
+    if len(g) == 1:
+        return _trim([c * g[0] % mod for c in f[: top + 1]])
+    f, g = f[: top + 1], g[: top + 1]
+    width = (len(g) * (mod - 1) ** 2).bit_length()
+    return _slots(_pack(f, width) * _pack(g, width), min(top + 1, len(f) + len(g) - 1), width, mod)
+
+
+def _shifts(poly: list[int], a: int, size: int, mod: int, top: int) -> list[list[int]]:
+    """poly(a x + b) mod `mod` up to x^top for b = 0 .. size - 1, a > 0:
+    poly's value at x = a 2^w + b holds the coefficients in slots of w
+    bits, and Horner's rule gives every b in one pass per coefficient."""
+    degree = len(poly) - 1
+    if not degree:
+        return [poly] * size
+    width = (len(poly) * (mod - 1) * (a + size) ** degree).bit_length()
+    values = _horner(poly, range(a << width, (a << width) + size))
+    return [_slots(value, min(top, degree) + 1, width, mod) for value in values]
+
+
+def _next_level(
+    polys: tuple[list[int], list[int], dict[int, list[int]]], p: int, big: int, mod: int, top: int
+) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """D, NR / 2 and NQ_m for blocks of p big terms (see `_level_polys`) from
+    those for blocks of `big` terms, up to x^top.
+
+    Block J of the new level is the blocks j = pJ + r, r < p, of the old
+    one; put D_r = D(pJ + r) and so on.  Then the new
+    D = prod_r D_r prod_(0<r<p) (pJ + r) and, for the full NR = 2 (NR / 2),
+    NR = prod_r NR_r prod_(r != (p-1)/2) (2pJ + 2r + 1): the factors of the
+    old blocks plus the ones at their edges.  The new NQ_m is
+    sum_r m^(big (p-1-r)) p^w_r prod_(r'<r) n_r' NQ_m,r prod_(r<r''<p) e_r'',
+    where e_r = (pJ + r) D_r, n_r = NR_r (2pJ + 2r + 1), divided by p at
+    2r + 1 = p, and w_r = 1 for r > (p-1)/2, else 0: the old blocks' sums
+    brought to the new block's edge and denominator.  It is built by
+    Horner's rule over r, G <- m^big e_r G + p^w_r prod_(r'<r) n_r' NQ_m,r,
+    on the prefix products of the n_r' that also build NR, shared by every
+    base.  A constant old polynomial (level 0) makes every step a
+    `_times_linear`.
+    """
+    d_poly, nr_poly, nq = polys
+    shifted = [_shifts(poly, p, p, mod, top) for poly in (d_poly, nr_poly, *nq.values())]
+    ds, nrs, nqs = shifted[0], shifted[1], dict(zip(nq, shifted[2:]))
+    half = (p - 1) // 2
+    # After step r, prefix is prod_(r'<=r) n_r' / 2^(r+1) without its factor
+    # 2J + 1, and scaled[r] is p^w_(r+1) prod_(r'<=r) n_r'.
+    prefix, scaled = [1], []
+    for r in range(p):
+        if r != half:
+            prefix = _times_linear(prefix, 2 * p, 2 * r + 1, mod)
+        prefix = _times(prefix, nrs[r], mod, top)
+        if r < half:
+            scaled.append([c * 2 ** (r + 1) % mod for c in prefix])
+        elif r < p - 1:
+            scaled.append(_times_linear(prefix, 2 ** (r + 2) * p, 2 ** (r + 1) * p, mod))
+    nr_next = [c * pow(2, p - 1, mod) % mod for c in prefix]
+    d_next = ds[0]
+    for r in range(1, p):
+        d_next = _times(_times_linear(d_next, p, r, mod), ds[r], mod, top)
+    nq_next = {}
+    for m, shifts in nqs.items():
+        step = pow(m, big, mod)
+        g = shifts[0]
+        for r in range(1, p):
+            g = _times(_times_linear(g, step * p, step * r, mod), ds[r], mod, top)
+            g = _add(g, _times(scaled[r - 1], shifts[r], mod, top), mod)
+        nq_next[m] = g
+    return d_next, nr_next, nq_next
+
+
+def _level_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[list[int], list[int], dict[int, list[int]]]:
     """D, NR / 2 and NQ_m for each signed base m, as coefficients mod p^prec
-    of polynomials in the block index j.
+    of polynomials in the block index j, built level by level from level 0,
+    where all three are 1 (`_next_level`).
 
     With P = p^level, block j holds the terms k in [Pj, P(j+1)), and x' is x
     with its p-powers removed.  The units of k + 1 over the block are
@@ -118,44 +228,16 @@ def _block_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[l
     Every factor but 2(2j+1) has a j-coefficient divisible by p, and the
     terms of NQ_m that carry 2(2j+1) have r > (P-1)/2, where r + r carries
     out of the low L digits and so w_r >= 1.  So the coefficient of j^d is
-    divisible by p^d in all three: the top ones vanish mod p^prec and are
-    trimmed, leaving degree at most `_degree_bound`, below prec.  At level 0
-    all three are 1.  NQ_m is built by Horner's rule over r,
-    G <- m d_(r-1) G + p^w_r prod_{i<r} n_i, the prefix products shared by
-    every base.
+    divisible by p^d in all three: above `_degree_bound` every coefficient
+    vanishes mod p^prec, and each level keeps only those up to it, so that
+    a level costs p Taylor shifts and products of degree below prec per
+    polynomial, whatever P is.
     """
-    big, mod = p**level, p**prec
-    d_poly, nr_poly = [1], [pow(2, big - 1, mod)]
-    for c in range(1, 2 * big):
-        v, u = p_split(c, p)
-        if c < big:
-            d_poly = _times_linear(d_poly, big // p**v, u, mod)
-        if c % 2 and c != big:
-            nr_poly = _times_linear(nr_poly, 2 * big // p**v, u, mod)
-    nq = {m: [1] for m in bases}
-    prefix, w = [1], 0
-    for r in range(1, big):
-        v_num, u_num = p_split(2 * r - 1, p)
-        v_den, u_den = p_split(r, p)
-        prefix = _times_linear(prefix, 4 * big // p**v_num, 2 * u_num, mod)
-        w += v_num - v_den
-        scaled = list(map(pow(p, w, mod).__mul__, prefix))
-        for m, g in nq.items():
-            nq[m] = _add(_times_linear(g, m * big // p**v_den, m * u_den, mod), scaled, mod)
-    return d_poly, nr_poly, nq
-
-
-def _horner(poly: list[int], xs: range) -> list[int]:
-    """poly(x) at every x, by Horner's rule: one C-level pass per coefficient."""
-    values = [poly[-1]] * len(xs)
-    for c in poly[-2::-1]:
-        values = list(map(c.__add__, map(mul, values, xs)))
-    return values
-
-
-def _unpack(values: list[int], shift: int, mask: int, mod: int) -> list[int]:
-    """The slot of `mask`'s width at bit `shift` of every value, mod `mod`."""
-    return list(map(mod.__rmod__, map(mask.__and__, map(shift.__rrshift__, values))))
+    mod = p**prec
+    polys: tuple[list[int], list[int], dict[int, list[int]]] = ([1], [1], {m: [1] for m in bases})
+    for below in range(level):
+        polys = _next_level(polys, p, p**below, mod, _degree_bound(p, below + 1, prec))
+    return polys
 
 
 class _Base:
@@ -183,6 +265,8 @@ def _walk(
 ) -> dict[int, dict[int, int]]:
     """`s_sums_mod` in blocks of p^level terms; every level gives the same residues.
 
+    The block polynomials come from `_level_polys`, each level built from
+    the one below, so their cost grows with the level, not with p^level.
     The walk starts from `start`: a block edge k (a term index), T_k, v_k
     and each base's (A, D), its sum A / D at the edge; a base not named
     there starts from the empty sum.  The default is term 0.  The points
@@ -200,11 +284,11 @@ def _walk(
     live = [m for m in stops if stops[m]]
     # NR / 2, D and every NQ_m packed into one polynomial, a slot of `width`
     # bits each: at 0 <= j < cuts[-1] no value overflows its slot.
-    d_poly, nr_poly, nq = _block_polys(p, level, prec, live)
+    d_poly, nr_poly, nq = _level_polys(p, level, prec, live)
     polys = [nr_poly, d_poly, *nq.values()]
     degree = max(map(len, polys)) - 1
     width = ((degree + 1) * mod * cuts[-1] ** degree).bit_length()
-    packed = [sum(c << width * i for i, c in enumerate(cs)) for cs in zip_longest(*polys, fillvalue=0)]
+    packed = [_pack(cs, width) for cs in zip_longest(*polys, fillvalue=0)]
     mask = (1 << width) - 1
     bases = [_Base(m, starts.get(m, (0, 1)), stops[m], sums[m], width * i, k, big, mod) for i, m in enumerate(live, 2)]
     # p^v, and 0 once v reaches prec; v_j stays below the bit length of 2j.
@@ -233,8 +317,8 @@ def _walk(
             ratio = 1  # U_e / U_j from j = e - 1 down to k
             if level:
                 values = _horner(packed, range(k, e))
-                nums = list(map(mul, nums, _unpack(values, 0, mask, mod)))
-                fulls = list(map(mul, dens, _unpack(values, width, mask, mod)))
+                nums = list(map(mul, nums, _unpack(values, repeat(0), mask, mod)))
+                fulls = list(map(mul, dens, _unpack(values, repeat(width), mask, mod)))
                 # The block's sum divides by its own D(j): U_e / (U_j D(j)).
                 after = [ratio] + [ratio := ratio * full % mod for full in reversed(fulls)]
                 after.pop()
@@ -251,7 +335,7 @@ def _walk(
             ys = list(map(mul, map(mul, map(p_powers.__getitem__, vs), reversed(ts)), suffixes))
             for base in bases:
                 scale = ratio * base.scales[size - 1] % mod
-                terms = map(mul, ys, reversed(_unpack(values, base.shift, mask, mod))) if level else ys
+                terms = map(mul, ys, reversed(_unpack(values, repeat(base.shift), mask, mod))) if level else ys
                 base.a = (base.a * scale + sum(map(mul, terms, base.powers))) % mod
                 base.d = base.d * scale % mod
             k = e
@@ -277,7 +361,8 @@ def _degree_bound(p: int, level: int, prec: int) -> int:
 
     The j-coefficient of (p^level j + c) / p^v(c) has valuation level - v(c):
     1 for p - 1 of the c, 2 for (p - 1) p of them, and so on, so the
-    coefficient of j^d is divisible by p to the sum of the d smallest.
+    coefficient of j^d is divisible by p to the sum of the d smallest.  The
+    bound is at most p^level - 1, the number of such factors.
     """
     degree = total = 0
     for val in range(1, level + 1):
@@ -293,34 +378,54 @@ def _degree_bound(p: int, level: int, prec: int) -> int:
 def _level(p: int, prec: int, stops: Mapping[int, list[int]]) -> int:
     """The block level with the least estimated time for these points.
 
-    The weights are CPython timings of the walk in nanoseconds: per block
-    index, a step of the shared walk and of each base's fold, and from level
-    1 up a pass per coefficient and per slot of the packed polynomial; per
-    cut (a block holding a point), a chunk's set-up and each live base's
-    fold; the polynomials' build; and for every term between a point and the
-    edge of its block, a step of the level-0 walk from that edge (still at
-    700 ns, the price of the single steps that read those terms before).
-    The inverse per point is the same at every level.  So a stream with few
-    points far out walks blocks of tens or hundreds of terms, and a short or
-    dense one stays at level 0.
+    The weights are CPython timings of `_walk` in nanoseconds, fitted by
+    least squares to walks of the benchmark's streams and of random ones at
+    every affordable level.  A level-0 walk costs, per term, a step and each
+    base's fold, and per point a chunk's set-up and each base's fold.  From
+    level 1 up the walk over block indices costs the same per index plus a
+    pass per coefficient and per slot of the packed polynomial, and each
+    base's fold per block that holds a point.  The points inside blocks
+    cost one level-0 walk from each such block's edge, to its farthest
+    point, with each base going to its own.  Building the polynomials costs
+    per level p Taylor shifts and products per polynomial, with as many
+    coefficients as the level and the one below keep (`_next_level`), so
+    the build grows about linearly with the level.  The inverse per point is
+    the same at every level.  So a stream with few points far out walks
+    large blocks, and a short or dense one stays at level 0.
     """
     points = {point for ns in stops.values() for point in ns}
     lasts = [max(ns) for ns in stops.values() if ns]
     top = max(points, default=0)
     bases, slots = len(lasts), len(lasts) + 2
-    best, chosen, level = 0, 0, 0
+
+    def plain(terms: int, base_terms: int, cuts: int) -> int:  # a level-0 walk
+        return 640 * terms + 70 * base_terms + (14_000 + 700 * bases) * cuts
+
+    best, chosen = plain(top, sum(lasts), len(points)), 0
+    build = degree = 0
+    level = 1
     while p**level <= top:
         big = p**level
-        degree = min(big - 1, _degree_bound(p, level, prec))
-        build = 500 * big * degree * (bases + 3)
-        if level and build >= best:
+        below, degree = degree, _degree_bound(p, level, prec)
+        build += p * slots * (1_300 * (degree + 1) + 2_800 * below)
+        if build >= best:
             break  # and so at every higher level
-        blocks, cuts = top // big, len({point // big for point in points} if level else points)
-        cost = 500 * blocks + 90 * sum(last // big for last in lasts) + (5_000 + 500 * bases) * cuts
-        if level:
-            cost += 700 * sum(point % big for ns in stops.values() for point in ns)
-            cost += build + blocks * (degree * (105 + 27 * slots) + 200 * slots) + (5_000 + 1_000 * bases) * cuts
-        if not level or cost < best:
+        reach: dict[int, int] = {}  # the farthest point in each block that holds one
+        ends = 0
+        for ns in stops.values():
+            own: dict[int, int] = {}
+            for point in ns:
+                j, offset = divmod(point, big)
+                own[j] = max(own.get(j, 0), offset)
+            ends += sum(own.values())
+            for j, offset in own.items():
+                reach[j] = max(reach.get(j, 0), offset)
+        blocks = top // big
+        cost = build + plain(blocks, sum(last // big for last in lasts), 0) + 2_400 * bases * len(reach)
+        cost += blocks * (degree * (300 + 23 * slots) + 170 * slots)
+        cost += plain(sum(reach.values()), ends, sum(1 for point in points if point % big))
+        cost += 43_000 * sum(1 for offset in reach.values() if offset)  # each such walk's set-up
+        if cost < best:
             best, chosen = cost, level
         level += 1
     return chosen
@@ -336,9 +441,12 @@ def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> di
     terms, L chosen here from p, prec and the points (`_level`).  The
     C(2Pj, Pj) at the block edges satisfy the level-0 recurrence in j with
     the units of 2(2j+1) and j+1 scaled by two polynomials in j (NR and D of
-    `_block_polys`), and block j's P terms sum to C(2Pj, Pj) NQ_m(j) /
+    `_level_polys`), and block j's P terms sum to C(2Pj, Pj) NQ_m(j) /
     (D(j) m^(P(j+1)-1)), so each block costs a few polynomial values instead
     of P steps; at L = 0 the polynomials are 1 and a block is one term.
+    Level L's polynomials are composed from p Taylor-shifted copies of level
+    L - 1's, each truncated at `_degree_bound`, so building them costs about
+    L times a level's work, however large p^L is.
 
     Edge j's term is p^v_j T_j / (U_j m^(Pj)), where v_j is the exact
     valuation of C(2Pj, Pj) and T_j, U_j are the products over i < j of the

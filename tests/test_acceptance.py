@@ -176,3 +176,18 @@ def test_criterion_10_scale():
     oracle = from_rational(s_sum_exact(3000, 1), ctx)
     ok = elapsed < 30.0 and sums[3000] == oracle and sums[10**6] != 0
     assert _verdict(10, "scale", ok, f"N=1e6 in {elapsed:.2f}s at p=5, e=8")
+
+
+def test_criterion_11_deep_alpha():
+    # thm-main at alpha = 30, N = 3^30 n about 2e14 and 4e14, on the modular
+    # path alone at 92 digits: one stream in blocks of 3^L terms, L in the
+    # twenties, each level's polynomials built from the level below.
+    ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2), alpha_values=(30,))
+    start = time.monotonic()
+    report = run_suite("thm-main", ranges, max_index=10**15, settings=MODULAR_ONLY)
+    elapsed = time.monotonic() - start
+    achieved = {(r.case.m, r.case.n): r.achieved for r in report.results}
+    expected = {(1, 1): 60, (1, 2): 61, (2, 1): 60, (2, 2): 61}
+    ok = all(r.passed and r.required_exponent == 60 for r in report.results) and elapsed < 10.0
+    ok = ok and achieved == {key: AchievedValuation(value, True) for key, value in expected.items()}
+    assert _verdict(11, "deep alpha", ok, f"alpha=30 at p=3 in {elapsed:.2f}s")

@@ -380,3 +380,16 @@ class TestProgram:
         ):
             code, out, err = _run_python("-c", script)
             assert (code, out) == (0, "[]\n"), err
+
+    def test_serial_sweep_loads_no_random_or_threading(self):
+        # `random` serves only lemma-2-5's sequences and `threading` only a
+        # parallel sweep's pool size, so a serial thm-main case imports
+        # neither.  -S keeps the start-up files of site-packages, which may
+        # import either, out of the check.
+        one_case = ["verify", "--suite", "thm-main", "--primes", "3", "--m", "1", "--n", "1", "--alpha", "1"]
+        script = (
+            f"import sys, asdcong.cli; asdcong.cli.main({[*one_case, '--jobs', '1', '--out', os.devnull]}); "
+            "print(sorted({'random', 'threading'} & set(sys.modules)))"
+        )
+        code, out, err = _run_python("-S", "-c", script)
+        assert (code, out, err) == (0, "[]\n", _ONE_CASE_SUMMARY)

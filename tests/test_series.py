@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from asdcong.exactcore import NotPIntegralError, vp, vp_int
+from asdcong.exactcore import NotPIntegralError, p_split, vp, vp_int
 from asdcong.padic import PadicCtx, from_rational
 from asdcong.series import (
     _BLOCK,
-    _block_polys,
+    _add,
+    _level_polys,
+    _shifts,
+    _times,
+    _times_linear,
     _walk,
     apery,
     s_sum_exact,
@@ -26,6 +30,31 @@ def brute_s_sum(N, m, sign=1):
 def brute_scaled_sum(N, b):
     """b^(N-1) S_N(b) as the integer sum of C(2k,k) b^(N-1-k) over k < N."""
     return sum(math.comb(2 * k, k) * b ** (N - 1 - k) for k in range(N))
+
+
+def block_polys(p, level, prec, bases):
+    """The reference for `_level_polys`: D, NR / 2 and NQ_m for blocks of
+    P = p^level terms, multiplied out over all P terms of a block, by the
+    formulas of `_level_polys`'s docstring."""
+    big, mod = p**level, p**prec
+    d_poly, nr_poly = [1], [pow(2, big - 1, mod)]
+    for c in range(1, 2 * big):
+        v, u = p_split(c, p)
+        if c < big:
+            d_poly = _times_linear(d_poly, big // p**v, u, mod)
+        if c % 2 and c != big:
+            nr_poly = _times_linear(nr_poly, 2 * big // p**v, u, mod)
+    nq = {m: [1] for m in bases}
+    prefix, w = [1], 0
+    for r in range(1, big):
+        v_num, u_num = p_split(2 * r - 1, p)
+        v_den, u_den = p_split(r, p)
+        prefix = _times_linear(prefix, 4 * big // p**v_num, 2 * u_num, mod)
+        w += v_num - v_den
+        scaled = list(map(pow(p, w, mod).__mul__, prefix))
+        for m, g in nq.items():
+            nq[m] = _add(_times_linear(g, m * big // p**v_den, m * u_den, mod), scaled, mod)
+    return d_poly, nr_poly, nq
 
 
 def carries_adding_k_plus_k(k, p):
@@ -219,7 +248,7 @@ class TestSSumMod:
 
     def test_block_polys(self):
         # Level 0 is the plain walk: every polynomial is 1.
-        assert _block_polys(5, 0, 4, (1, -2)) == ([1], [1], {1: [1], -2: [1]})
+        assert _level_polys(5, 0, 4, (1, -2)) == ([1], [1], {1: [1], -2: [1]})
         # Block j holds the terms k in [Pj, P(j+1)), P = p^L.  D and NR / 2
         # are its products of units, and its terms sum to
         # C(2Pj, Pj) NQ_m(j) / (D(j) m^(P(j+1)-1)).
@@ -230,7 +259,7 @@ class TestSSumMod:
 
         for p, level, prec in ((3, 1, 4), (3, 2, 5), (3, 3, 2), (5, 2, 7), (7, 1, 3)):
             big, ctx = p**level, PadicCtx(p, prec)
-            d_poly, nr_poly, nq = _block_polys(p, level, prec, (1, 2, -4))
+            d_poly, nr_poly, nq = _level_polys(p, level, prec, (1, 2, -4))
             for j in range(5):
                 d_value = math.prod(unit(big * j + c, p) for c in range(1, big))
                 nr_value = 2 ** (big - 1) * math.prod(unit(2 * big * j + c, p) for c in range(1, 2 * big, 2) if c != big)
@@ -241,6 +270,47 @@ class TestSSumMod:
                     value = sum(c * j**i for i, c in enumerate(poly))
                     closed = Fraction(math.comb(2 * big * j, big * j) * value, d_value * m ** (big * (j + 1) - 1))
                     assert from_rational(block, ctx) == from_rational(closed, ctx), (p, level, prec, j, m)
+
+    def test_level_polys_match_the_direct_build(self):
+        # Each level built from the one below equals the polynomials
+        # multiplied out over a whole block, at every level with p^L <= 2000.
+        rng = random.Random(11)
+        for p in (3, 5, 7, 11):
+            units = [m for m in range(-12, 13) if m % p]
+            level = 0
+            while p**level <= 2000:
+                for prec in (1, 2, 5, 12, 33):
+                    bases = rng.sample(units, 3)
+                    assert _level_polys(p, level, prec, bases) == block_polys(p, level, prec, bases), (p, level, prec)
+                level += 1
+
+    def test_shift_and_truncated_product(self):
+        # f g and f(a x + b) mod `mod` up to x^top against the products and
+        # powers expanded term by term, for random coefficients below `mod`.
+        rng = random.Random(12)
+
+        def expand(f, g, mod, top):
+            out = [0] * (len(f) + len(g) - 1)
+            for i, c in enumerate(f):
+                for k, e in enumerate(g):
+                    out[i + k] += c * e
+            out = [c % mod for c in out[: top + 1]]
+            while len(out) > 1 and not out[-1]:
+                out.pop()
+            return out
+
+        for _ in range(300):
+            p = rng.choice((2, 3, 5, 31))
+            mod = p ** rng.randrange(1, 40)
+            top = rng.randrange(12)
+            f = [rng.randrange(mod) for _ in range(rng.randrange(1, 10))] + [rng.randrange(1, mod)]
+            g = [rng.randrange(mod) for _ in range(rng.randrange(0, 10))] + [rng.randrange(1, mod)]
+            assert _times(f, g, mod, top) == expand(f, g, mod, top)
+            a, size = rng.randrange(1, p * p), rng.randrange(1, p + 1)
+            for b, got in enumerate(_shifts(f, a, size, mod, top)):
+                # The binomial expansion of sum_i f_i (a x + b)^i.
+                shifted = [sum(c * math.comb(i, k) * a**k * b ** (i - k) for i, c in enumerate(f) if i >= k) for k in range(len(f))]
+                assert got == expand(shifted, [1], mod, top)
 
     def test_shared_walk_rejects(self):
         with pytest.raises(NotPIntegralError):
