@@ -10,12 +10,13 @@ signs), is kept as a falsification target for the scan command.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, count, repeat, zip_longest
-from operator import add, lshift, mul, rshift
+from itertools import accumulate, count, repeat
+from operator import add, lshift, mul, rshift, sub
 from typing import Iterable, Mapping
 
-from .exactcore import NotPIntegralError, binomial, p_split
+from .exactcore import NotPIntegralError, binomial
 from .padic import PadicCtx
 
 
@@ -85,34 +86,14 @@ def _stops(points_by_base: Mapping[int, Iterable[int]], p: int | None = None) ->
     return stops
 
 
-# Polynomial toolkit.  A polynomial is its list of coefficients mod `mod`,
-# constant first, without zero top coefficients (the constant stays).  A
-# product or shift keeps the coefficients up to x^top: every one of them is
-# then exact, as the map to polynomials mod x^(top+1) is a ring map.
+# Newton form.  A polynomial f in the block index is kept as its forward
+# differences at 0, Δ^i f(0) mod `mod` for i up to a degree bound; then
+# f(j) = sum_i Δ^i f(0) C(j, i) mod `mod` at every j >= 0 (see `_degree_bound`).
 
 
-def _trim(poly: list[int]) -> list[int]:
-    """poly without its zero top coefficients (the constant stays)."""
-    while len(poly) > 1 and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _add(f: list[int], g: list[int], mod: int) -> list[int]:
-    """f + g mod `mod`."""
-    if len(f) < len(g):
-        f, g = g, f
-    return _trim(list(map(mod.__rmod__, map(add, f, [*g, *[0] * (len(f) - len(g))]))))
-
-
-def _times_linear(poly: list[int], a: int, b: int, mod: int) -> list[int]:
-    """poly * (a x + b) mod `mod`."""
-    return _add(list(map(b.__mul__, poly)), [0, *map(a.__mul__, poly)], mod)
-
-
-def _pack(coefficients: Iterable[int], width: int) -> int:
-    """The coefficients as one integer, a slot of `width` bits each, the first lowest."""
-    return sum(map(lshift, coefficients, count(0, width)))
+def _pack(numbers: Iterable[int], width: int) -> int:
+    """The numbers as one integer, a slot of `width` bits each, the first lowest."""
+    return sum(map(lshift, numbers, count(0, width)))
 
 
 def _unpack(values: Iterable[int], shifts: Iterable[int], mask: int, mod: int) -> list[int]:
@@ -122,97 +103,90 @@ def _unpack(values: Iterable[int], shifts: Iterable[int], mask: int, mod: int) -
     return list(map(mod.__rmod__, map(mask.__and__, map(rshift, values, shifts))))
 
 
-def _horner(poly: list[int], xs: range) -> list[int]:
-    """poly(x) at every x, by Horner's rule: one C-level pass per coefficient."""
-    values = [poly[-1]] * len(xs)
-    for c in poly[-2::-1]:
-        values = list(map(c.__add__, map(mul, values, xs)))
-    return values
+def _extend(diffs: list[int], size: int) -> tuple[list[int], list[int]]:
+    """f(j) for j < size from f's forward differences at 0, Δ^i f(0) for
+    i < len(diffs), and the differences at size, Δ^i f(size): one C-level
+    running-sum pass per order above 0, Δ^i f(j) = Δ^i f(0) + sum_(j'<j)
+    Δ^(i+1) f(j').  Nothing is reduced, so packed slots add in step."""
+    values, ends = [diffs[-1]] * (size + 1), [diffs[-1]]
+    for d in diffs[-2::-1]:
+        values = list(accumulate(values, initial=d))
+        values.pop()
+        ends.append(values[-1])
+    values.pop()
+    ends.reverse()
+    return values, ends
 
 
-def _slots(value: int, size: int, width: int, mod: int) -> list[int]:
-    """The first `size` slots of `width` bits of `value`, mod `mod`, trimmed."""
-    return _trim(_unpack(repeat(value), range(0, size * width, width), (1 << width) - 1, mod))
-
-
-def _times(f: list[int], g: list[int], mod: int, top: int) -> list[int]:
-    """f g mod `mod` up to x^top, by one product of the packed coefficients
-    (Kronecker substitution); a constant factor scales the other."""
-    if len(g) > len(f):
-        f, g = g, f
-    if len(g) == 1:
-        return _trim([c * g[0] % mod for c in f[: top + 1]])
-    f, g = f[: top + 1], g[: top + 1]
-    width = (len(g) * (mod - 1) ** 2).bit_length()
-    return _slots(_pack(f, width) * _pack(g, width), min(top + 1, len(f) + len(g) - 1), width, mod)
-
-
-def _shifts(poly: list[int], a: int, size: int, mod: int, top: int) -> list[list[int]]:
-    """poly(a x + b) mod `mod` up to x^top for b = 0 .. size - 1, a > 0:
-    poly's value at x = a 2^w + b holds the coefficients in slots of w
-    bits, and Horner's rule gives every b in one pass per coefficient."""
-    degree = len(poly) - 1
-    if not degree:
-        return [poly] * size
-    width = (len(poly) * (mod - 1) * (a + size) ** degree).bit_length()
-    values = _horner(poly, range(a << width, (a << width) + size))
-    return [_slots(value, min(top, degree) + 1, width, mod) for value in values]
+def _diffs(values: list[int], mod: int) -> list[int]:
+    """Δ^i f(0) mod `mod` for i < len(values), from the values f(0), f(1), ..."""
+    out = []
+    while values:
+        out.append(values[0] % mod)
+        values = list(map(sub, values[1:], values))
+    return out
 
 
 def _next_level(
     polys: tuple[list[int], list[int], dict[int, list[int]]], p: int, big: int, mod: int, top: int
 ) -> tuple[list[int], list[int], dict[int, list[int]]]:
     """D, NR / 2 and NQ_m for blocks of p big terms (see `_level_polys`) from
-    those for blocks of `big` terms, up to x^top.
+    those for blocks of `big` terms, in Newton form up to Δ^top.
 
     Block J of the new level is the blocks j = pJ + r, r < p, of the old
     one; put D_r = D(pJ + r) and so on.  Then the new
-    D = prod_r D_r prod_(0<r<p) (pJ + r) and, for the full NR = 2 (NR / 2),
-    NR = prod_r NR_r prod_(r != (p-1)/2) (2pJ + 2r + 1): the factors of the
-    old blocks plus the ones at their edges.  The new NQ_m is
+    D = prod_r D_r prod_(0<r<p) j and, for the full NR = 2 (NR / 2),
+    NR = prod_r NR_r prod_(r != (p-1)/2) (2j + 1): the factors of the old
+    blocks plus the ones at their edges.  The new NQ_m is
     sum_r m^(big (p-1-r)) p^w_r prod_(r'<r) n_r' NQ_m,r prod_(r<r''<p) e_r'',
-    where e_r = (pJ + r) D_r, n_r = NR_r (2pJ + 2r + 1), divided by p at
-    2r + 1 = p, and w_r = 1 for r > (p-1)/2, else 0: the old blocks' sums
-    brought to the new block's edge and denominator.  It is built by
-    Horner's rule over r, G <- m^big e_r G + p^w_r prod_(r'<r) n_r' NQ_m,r,
-    on the prefix products of the n_r' that also build NR, shared by every
-    base.  A constant old polynomial (level 0) makes every step a
-    `_times_linear`.
+    where e_r = j D_r, n_r = NR_r (2j + 1), divided by p at 2r + 1 = p, and
+    w_r = 1 for r > (p-1)/2, else 0: the old blocks' sums brought to the
+    new block's edge and denominator.  It is built by Horner's rule over r,
+    G <- m^big e_r G + p^w_r prod_(r'<r) n_r' NQ_m,r, on the prefix
+    products of the n_r' that also build NR, shared by every base.
+
+    All of this is done on values: each old polynomial is extended to
+    j < p (top + 1) by running sums (`_extend`), the products and the
+    Horner steps run on vectors over J <= top, one C-level pass per
+    factor, and the top + 1 new values are differenced (`_diffs`).
     """
-    d_poly, nr_poly, nq = polys
-    shifted = [_shifts(poly, p, p, mod, top) for poly in (d_poly, nr_poly, *nq.values())]
-    ds, nrs, nqs = shifted[0], shifted[1], dict(zip(nq, shifted[2:]))
+    size = p * (top + 1)
+    ds, hs, *qs = [_extend(diffs, size)[0] for diffs in (polys[0], polys[1], *polys[2].values())]
     half = (p - 1) // 2
-    # After step r, prefix is prod_(r'<=r) n_r' / 2^(r+1) without its factor
-    # 2J + 1, and scaled[r] is p^w_(r+1) prod_(r'<=r) n_r'.
-    prefix, scaled = [1], []
-    for r in range(p):
+    reduce = mod.__rmod__
+
+    def times_n(prefix: list[int], r: int) -> list[int]:  # prefix n_r / 2, without 2J + 1 at r = half
+        factors = map(mul, prefix, hs[r::p])
         if r != half:
-            prefix = _times_linear(prefix, 2 * p, 2 * r + 1, mod)
-        prefix = _times(prefix, nrs[r], mod, top)
-        if r < half:
-            scaled.append([c * 2 ** (r + 1) % mod for c in prefix])
-        elif r < p - 1:
-            scaled.append(_times_linear(prefix, 2 ** (r + 2) * p, 2 ** (r + 1) * p, mod))
-    nr_next = [c * pow(2, p - 1, mod) % mod for c in prefix]
-    d_next = ds[0]
+            factors = map(mul, factors, range(2 * r + 1, 2 * size, 2 * p))
+        return list(map(reduce, factors))
+
+    # At step r, prefix is prod_(r'<r) n_r' / 2^r without its factor 2J + 1,
+    # and scaled is p^w_r prod_(r'<r) n_r'.
+    prefix = times_n([1] * (top + 1), 0)
+    d_next = list(map(reduce, ds[0::p]))
+    nq_next = {m: list(map(reduce, q[0::p])) for m, q in zip(polys[2], qs)}
+    steps = [pow(m, big, mod) for m in nq_next]
+    odd = range(1, 2 * top + 2, 2)  # 2J + 1
     for r in range(1, p):
-        d_next = _times(_times_linear(d_next, p, r, mod), ds[r], mod, top)
-    nq_next = {}
-    for m, shifts in nqs.items():
-        step = pow(m, big, mod)
-        g = shifts[0]
-        for r in range(1, p):
-            g = _times(_times_linear(g, step * p, step * r, mod), ds[r], mod, top)
-            g = _add(g, _times(scaled[r - 1], shifts[r], mod, top), mod)
-        nq_next[m] = g
-    return d_next, nr_next, nq_next
+        if r <= half:
+            scaled = list(map(reduce, map((2**r % mod).__mul__, prefix)))
+        else:
+            scaled = list(map(reduce, map(mul, map((2**r * p % mod).__mul__, prefix), odd)))
+        edge = list(map(reduce, map(mul, ds[r::p], range(r, size, p))))  # e_r
+        d_next = list(map(reduce, map(mul, d_next, edge)))
+        for (m, g), q, step in zip(nq_next.items(), qs, steps):
+            nq_next[m] = list(map(reduce, map(add, map(mul, map(step.__mul__, g), edge), map(mul, scaled, q[r::p]))))
+        prefix = times_n(prefix, r)
+    h_next = list(map(pow(2, p - 1, mod).__mul__, prefix))
+    return _diffs(d_next, mod), _diffs(h_next, mod), {m: _diffs(g, mod) for m, g in nq_next.items()}
 
 
 def _level_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[list[int], list[int], dict[int, list[int]]]:
-    """D, NR / 2 and NQ_m for each signed base m, as coefficients mod p^prec
-    of polynomials in the block index j, built level by level from level 0,
-    where all three are 1 (`_next_level`).
+    """D, NR / 2 and NQ_m for each signed base m, polynomials in the block
+    index j in Newton form: their forward differences at 0, Δ^i f(0) mod
+    p^prec for i <= `_degree_bound`.  They are built level by level from
+    level 0, where all three are 1 (`_next_level`).
 
     With P = p^level, block j holds the terms k in [Pj, P(j+1)), and x' is x
     with its p-powers removed.  The units of k + 1 over the block are
@@ -228,10 +202,10 @@ def _level_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[l
     Every factor but 2(2j+1) has a j-coefficient divisible by p, and the
     terms of NQ_m that carry 2(2j+1) have r > (P-1)/2, where r + r carries
     out of the low L digits and so w_r >= 1.  So the coefficient of j^d is
-    divisible by p^d in all three: above `_degree_bound` every coefficient
-    vanishes mod p^prec, and each level keeps only those up to it, so that
-    a level costs p Taylor shifts and products of degree below prec per
-    polynomial, whatever P is.
+    divisible by p^d in all three, and so are their differences of order
+    d or more: above `_degree_bound` all of them vanish mod p^prec.  A
+    level then costs p (bases + 2) vector products of that length and a
+    running sum per difference order, whatever P is.
     """
     mod = p**prec
     polys: tuple[list[int], list[int], dict[int, list[int]]] = ([1], [1], {m: [1] for m in bases})
@@ -243,7 +217,7 @@ def _level_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[l
 class _Base:
     """One signed base m of a walk: its sum A / D, D = U m^(Pj), at the block
     edge j reached, the points it still has to read out (last first), the bit
-    where NQ_m sits in the packed block polynomial, and m^(Pi+1) and m^(P(i+1))
+    where NQ_m sits in the packed block polynomials, and m^(Pi+1) and m^(P(i+1))
     for i below the longest chunk from `start` (one list at level 0)."""
 
     __slots__ = ("m", "a", "d", "stops", "sums", "shift", "powers", "scales")
@@ -267,29 +241,38 @@ def _walk(
 
     The block polynomials come from `_level_polys`, each level built from
     the one below, so their cost grows with the level, not with p^level.
-    The walk starts from `start`: a block edge k (a term index), T_k, v_k
-    and each base's (A, D), its sum A / D at the edge; a base not named
-    there starts from the empty sum.  The default is term 0.  The points
-    past an edge inside its block are read by one level-0 walk from that
-    edge, which has no such points, so this recursion is one level deep.
+    The walk carries their forward differences at the current block, one
+    packed integer per order, and makes each chunk's values and the next
+    chunk's differences by running sums (`_extend`).  The walk starts from
+    `start`: a block edge k (a term index), T_k, v_k and each base's
+    (A, D), its sum A / D at the edge; a base not named there starts from
+    the empty sum.  The default is term 0, and above level 0, where the
+    differences are carried from block 0, it is the only start taken
+    (ValueError otherwise).  The points past an edge inside its block are
+    read by one level-0 walk from that edge, which has no such points, so
+    this recursion is one level deep.
     """
     p, prec, mod = ctx.p, ctx.prec, ctx.modulus
     big = p**level
     k, t, v, starts = start
+    if level and k:
+        raise ValueError(f"a walk at level {level} starts at term 0, not {k}")
     stops = _stops(points_by_base, p)
     sums: dict[int, dict[int, int]] = {m: {} for m in stops}
     cuts = sorted({point // big for points in stops.values() for point in points})
     if not cuts:
         return sums
     live = [m for m in stops if stops[m]]
-    # NR / 2, D and every NQ_m packed into one polynomial, a slot of `width`
-    # bits each: at 0 <= j < cuts[-1] no value overflows its slot.
-    d_poly, nr_poly, nq = _level_polys(p, level, prec, live)
-    polys = [nr_poly, d_poly, *nq.values()]
-    degree = max(map(len, polys)) - 1
-    width = ((degree + 1) * mod * cuts[-1] ** degree).bit_length()
-    packed = [_pack(cs, width) for cs in zip_longest(*polys, fillvalue=0)]
-    mask = (1 << width) - 1
+    # The differences of NR / 2, D and every NQ_m at the chunk's first block,
+    # one integer per order, a slot of `width` bits per polynomial.  From a
+    # reduced state at block j, Δ^i f(j + s) = sum_l C(s, l) Δ^(i+l) f(j)
+    # < mod (s + 1)^degree, so no slot overflows as long as the state is
+    # reduced before it runs more than _BLOCK blocks; `run` counts the
+    # blocks since the last reduction.
+    d_diffs, nr_diffs, nq = _level_polys(p, level, prec, live)
+    width = (mod * (_BLOCK + 1) ** (len(d_diffs) - 1)).bit_length()
+    state = [_pack(cs, width) for cs in zip(nr_diffs, d_diffs, *nq.values())]
+    mask, slots, run = (1 << width) - 1, range(0, (len(live) + 2) * width, width), 0
     bases = [_Base(m, starts.get(m, (0, 1)), stops[m], sums[m], width * i, k, big, mod) for i, m in enumerate(live, 2)]
     # p^v, and 0 once v reaches prec; v_j stays below the bit length of 2j.
     p_powers = [p**v for v in range(prec)] + [0] * (2 * cuts[-1]).bit_length()
@@ -316,7 +299,10 @@ def _walk(
                 q *= p
             ratio = 1  # U_e / U_j from j = e - 1 down to k
             if level:
-                values = _horner(packed, range(k, e))
+                if run + size > _BLOCK:
+                    state, run = [_pack(_unpack(repeat(d), slots, mask, mod), width) for d in state], 0
+                values, state = _extend(state, size)
+                run += size
                 nums = list(map(mul, nums, _unpack(values, repeat(0), mask, mod)))
                 fulls = list(map(mul, dens, _unpack(values, repeat(width), mask, mod)))
                 # The block's sum divides by its own D(j): U_e / (U_j D(j)).
@@ -357,11 +343,16 @@ def _walk(
 
 
 def _degree_bound(p: int, level: int, prec: int) -> int:
-    """The degree above which D, NR and NQ_m vanish mod p^prec.
+    """The order above which the coefficients and the forward differences
+    at 0 of D, NR and NQ_m vanish mod p^prec.
 
     The j-coefficient of (p^level j + c) / p^v(c) has valuation level - v(c):
     1 for p - 1 of the c, 2 for (p - 1) p of them, and so on, so the
-    coefficient of j^d is divisible by p to the sum of the d smallest.  The
+    coefficient c_d of j^d is divisible by p to the sum of the d smallest.
+    The differences are Δ^i f(0) = i! sum_(d>=i) c_d S(d, i), S the
+    Stirling numbers of the second kind, integers: so above the bound they
+    vanish too, with no division, at any p.  Then
+    f(j) = sum_(i<=bound) Δ^i f(0) C(j, i) mod p^prec at every j >= 0.  The
     bound is at most p^level - 1, the number of such factors.
     """
     degree = total = 0
@@ -382,18 +373,22 @@ def _level(p: int, prec: int, stops: Mapping[int, list[int]]) -> int:
     least squares to walks of the benchmark's streams and of random ones at
     every affordable level.  A level-0 walk costs, per term, a step and each
     base's fold, and per point a chunk's set-up and each base's fold.  From
-    level 1 up the walk over block indices costs the same per index plus a
-    pass per coefficient and per slot of the packed polynomial, and each
-    base's fold per block that holds a point.  The points inside blocks
-    cost one level-0 walk from each such block's edge, to its farthest
-    point, with each base going to its own.  Building the polynomials costs
-    per level p Taylor shifts and products per polynomial, with as many
-    coefficients as the level and the one below keep (`_next_level`), so
-    the build grows about linearly with the level.  The inverse per point is
-    the same at every level.  So a stream with few points far out walks
-    large blocks, and a short or dense one stays at level 0.
+    level 1 up the walk over block indices costs about twice that per index
+    plus a running-sum pass per difference order over the packed slots, and
+    per block that holds a point a chunk's passes and each base's fold.
+    The points inside blocks cost one level-0 walk from each such block's
+    edge, to its farthest point, with each base going to its own.  Building
+    the polynomials costs per level p vector products per polynomial, as
+    long as the level's degree bound, and running sums as many as the level
+    below keeps (`_next_level`), so the build grows about linearly with the
+    level.  The inverse per point is the same at every level.  So a stream
+    with few points far out walks large blocks, and a short or dense one
+    stays at level 0.  The build and the walk over block indices are priced
+    first: where they alone cost more than the best level so far, the
+    points are not scanned.
     """
-    points = {point for ns in stops.values() for point in ns}
+    groups = Counter(tuple(sorted(set(ns))) for ns in stops.values() if ns)  # bases with the same points
+    points = sorted({point for ns in groups for point in ns})
     lasts = [max(ns) for ns in stops.values() if ns]
     top = max(points, default=0)
     bases, slots = len(lasts), len(lasts) + 2
@@ -401,32 +396,28 @@ def _level(p: int, prec: int, stops: Mapping[int, list[int]]) -> int:
     def plain(terms: int, base_terms: int, cuts: int) -> int:  # a level-0 walk
         return 640 * terms + 70 * base_terms + (14_000 + 700 * bases) * cuts
 
+    def farthest(ns: Iterable[int], big: int) -> dict[int, int]:  # block: offset of its last point, ns sorted
+        return dict(zip(map(big.__rfloordiv__, ns), map(big.__rmod__, ns)))
+
     best, chosen = plain(top, sum(lasts), len(points)), 0
     build = degree = 0
     level = 1
     while p**level <= top:
         big = p**level
         below, degree = degree, _degree_bound(p, level, prec)
-        build += p * slots * (1_300 * (degree + 1) + 2_800 * below)
+        build += p * slots * (1_300 + (degree + 1) * (400 + 63 * below))
         if build >= best:
             break  # and so at every higher level
-        reach: dict[int, int] = {}  # the farthest point in each block that holds one
-        ends = 0
-        for ns in stops.values():
-            own: dict[int, int] = {}
-            for point in ns:
-                j, offset = divmod(point, big)
-                own[j] = max(own.get(j, 0), offset)
-            ends += sum(own.values())
-            for j, offset in own.items():
-                reach[j] = max(reach.get(j, 0), offset)
         blocks = top // big
-        cost = build + plain(blocks, sum(last // big for last in lasts), 0) + 2_400 * bases * len(reach)
-        cost += blocks * (degree * (300 + 23 * slots) + 170 * slots)
-        cost += plain(sum(reach.values()), ends, sum(1 for point in points if point % big))
-        cost += 43_000 * sum(1 for offset in reach.values() if offset)  # each such walk's set-up
+        cost = build + 2 * plain(blocks, sum(last // big for last in lasts), 0) + blocks * degree * (22 + 35 * slots)
         if cost < best:
-            best, chosen = cost, level
+            reach = farthest(points, big)
+            ends = sum(copies * sum(farthest(ns, big).values()) for ns, copies in groups.items())
+            cost += len(reach) * (1_400 * (degree + 1) + 8_000 * bases)
+            cost += plain(sum(reach.values()), ends, sum(map(bool, map(big.__rmod__, points))))
+            cost += 43_000 * sum(map(bool, reach.values()))  # each such walk's set-up
+            if cost < best:
+                best, chosen = cost, level
         level += 1
     return chosen
 
@@ -444,17 +435,18 @@ def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> di
     `_level_polys`), and block j's P terms sum to C(2Pj, Pj) NQ_m(j) /
     (D(j) m^(P(j+1)-1)), so each block costs a few polynomial values instead
     of P steps; at L = 0 the polynomials are 1 and a block is one term.
-    Level L's polynomials are composed from p Taylor-shifted copies of level
-    L - 1's, each truncated at `_degree_bound`, so building them costs about
-    L times a level's work, however large p^L is.
+    Level L's polynomials are kept in Newton form, their forward
+    differences at 0 up to `_degree_bound`, and composed from the values of
+    level L - 1's at the p sub-blocks of each block, so building them costs
+    about L times a level's work, however large p^L is.
 
     Edge j's term is p^v_j T_j / (U_j m^(Pj)), where v_j is the exact
     valuation of C(2Pj, Pj) and T_j, U_j are the products over i < j of the
     numerator and denominator units, mod p^prec.  The walk takes the block
     indices in chunks [b, e) of at most _BLOCK (cut at every block that
     holds a point), evaluates the polynomials at the whole chunk with one
-    packed Horner pass per coefficient, and forms y_j = p^v_j T_j U_e /
-    (U_j D(j)), which do not depend on m.  A base keeps its sum as
+    packed running-sum pass per difference order, and forms
+    y_j = p^v_j T_j U_e / (U_j D(j)), which do not depend on m.  A base keeps its sum as
     A / (U m^(Pj)) and updates it once per chunk,
     A <- A (U_e / U_b) m^(P(e-b)) + sum y_j NQ_m(j) m^(P(e-1-j)+1), one dot
     product against its powers of m.  A point N = PJ reads A at edge J; the

@@ -191,3 +191,18 @@ def test_criterion_11_deep_alpha():
     ok = all(r.passed and r.required_exponent == 60 for r in report.results) and elapsed < 10.0
     ok = ok and achieved == {key: AchievedValuation(value, True) for key, value in expected.items()}
     assert _verdict(11, "deep alpha", ok, f"alpha=30 at p=3 in {elapsed:.2f}s")
+
+
+def test_criterion_12_deeper_alpha():
+    # thm-main at alpha = 80, N = 3^80 n about 1.5e38 and 3e38, on the
+    # modular path alone at 242 digits: the same stream as at alpha = 30,
+    # with levels in the seventies, each built in Newton form.
+    ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2), alpha_values=(80,))
+    start = time.monotonic()
+    report = run_suite("thm-main", ranges, max_index=10**40, settings=MODULAR_ONLY)
+    elapsed = time.monotonic() - start
+    achieved = {(r.case.m, r.case.n): r.achieved for r in report.results}
+    expected = {(1, 1): 160, (1, 2): 161, (2, 1): 160, (2, 2): 161}
+    ok = all(r.passed and r.required_exponent == 160 for r in report.results) and elapsed < 10.0
+    ok = ok and achieved == {key: AchievedValuation(value, True) for key, value in expected.items()}
+    assert _verdict(12, "deeper alpha", ok, f"alpha=80 at p=3 in {elapsed:.2f}s")

@@ -832,8 +832,8 @@ class TestSweeps:
         # The default sweep's streams are short and dense: they stay at level
         # 0, the plain walk.  modular-deep's reads 23 points out to 3^11 and
         # walks blocks of 3^L terms.  scan-wide's 14 streams walk plainly up
-        # to p = 7, in blocks of p^2 terms from p = 17 to 43 but at 37, and
-        # in blocks of p terms at 11, 13, 37 and 47.
+        # to p = 5, in blocks of p^2 terms from p = 7 to 43, and in blocks of
+        # p terms at 47.
         default = [case for suite, record in SUITES.items() if record.points for case in enumerate_cases(suite)]
         streams = asdcong.engine._plan(default, DEFAULT_SETTINGS)[0]
         assert len(streams) == 5
@@ -846,7 +846,7 @@ class TestSweeps:
         wide = enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000)
         streams = asdcong.engine._plan(wide, DEFAULT_SETTINGS)[0]
         levels = {p: _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) for p, prec, by_base in streams}
-        assert levels == {p: 0 if p <= 7 else 1 if p in (11, 13, 37, 47) else 2 for p in range(3, 48, 2) if is_prime(p)}
+        assert levels == {p: 0 if p <= 5 else 1 if p == 47 else 2 for p in range(3, 48, 2) if is_prime(p)}
 
     def test_shared_sums_match_lone_cases(self, monkeypatch, pool):
         # run_cases reads every S_N from one stream per prime and one exact

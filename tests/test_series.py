@@ -8,11 +8,10 @@ from asdcong.exactcore import NotPIntegralError, p_split, vp, vp_int
 from asdcong.padic import PadicCtx, from_rational
 from asdcong.series import (
     _BLOCK,
-    _add,
+    _degree_bound,
+    _diffs,
+    _extend,
     _level_polys,
-    _shifts,
-    _times,
-    _times_linear,
     _walk,
     apery,
     s_sum_exact,
@@ -32,10 +31,25 @@ def brute_scaled_sum(N, b):
     return sum(math.comb(2 * k, k) * b ** (N - 1 - k) for k in range(N))
 
 
+def _add(f, g, mod):
+    """f + g mod `mod`, coefficient lists, without zero top coefficients."""
+    if len(f) < len(g):
+        f, g = g, f
+    out = [(c + e) % mod for c, e in zip(f, [*g, *[0] * (len(f) - len(g))])]
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+def _times_linear(poly, a, b, mod):
+    """poly * (a x + b) mod `mod`."""
+    return _add([b * c for c in poly], [0, *(a * c for c in poly)], mod)
+
+
 def block_polys(p, level, prec, bases):
     """The reference for `_level_polys`: D, NR / 2 and NQ_m for blocks of
-    P = p^level terms, multiplied out over all P terms of a block, by the
-    formulas of `_level_polys`'s docstring."""
+    P = p^level terms as monomial coefficients, multiplied out over all P
+    terms of a block, by the formulas of `_level_polys`'s docstring."""
     big, mod = p**level, p**prec
     d_poly, nr_poly = [1], [pow(2, big - 1, mod)]
     for c in range(1, 2 * big):
@@ -55,6 +69,19 @@ def block_polys(p, level, prec, bases):
         for m, g in nq.items():
             nq[m] = _add(_times_linear(g, m * big // p**v_den, m * u_den, mod), scaled, mod)
     return d_poly, nr_poly, nq
+
+
+def newton(poly, mod, top):
+    """The forward differences at 0 of the polynomial with coefficients
+    `poly`, taken exactly from its values at 0 .. its degree, mod `mod` up
+    to order top; the ones above top must vanish mod `mod`."""
+    values = [sum(c * j**i for i, c in enumerate(poly)) for j in range(max(len(poly), top + 1))]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    assert all(d % mod == 0 for d in diffs[top + 1 :])
+    return [d % mod for d in diffs[: top + 1]]
 
 
 def carries_adding_k_plus_k(k, p):
@@ -251,11 +278,15 @@ class TestSSumMod:
         assert _level_polys(5, 0, 4, (1, -2)) == ([1], [1], {1: [1], -2: [1]})
         # Block j holds the terms k in [Pj, P(j+1)), P = p^L.  D and NR / 2
         # are its products of units, and its terms sum to
-        # C(2Pj, Pj) NQ_m(j) / (D(j) m^(P(j+1)-1)).
+        # C(2Pj, Pj) NQ_m(j) / (D(j) m^(P(j+1)-1)).  A polynomial in Newton
+        # form is sum_i diffs[i] C(j, i).
         def unit(c, p):
             while c % p == 0:
                 c //= p
             return c
+
+        def value(diffs, j):
+            return sum(d * math.comb(j, i) for i, d in enumerate(diffs))
 
         for p, level, prec in ((3, 1, 4), (3, 2, 5), (3, 3, 2), (5, 2, 7), (7, 1, 3)):
             big, ctx = p**level, PadicCtx(p, prec)
@@ -263,17 +294,18 @@ class TestSSumMod:
             for j in range(5):
                 d_value = math.prod(unit(big * j + c, p) for c in range(1, big))
                 nr_value = 2 ** (big - 1) * math.prod(unit(2 * big * j + c, p) for c in range(1, 2 * big, 2) if c != big)
-                assert sum(c * j**i for i, c in enumerate(d_poly)) % ctx.modulus == d_value % ctx.modulus
-                assert sum(c * j**i for i, c in enumerate(nr_poly)) % ctx.modulus == nr_value % ctx.modulus
+                assert value(d_poly, j) % ctx.modulus == d_value % ctx.modulus
+                assert value(nr_poly, j) % ctx.modulus == nr_value % ctx.modulus
                 for m, poly in nq.items():
                     block = brute_s_sum(big * (j + 1), m) - brute_s_sum(big * j, m)
-                    value = sum(c * j**i for i, c in enumerate(poly))
-                    closed = Fraction(math.comb(2 * big * j, big * j) * value, d_value * m ** (big * (j + 1) - 1))
+                    closed = Fraction(math.comb(2 * big * j, big * j) * value(poly, j), d_value * m ** (big * (j + 1) - 1))
                     assert from_rational(block, ctx) == from_rational(closed, ctx), (p, level, prec, j, m)
 
     def test_level_polys_match_the_direct_build(self):
-        # Each level built from the one below equals the polynomials
-        # multiplied out over a whole block, at every level with p^L <= 2000.
+        # Each level built from the one below equals the forward differences
+        # of the polynomials multiplied out over a whole block, at every
+        # level with p^L <= 2000, and the direct ones' differences above
+        # the degree bound vanish.
         rng = random.Random(11)
         for p in (3, 5, 7, 11):
             units = [m for m in range(-12, 13) if m % p]
@@ -281,36 +313,59 @@ class TestSSumMod:
             while p**level <= 2000:
                 for prec in (1, 2, 5, 12, 33):
                     bases = rng.sample(units, 3)
-                    assert _level_polys(p, level, prec, bases) == block_polys(p, level, prec, bases), (p, level, prec)
+                    mod, top = p**prec, _degree_bound(p, level, prec)
+                    d_poly, nr_poly, nq = block_polys(p, level, prec, bases)
+                    direct = newton(d_poly, mod, top), newton(nr_poly, mod, top), {m: newton(g, mod, top) for m, g in nq.items()}
+                    assert _level_polys(p, level, prec, bases) == direct, (p, level, prec)
                 level += 1
 
-    def test_shift_and_truncated_product(self):
-        # f g and f(a x + b) mod `mod` up to x^top against the products and
-        # powers expanded term by term, for random coefficients below `mod`.
+    def test_extend_and_diffs(self):
+        # Forward differences and the values and differences rebuilt from
+        # them by running sums, against direct evaluation of random integer
+        # polynomials; differences above the degree read 0.
         rng = random.Random(12)
-
-        def expand(f, g, mod, top):
-            out = [0] * (len(f) + len(g) - 1)
-            for i, c in enumerate(f):
-                for k, e in enumerate(g):
-                    out[i + k] += c * e
-            out = [c % mod for c in out[: top + 1]]
-            while len(out) > 1 and not out[-1]:
-                out.pop()
-            return out
-
         for _ in range(300):
             p = rng.choice((2, 3, 5, 31))
             mod = p ** rng.randrange(1, 40)
-            top = rng.randrange(12)
-            f = [rng.randrange(mod) for _ in range(rng.randrange(1, 10))] + [rng.randrange(1, mod)]
-            g = [rng.randrange(mod) for _ in range(rng.randrange(0, 10))] + [rng.randrange(1, mod)]
-            assert _times(f, g, mod, top) == expand(f, g, mod, top)
-            a, size = rng.randrange(1, p * p), rng.randrange(1, p + 1)
-            for b, got in enumerate(_shifts(f, a, size, mod, top)):
-                # The binomial expansion of sum_i f_i (a x + b)^i.
-                shifted = [sum(c * math.comb(i, k) * a**k * b ** (i - k) for i, c in enumerate(f) if i >= k) for k in range(len(f))]
-                assert got == expand(shifted, [1], mod, top)
+            poly = [rng.randrange(-mod, mod) for _ in range(rng.randrange(12))] + [rng.randrange(1, mod)]
+            degree = len(poly) - 1
+
+            def f(j):
+                return sum(c * j**i for i, c in enumerate(poly))
+
+            def delta(i, x):  # Δ^i f(x), directly
+                return sum((-1) ** (i - l) * math.comb(i, l) * f(x + l) for l in range(i + 1)) % mod
+
+            count, size = degree + 1 + rng.randrange(4), rng.randrange(1, 40)
+            diffs = _diffs([f(j) for j in range(count)], mod)
+            assert diffs == [delta(i, 0) for i in range(count)]
+            assert diffs[degree + 1 :] == [0] * (count - degree - 1)
+            values, ends = _extend(diffs, size)
+            assert [v % mod for v in values] == [f(j) % mod for j in range(size)]
+            assert [d % mod for d in ends] == [delta(i, size) for i in range(count)]
+
+    def test_long_walks_reduce_their_state(self):
+        # A walk through many chunks with no point between: the carried
+        # differences stay in their slots only if they are reduced as the
+        # walk goes, at small and large moduli and degrees.
+        for p, prec, level in ((3, 2, 1), (3, 12, 2), (5, 6, 2), (7, 20, 1)):
+            far = 12 * _BLOCK * p**level
+            points_by_base = {1: (far + 1,), -2: (far - 1, far // 2)}
+            ctx = PadicCtx(p, prec)
+            assert _walk(points_by_base, ctx, level) == _walk(points_by_base, ctx, 0), (p, prec, level)
+
+    def test_walk_above_level_0_starts_at_term_0(self):
+        # The differences are carried from block 0, so above level 0 only
+        # the default start is taken; level 0 starts from any edge.
+        ctx = PadicCtx(3, 4)
+        with pytest.raises(ValueError):
+            _walk({1: (20,)}, ctx, 1, (9, 1, 0, {}))
+        with pytest.raises(ValueError):
+            _walk({1: (40,)}, ctx, 2, (9, 1, 0, {1: (0, 1)}))
+        assert _walk({1: (20,)}, ctx, 1) == _walk({1: (20,)}, ctx, 0)
+        edge = _walk({1: (9, 10)}, ctx, 0)[1]
+        # From edge 9 with the empty sum, point 10 reads the term C(18, 9), a unit.
+        assert _walk({1: (10,)}, ctx, 0, (9, math.comb(18, 9), 0, {}))[1][10] == (edge[10] - edge[9]) % ctx.modulus
 
     def test_shared_walk_rejects(self):
         with pytest.raises(NotPIntegralError):
