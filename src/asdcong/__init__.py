@@ -21,19 +21,14 @@ from .engine import (
     SUITES,
     SweepRanges,
     enumerate_cases,
-    evaluate_case,
-    fermat_quotient_factor,
     run_cases,
     run_suite,
-    sun_tauraso_rhs,
-    synthesize_block_sequence,
 )
 from .report import Report
 
 __all__ = [
     "INF", "SUITES", "AchievedValuation", "CaseResult", "CongruenceCase",
     "EngineSettings", "NotPIntegralError", "PadicCtx", "Report", "SweepRanges", "apery", "binomial",
-    "enumerate_cases", "evaluate_case", "fermat_quotient_factor", "from_rational", "is_prime",
-    "legendre", "lucas_u", "lucas_u_mod", "rat_congruent", "required_guard", "run_cases", "run_suite",
-    "s_sum_exact", "s_sum_mod", "sun_tauraso_rhs", "synthesize_block_sequence", "vp",
+    "enumerate_cases", "from_rational", "is_prime", "legendre", "lucas_u", "lucas_u_mod",
+    "rat_congruent", "required_guard", "run_cases", "run_suite", "s_sum_exact", "s_sum_mod", "vp",
 ]

@@ -707,14 +707,6 @@ def _stream_sums(stream: Stream) -> dict[tuple[int, int], dict[int, int]]:
     return {(p, base): by_n for base, by_n in s_sums_mod(points_by_base, PadicCtx(p, prec)).items()}
 
 
-def evaluate_case(case: CongruenceCase, settings: EngineSettings = DEFAULT_SETTINGS) -> CaseResult:
-    """Evaluate one case; degeneracies become errored results, never raises.
-
-    A lone case is a sweep of one: this is `run_cases([case], settings)[0]`.
-    """
-    return run_cases([case], settings)[0]
-
-
 def _evaluate(
     case: CongruenceCase,
     settings: EngineSettings,
@@ -856,14 +848,15 @@ def run_cases(
     settings: EngineSettings = DEFAULT_SETTINGS,
     jobs: int = 1,
 ) -> list[CaseResult]:
-    """Evaluate cases on up to `jobs` processes and sort deterministically.
+    """Evaluate cases on up to `jobs` processes and sort deterministically;
+    degeneracies become errored results, never raised.
 
-    Every case finds its S_N here; a lone evaluate_case call is
-    `run_cases([case])`.  A case whose suite has points reads them from one
-    stream per prime and one exact walk per signed base, in this process,
-    which holds them.  The streams run first, most terms first, while this
-    process walks; then the other cases run in contiguous batches while
-    this process evaluates the cases that read sums.
+    This is the one way to evaluate a case: a lone case is
+    `run_cases([case], settings)[0]`.  A case whose suite has points reads
+    them from one stream per prime and one exact walk per signed base, in
+    this process, which holds them.  The streams run first, most terms
+    first, while this process walks; then the other cases run in contiguous
+    batches while this process evaluates the cases that read sums.
     """
     reading = [case for case in cases if SUITES[case.suite].points is not None]
     free = [case for case in cases if SUITES[case.suite].points is None]

@@ -1,9 +1,18 @@
-"""The two sides of a case over Q, for tests that pin the paper's worked values."""
+"""Helpers for tests that pin the paper's worked values: one case's verdict,
+and the two sides of a case over Q."""
 
 import asdcong.engine
-from asdcong.engine import SUITES, sun_tauraso_rhs
+from asdcong.engine import SUITES, CongruenceCase, EngineSettings, run_cases, sun_tauraso_rhs
 from asdcong.lucas import lucas_u
 from asdcong.series import s_sum_exact
+
+
+def check(suite, settings=EngineSettings(), **params):
+    """Evaluate one case, a sweep of one; a series case is of the corrected
+    variant unless given."""
+    if "variant" in SUITES[suite].fields:
+        params.setdefault("variant", "corrected")
+    return run_cases([CongruenceCase(suite, **params)], settings)[0]
 
 
 def oracle_sides(case):

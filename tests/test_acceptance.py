@@ -13,26 +13,17 @@ from asdcong.engine import (
     AchievedValuation,
     CongruenceCase,
     EngineSettings,
-    SUITES,
     SweepRanges,
-    evaluate_case,
+    run_cases,
     run_suite,
 )
 from asdcong.exactcore import INF, is_prime
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.series import s_sum_exact, s_sums_mod
-from sides import oracle_sides
+from sides import check, oracle_sides
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
-
-
-def check(suite, **params):
-    """Evaluate one case at the default settings; a series case is of the
-    corrected variant."""
-    if "variant" in SUITES[suite].fields:
-        params["variant"] = "corrected"
-    return evaluate_case(CongruenceCase(suite, **params))
 
 
 def _verdict(number, label, ok, detail=""):
@@ -154,8 +145,8 @@ def test_criterion_9_dual_path_equivalence():
         if kwargs.get("m") is not None and kwargs["m"] % p == 0:
             continue
         case = CongruenceCase(suite, **kwargs)
-        oracle = evaluate_case(case, ORACLE_ONLY)
-        modular = evaluate_case(case, MODULAR_ONLY)
+        oracle = run_cases([case], ORACLE_ONLY)[0]
+        modular = run_cases([case], MODULAR_ONLY)[0]
         checked += 1
         if oracle.error or modular.error:
             ok = ok and (oracle.error is not None) == (modular.error is not None)

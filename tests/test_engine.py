@@ -23,7 +23,6 @@ from asdcong.engine import (
     EngineSettings,
     SweepRanges,
     enumerate_cases,
-    evaluate_case,
     fermat_quotient_factor,
     pool_size,
     run_cases,
@@ -36,17 +35,10 @@ from asdcong.lucas import legendre, lucas_u
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.report import Report
 from asdcong.series import _level, s_sum_mod, s_sums_exact
-from sides import oracle_sides
+from sides import check, oracle_sides
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
-
-
-def check(suite, settings=EngineSettings(), **params):
-    """Evaluate one case; a series case is of the corrected variant unless given."""
-    if "variant" in SUITES[suite].fields:
-        params.setdefault("variant", "corrected")
-    return evaluate_case(CongruenceCase(suite, **params), settings)
 
 
 class TestAchievedValuation:
@@ -699,13 +691,13 @@ class TestSweeps:
 
     def test_serial_sweep_starts_nothing(self, monkeypatch):
         # At jobs=1 neither pool_size nor a sweep reads the affinity mask or
-        # forks: a lone evaluate_case pays for neither.
+        # forks: a sweep of one case pays for neither.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: pytest.fail("affinity looked up"), raising=False)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
         assert pool_size(1, 100) == 1
         cases = enumerate_cases("eq-mod-p", SweepRanges(primes=(5, 7), m_values=(1,))) + enumerate_cases("lemma-2-3")
         assert all(r.passed for r in run_cases(cases, jobs=1))
-        assert evaluate_case(cases[0]).passed
+        assert run_cases(cases[:1])[0].passed
 
     def test_pool(self, monkeypatch):
         # Every worker, this process and the forked ones, takes calls while
@@ -801,7 +793,7 @@ class TestSweeps:
         for result in serial:
             assert result.path == "modular"
             assert result.achieved == per_case_modular_valuation(result.case)
-            alone = evaluate_case(result.case, MODULAR_ONLY)
+            alone = run_cases([result.case], MODULAR_ONLY)[0]
             assert alone.achieved == result.achieved, result.case
 
     def test_stream_plan(self):
@@ -850,9 +842,9 @@ class TestSweeps:
 
     def test_shared_sums_match_lone_cases(self, monkeypatch, pool):
         # run_cases reads every S_N from one stream per prime and one exact
-        # walk per signed base; a lone evaluate_case is a sweep of its one
-        # case.  Both must give the same verdicts, serially and on
-        # a pool, and a sweep plans its reading cases and walks once.
+        # walk per signed base; a lone case is a sweep of one.  Both must
+        # give the same verdicts, serially and on a pool, and a sweep plans
+        # its reading cases and walks once.
         walks, planned = [], []
         walk, plan = asdcong.engine.s_sums_exact, asdcong.engine._plan
         monkeypatch.setattr(asdcong.engine, "s_sums_exact", lambda points: walks.append(points) or walk(points))
@@ -864,7 +856,7 @@ class TestSweeps:
             (enumerate_cases("eq-sun-asd") + enumerate_cases("eq-sun-asd", variant="literal"), 2),
         ]
         for cases, workers in grids:
-            lone = sorted((evaluate_case(c) for c in cases), key=lambda r: r.case.sort_key())
+            lone = sorted((run_cases([c])[0] for c in cases), key=lambda r: r.case.sort_key())
             for jobs in (1, 2):
                 walks.clear()
                 planned.clear()
@@ -880,8 +872,8 @@ class TestSweeps:
     def test_p_divides_m_inside_a_sweep(self, pool):
         # The enumerator skips p | m, so these cases are built by hand: each
         # must come back errored from a sweep that also streams and walks
-        # valid cases at the same primes, and every result must equal a lone
-        # evaluate_case of its case.
+        # valid cases at the same primes, and every result must equal a sweep
+        # of its case alone.
         def series(suite, p, m, **params):
             return [CongruenceCase(suite, p=p, m=m, variant=v, **params) for v in ("corrected", "literal")]
 
@@ -901,7 +893,7 @@ class TestSweeps:
             CongruenceCase("lemma-2-4", p=3, m=1, n=1, alpha=2, s=1, l=0),
         ]
         for settings in (DEFAULT_SETTINGS, MODULAR_ONLY):
-            lone = {c: evaluate_case(c, settings) for c in divided + valid}
+            lone = {c: run_cases([c], settings)[0] for c in divided + valid}
             for jobs in (1, 2):
                 pool.clear()
                 results = run_cases(divided + valid, settings, jobs)

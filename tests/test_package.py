@@ -9,9 +9,8 @@ from asdcong.engine import SUITES, AchievedValuation, CaseResult, Suite
 PUBLIC = {
     "INF", "SUITES", "AchievedValuation", "CaseResult", "CongruenceCase",
     "EngineSettings", "NotPIntegralError", "PadicCtx", "Report", "SweepRanges", "apery", "binomial",
-    "enumerate_cases", "evaluate_case", "fermat_quotient_factor", "from_rational", "is_prime",
-    "legendre", "lucas_u", "lucas_u_mod", "rat_congruent", "required_guard", "run_cases", "run_suite",
-    "s_sum_exact", "s_sum_mod", "sun_tauraso_rhs", "synthesize_block_sequence", "vp",
+    "enumerate_cases", "from_rational", "is_prime", "legendre", "lucas_u", "lucas_u_mod",
+    "rat_congruent", "required_guard", "run_cases", "run_suite", "s_sum_exact", "s_sum_mod", "vp",
 }
 
 
@@ -55,6 +54,21 @@ def test_suite_contract_is_documented_and_used():
         assert f"`{name}`" in section, name
         if name in Suite._field_defaults:
             assert any(getattr(record, name) != Suite._field_defaults[name] for record in SUITES.values()), name
+
+
+def test_readme_example_runs():
+    # The library example is the README's one python block: it runs, and
+    # each line with a comment gives the value the comment starts with.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    commented = [line.split("  # ", 1) for line in block.splitlines() if "  # " in line]
+    for code, comment in commented:
+        assert comment.startswith(repr(eval(code, namespace))), code
+    result = namespace["result"]
+    assert len(commented) == 3
+    assert result.passed is True and str(result.achieved) == "2" and result.achieved == AchievedValuation(2, True)
 
 
 def test_case_result_holds_the_verdict_only():
