@@ -10,7 +10,6 @@ signs), is kept as a falsification target for the scan command.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, lshift, mul, rshift, sub
@@ -372,54 +371,48 @@ def _level(p: int, prec: int, stops: Mapping[int, list[int]]) -> int:
     The weights are CPython timings of `_walk` in nanoseconds, fitted by
     least squares to walks of the benchmark's streams and of random ones at
     every affordable level.  A level-0 walk costs, per term, a step and each
-    base's fold, and per point a chunk's set-up and each base's fold.  From
-    level 1 up the walk over block indices costs about twice that per index
-    plus a running-sum pass per difference order over the packed slots, and
-    per block that holds a point a chunk's passes and each base's fold.
-    The points inside blocks cost one level-0 walk from each such block's
-    edge, to its farthest point, with each base going to its own.  Building
-    the polynomials costs per level p vector products per polynomial, as
-    long as the level's degree bound, and running sums as many as the level
-    below keeps (`_next_level`), so the build grows about linearly with the
-    level.  The inverse per point is the same at every level.  So a stream
-    with few points far out walks large blocks, and a short or dense one
-    stays at level 0.  The build and the walk over block indices are priced
-    first: where they alone cost more than the best level so far, the
-    points are not scanned.
+    base's fold.  From level 1 up the walk over block indices costs about
+    twice that per index plus a running-sum pass per difference order over
+    the packed slots, and per block that holds a point a chunk's passes and
+    each base's fold.  The points inside blocks cost one level-0 walk from
+    each such block's edge, to its farthest point, with each base going to
+    its own.  Building the polynomials costs per level p vector products
+    per polynomial, as long as the level's degree bound, and running sums
+    as many as the level below keeps (`_next_level`), so the build grows
+    about linearly with the level.  The inverse per point is the same at
+    every level.  So a stream with few points far out walks large blocks,
+    and a short or dense one stays at level 0.  Every level with blocks no
+    longer than the last point is priced in full, and the cheapest is taken.
     """
-    groups = Counter(tuple(sorted(set(ns))) for ns in stops.values() if ns)  # bases with the same points
-    points = sorted({point for ns in groups for point in ns})
-    lasts = [max(ns) for ns in stops.values() if ns]
-    top = max(points, default=0)
+    by_base = [sorted(ns) for ns in stops.values() if ns]
+    points = sorted({point for ns in by_base for point in ns})
+    lasts = [ns[-1] for ns in by_base]
+    top = max(lasts, default=0)
     bases, slots = len(lasts), len(lasts) + 2
 
-    def plain(terms: int, base_terms: int, cuts: int) -> int:  # a level-0 walk
-        return 640 * terms + 70 * base_terms + (14_000 + 700 * bases) * cuts
+    def plain(terms: int, base_terms: int) -> int:  # a level-0 walk
+        return 640 * terms + 70 * base_terms
 
-    def farthest(ns: Iterable[int], big: int) -> dict[int, int]:  # block: offset of its last point, ns sorted
+    def farthest(ns: list[int], big: int) -> dict[int, int]:  # block: offset of its last point, ns sorted
         return dict(zip(map(big.__rfloordiv__, ns), map(big.__rmod__, ns)))
 
-    best, chosen = plain(top, sum(lasts), len(points)), 0
+    costs = [plain(top, sum(lasts))]  # by level
     build = degree = 0
-    level = 1
-    while p**level <= top:
-        big = p**level
-        below, degree = degree, _degree_bound(p, level, prec)
+    big = p
+    while big <= top:
+        below, degree = degree, _degree_bound(p, len(costs), prec)
         build += p * slots * (1_300 + (degree + 1) * (400 + 63 * below))
-        if build >= best:
-            break  # and so at every higher level
-        blocks = top // big
-        cost = build + 2 * plain(blocks, sum(last // big for last in lasts), 0) + blocks * degree * (22 + 35 * slots)
-        if cost < best:
-            reach = farthest(points, big)
-            ends = sum(copies * sum(farthest(ns, big).values()) for ns, copies in groups.items())
-            cost += len(reach) * (1_400 * (degree + 1) + 8_000 * bases)
-            cost += plain(sum(reach.values()), ends, sum(map(bool, map(big.__rmod__, points))))
-            cost += 43_000 * sum(map(bool, reach.values()))  # each such walk's set-up
-            if cost < best:
-                best, chosen = cost, level
-        level += 1
-    return chosen
+        blocks, reach = top // big, farthest(points, big)
+        costs.append(
+            build
+            + 2 * plain(blocks, sum(last // big for last in lasts))
+            + blocks * degree * (22 + 35 * slots)
+            + len(reach) * (1_400 * (degree + 1) + 3_600 * bases)
+            + plain(sum(reach.values()), sum(sum(farthest(ns, big).values()) for ns in by_base))
+            + 43_000 * sum(map(bool, reach.values()))  # each such walk's set-up
+        )
+        big *= p
+    return costs.index(min(costs))
 
 
 def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> dict[int, dict[int, int]]:

@@ -822,23 +822,30 @@ class TestSweeps:
 
     def test_stream_levels(self):
         # The default sweep's streams are short and dense: they stay at level
-        # 0, the plain walk.  modular-deep's reads 23 points out to 3^11 and
-        # walks blocks of 3^L terms.  scan-wide's 14 streams walk plainly up
-        # to p = 5, in blocks of p^2 terms from p = 7 to 43, and in blocks of
-        # p terms at 47.
+        # 0, the plain walk, but for p = 13's, whose 20 bases read out to
+        # 6591 in blocks of 13^2 terms.  modular-deep's reads 23 points out
+        # to 3^11 and walks blocks of 3^6 terms.  scan-wide's 14 streams walk
+        # plainly up to p = 5, in blocks of p^2 terms from p = 7 to 43, and
+        # in blocks of p terms at 47.  README and the CI step titles name the
+        # levels of the deep runs, CI's eq-sun-asd grid and eq-mod-p.
+        def levels(cases, settings=DEFAULT_SETTINGS):
+            streams = asdcong.engine._plan(cases, settings)[0]
+            return {p: _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) for p, prec, by_base in streams}
+
         default = [case for suite, record in SUITES.items() if record.points for case in enumerate_cases(suite)]
-        streams = asdcong.engine._plan(default, DEFAULT_SETTINGS)[0]
-        assert len(streams) == 5
-        for p, prec, by_base in streams:
-            assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) == 0, p
+        assert levels(default) == {3: 0, 5: 0, 7: 0, 11: 0, 13: 2}
         ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2, 3), alpha_values=tuple(range(1, 11)))
-        deep = enumerate_cases("thm-main", ranges, max_index=200_000)
-        ((p, prec, by_base),) = asdcong.engine._plan(deep, MODULAR_ONLY)[0]
-        assert _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) >= 1
+        assert levels(enumerate_cases("thm-main", ranges, max_index=200_000), MODULAR_ONLY) == {3: 6}
         wide = enumerate_cases("thm-main", SweepRanges(primes=tuple(range(3, 51))), max_index=100_000)
-        streams = asdcong.engine._plan(wide, DEFAULT_SETTINGS)[0]
-        levels = {p: _level(p, prec, {m: list(ns) for m, ns in by_base.items()}) for p, prec, by_base in streams}
-        assert levels == {p: 0 if p <= 5 else 1 if p == 47 else 2 for p in range(3, 48, 2) if is_prime(p)}
+        assert levels(wide) == {p: 0 if p <= 5 else 1 if p == 47 else 2 for p in range(3, 48, 2) if is_prime(p)}
+        ranges = SweepRanges(primes=tuple(range(3, 61)), m_values=(1, 2, 3, 5), n_values=(1, 2), alpha_values=tuple(range(1, 7)))
+        sun = levels(enumerate_cases("eq-sun-asd", ranges, max_index=2_000_000), EngineSettings(3000, 3000))
+        assert sun == {p: 4 if p <= 11 else 3 if p <= 37 else 2 for p in range(3, 60, 2) if is_prime(p)}
+        for alpha, level, max_index in ((30, 26, 10**15), (80, 76, 10**40)):
+            ranges = SweepRanges(primes=(3,), m_values=(1, 2), n_values=(1, 2), alpha_values=(alpha,))
+            assert levels(enumerate_cases("thm-main", ranges, max_index=max_index), MODULAR_ONLY) == {3: level}
+        mod_p = levels(enumerate_cases("eq-mod-p", SweepRanges(primes=tuple(range(3, 10_001)), m_values=(1,))))
+        assert len(mod_p) == 1037 and set(mod_p.values()) == {0}
 
     def test_shared_sums_match_lone_cases(self, monkeypatch, pool):
         # run_cases reads every S_N from one stream per prime and one exact

@@ -1,7 +1,10 @@
 import ast
 import pathlib
+import re
+import shlex
 
 import asdcong
+from asdcong import cli
 from asdcong.engine import SUITES, AchievedValuation, CaseResult, Suite
 
 # The package's public names.  A change that widens or narrows the API
@@ -69,6 +72,24 @@ def test_readme_example_runs():
     result = namespace["result"]
     assert len(commented) == 3
     assert result.passed is True and str(result.achieved) == "2" and result.achieved == AchievedValuation(2, True)
+
+
+def test_readme_eval_examples_run(capsys):
+    # Each line of README's `eval` block runs through the CLI and prints the
+    # value its comment ends with, or a residue in the form it names.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### eval\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    printed = []
+    for line in block.splitlines():
+        command, comment = line.split("  # ", 1)
+        program, *argv = shlex.split(command)
+        assert program == "asdcong" and cli.main(argv) == 0, line
+        printed.append(capsys.readouterr().out)
+        if "u * p^v mod p^e" in comment:
+            assert re.fullmatch(r"\d+ \* 3\^\d+ mod 3\^2\n", printed[-1]), line
+        else:
+            assert printed[-1] == comment.split()[-1] + "\n", line
+    assert len(printed) == 4
 
 
 def test_case_result_holds_the_verdict_only():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asdcong.exactcore import NotPIntegralError, p_split, vp, vp_int
 from asdcong.padic import PadicCtx, from_rational
@@ -11,6 +13,7 @@ from asdcong.series import (
     _degree_bound,
     _diffs,
     _extend,
+    _level,
     _level_polys,
     _walk,
     apery,
@@ -377,6 +380,34 @@ class TestSSumMod:
         # Base 0 is rejected as in `s_sums_exact`, not as a base p divides.
         with pytest.raises(ValueError, match="series base m must be nonzero"):
             s_sums_mod({1: (4,), 0: (3,)}, PadicCtx(5, 2))
+
+
+@st.composite
+def _level_streams(draw):
+    """A prime and each base's points n p^a + r: at a block edge, one past it, or farther in."""
+    p = draw(st.sampled_from((3, 5, 7, 13)))
+
+    def point(a, n, r):
+        return n * p**a + r % (p**a + 1)
+
+    points = st.builds(point, st.integers(1, 8 if p == 3 else 4), st.integers(1, p), st.one_of(st.integers(0, 1), st.integers(0, 10**5)))
+    return p, draw(st.lists(st.lists(points, min_size=1, max_size=10), min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=_level_streams(), prec=st.integers(1, 40), rng=st.randoms(use_true_random=False))
+@example(stream=(13, [[1860, 72, 114244]]), prec=27, rng=random.Random(1))  # one base, its points out of order
+def test_level_ignores_the_order_of_points_and_bases(stream, prec, rng):
+    # s_sums_mod hands `_level` the caller's lists as given: a base's points
+    # in any order or repeated, and the bases in any order, price the same.
+    p, points = stream
+    stops = {m: sorted(set(ns)) for m, ns in enumerate(points, 1)}
+    shuffled = {}
+    for m in rng.sample(list(stops), len(stops)):
+        ns = points[m - 1] + rng.choices(points[m - 1], k=rng.randint(0, 5))
+        rng.shuffle(ns)
+        shuffled[m] = ns
+    assert _level(p, prec, shuffled) == _level(p, prec, stops)
 
 
 def central_binomials_mod(p, prec, k_max):
