@@ -11,8 +11,8 @@ signs), is kept as a falsification target for the scan command.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count, repeat
-from operator import add, lshift, mul, rshift, sub
+from itertools import accumulate
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .exactcore import NotPIntegralError, binomial
@@ -90,23 +90,11 @@ def _stops(points_by_base: Mapping[int, Iterable[int]], p: int | None = None) ->
 # f(j) = sum_i Δ^i f(0) C(j, i) mod `mod` at every j >= 0 (see `_degree_bound`).
 
 
-def _pack(numbers: Iterable[int], width: int) -> int:
-    """The numbers as one integer, a slot of `width` bits each, the first lowest."""
-    return sum(map(lshift, numbers, count(0, width)))
-
-
-def _unpack(values: Iterable[int], shifts: Iterable[int], mask: int, mod: int) -> list[int]:
-    """The slot of `mask`'s width at bit `shift` of `value`, mod `mod`, for
-    each value and shift in step: one slot of many values, or many slots of
-    one value."""
-    return list(map(mod.__rmod__, map(mask.__and__, map(rshift, values, shifts))))
-
-
 def _extend(diffs: list[int], size: int) -> tuple[list[int], list[int]]:
     """f(j) for j < size from f's forward differences at 0, Δ^i f(0) for
     i < len(diffs), and the differences at size, Δ^i f(size): one C-level
     running-sum pass per order above 0, Δ^i f(j) = Δ^i f(0) + sum_(j'<j)
-    Δ^(i+1) f(j').  Nothing is reduced, so packed slots add in step."""
+    Δ^(i+1) f(j').  Nothing is reduced."""
     values, ends = [diffs[-1]] * (size + 1), [diffs[-1]]
     for d in diffs[-2::-1]:
         values = list(accumulate(values, initial=d))
@@ -215,14 +203,14 @@ def _level_polys(p: int, level: int, prec: int, bases: Iterable[int]) -> tuple[l
 
 class _Base:
     """One signed base m of a walk: its sum A / D, D = U m^(Pj), at the block
-    edge j reached, the points it still has to read out (last first), the bit
-    where NQ_m sits in the packed block polynomials, and m^(Pi+1) and m^(P(i+1))
-    for i below the longest chunk from `start` (one list at level 0)."""
+    edge j reached, the points it still has to read out (last first), the
+    forward differences of NQ_m at block j, and m^(Pi+1) and m^(P(i+1)) for
+    i below the longest chunk from `start` (one list at level 0)."""
 
-    __slots__ = ("m", "a", "d", "stops", "sums", "shift", "powers", "scales")
+    __slots__ = ("m", "a", "d", "stops", "sums", "nq", "powers", "scales")
 
-    def __init__(self, m: int, ad: tuple[int, int], stops: list[int], sums: dict[int, int], shift: int, start: int, big: int, mod: int) -> None:
-        self.m, (self.a, self.d), self.stops, self.sums, self.shift = m, ad, stops, sums, shift
+    def __init__(self, m: int, ad: tuple[int, int], stops: list[int], sums: dict[int, int], nq: list[int], start: int, big: int, mod: int) -> None:
+        self.m, (self.a, self.d), self.stops, self.sums, self.nq = m, ad, stops, sums, nq
         count, step = min(_BLOCK, (stops[0] - start) // big), pow(m, big, mod)
         power = m % mod
         self.powers = [power] + [power := power * step % mod for _ in range(count - 1)]
@@ -241,8 +229,10 @@ def _walk(
     The block polynomials come from `_level_polys`, each level built from
     the one below, so their cost grows with the level, not with p^level.
     The walk carries their forward differences at the current block, one
-    packed integer per order, and makes each chunk's values and the next
-    chunk's differences by running sums (`_extend`).  The walk starts from
+    list per polynomial, and makes each chunk's values and the next chunk's
+    differences by running sums (`_extend`).  It reduces the differences
+    once per chunk for speed only: unreduced they grow, slower but never
+    wrong.  The walk starts from
     `start`: a block edge k (a term index), T_k, v_k and each base's
     (A, D), its sum A / D at the edge; a base not named there starts from
     the empty sum.  The default is term 0, and above level 0, where the
@@ -262,20 +252,12 @@ def _walk(
     if not cuts:
         return sums
     live = [m for m in stops if stops[m]]
-    # The differences of NR / 2, D and every NQ_m at the chunk's first block,
-    # one integer per order, a slot of `width` bits per polynomial.  From a
-    # reduced state at block j, Δ^i f(j + s) = sum_l C(s, l) Δ^(i+l) f(j)
-    # < mod (s + 1)^degree, so no slot overflows as long as the state is
-    # reduced before it runs more than _BLOCK blocks; `run` counts the
-    # blocks since the last reduction.
+    # The differences of D and NR / 2 at the chunk's first block; each base carries NQ_m's.
     d_diffs, nr_diffs, nq = _level_polys(p, level, prec, live)
-    width = (mod * (_BLOCK + 1) ** (len(d_diffs) - 1)).bit_length()
-    state = [_pack(cs, width) for cs in zip(nr_diffs, d_diffs, *nq.values())]
-    mask, slots, run = (1 << width) - 1, range(0, (len(live) + 2) * width, width), 0
-    bases = [_Base(m, starts.get(m, (0, 1)), stops[m], sums[m], width * i, k, big, mod) for i, m in enumerate(live, 2)]
+    bases = [_Base(m, starts.get(m, (0, 1)), stops[m], sums[m], nq[m], k, big, mod) for m in live]
     # p^v, and 0 once v reaches prec; v_j stays below the bit length of 2j.
     p_powers = [p**v for v in range(prec)] + [0] * (2 * cuts[-1]).bit_length()
-    strip, up, down = p.__rfloordiv__, (1).__add__, (-1).__add__
+    strip, up, down, reduce = p.__rfloordiv__, (1).__add__, (-1).__add__, mod.__rmod__
     k //= big
     for cut in cuts:
         while k < cut:
@@ -298,12 +280,11 @@ def _walk(
                 q *= p
             ratio = 1  # U_e / U_j from j = e - 1 down to k
             if level:
-                if run + size > _BLOCK:
-                    state, run = [_pack(_unpack(repeat(d), slots, mask, mod), width) for d in state], 0
-                values, state = _extend(state, size)
-                run += size
-                nums = list(map(mul, nums, _unpack(values, repeat(0), mask, mod)))
-                fulls = list(map(mul, dens, _unpack(values, repeat(width), mask, mod)))
+                nr_values, nr_diffs = _extend(nr_diffs, size)
+                d_values, d_diffs = _extend(d_diffs, size)
+                nr_diffs, d_diffs = list(map(reduce, nr_diffs)), list(map(reduce, d_diffs))
+                nums = list(map(mul, nums, nr_values))
+                fulls = list(map(mul, dens, d_values))
                 # The block's sum divides by its own D(j): U_e / (U_j D(j)).
                 after = [ratio] + [ratio := ratio * full % mod for full in reversed(fulls)]
                 after.pop()
@@ -320,7 +301,11 @@ def _walk(
             ys = list(map(mul, map(mul, map(p_powers.__getitem__, vs), reversed(ts)), suffixes))
             for base in bases:
                 scale = ratio * base.scales[size - 1] % mod
-                terms = map(mul, ys, reversed(_unpack(values, repeat(base.shift), mask, mod))) if level else ys
+                terms = ys
+                if level:
+                    values, nq_diffs = _extend(base.nq, size)
+                    base.nq = list(map(reduce, nq_diffs))
+                    terms = map(mul, ys, reversed(values))
                 base.a = (base.a * scale + sum(map(mul, terms, base.powers))) % mod
                 base.d = base.d * scale % mod
             k = e
@@ -370,13 +355,15 @@ def _level(p: int, prec: int, stops: Mapping[int, list[int]]) -> int:
 
     The weights are CPython timings of `_walk` in nanoseconds, fitted by
     least squares to walks of the benchmark's streams and of random ones at
-    every affordable level.  A level-0 walk costs, per term, a step and each
-    base's fold.  From level 1 up the walk over block indices costs about
-    twice that per index plus a running-sum pass per difference order over
-    the packed slots, and per block that holds a point a chunk's passes and
-    each base's fold.  The points inside blocks cost one level-0 walk from
-    each such block's edge, to its farthest point, with each base going to
-    its own.  Building the polynomials costs per level p vector products
+    every affordable level, when the walk still packed its polynomials into
+    one integer per difference order.  A level-0 walk costs, per term, a
+    step and each base's fold.  From level 1 up the walk over block indices
+    costs about twice that per index plus a running-sum pass per difference
+    order and polynomial, and per block that holds a point a chunk's passes
+    and each base's fold.  The points inside blocks cost one level-0 walk
+    from each such block's edge to the farthest point in it, priced as if
+    every base went that far: one dict of those points per level, shared by
+    the bases.  Building the polynomials costs per level p vector products
     per polynomial, as long as the level's degree bound, and running sums
     as many as the level below keeps (`_next_level`), so the build grows
     about linearly with the level.  The inverse per point is the same at
@@ -384,31 +371,30 @@ def _level(p: int, prec: int, stops: Mapping[int, list[int]]) -> int:
     and a short or dense one stays at level 0.  Every level with blocks no
     longer than the last point is priced in full, and the cheapest is taken.
     """
-    by_base = [sorted(ns) for ns in stops.values() if ns]
-    points = sorted({point for ns in by_base for point in ns})
-    lasts = [ns[-1] for ns in by_base]
+    lasts = [max(ns) for ns in stops.values() if ns]
+    points = sorted({point for ns in stops.values() for point in ns})
     top = max(lasts, default=0)
-    bases, slots = len(lasts), len(lasts) + 2
+    bases, polys = len(lasts), len(lasts) + 2
 
     def plain(terms: int, base_terms: int) -> int:  # a level-0 walk
         return 640 * terms + 70 * base_terms
-
-    def farthest(ns: list[int], big: int) -> dict[int, int]:  # block: offset of its last point, ns sorted
-        return dict(zip(map(big.__rfloordiv__, ns), map(big.__rmod__, ns)))
 
     costs = [plain(top, sum(lasts))]  # by level
     build = degree = 0
     big = p
     while big <= top:
         below, degree = degree, _degree_bound(p, len(costs), prec)
-        build += p * slots * (1_300 + (degree + 1) * (400 + 63 * below))
-        blocks, reach = top // big, farthest(points, big)
+        build += p * polys * (1_300 + (degree + 1) * (400 + 63 * below))
+        blocks = top // big
+        # Each block that holds a point: the offset of its last one, points sorted.
+        reach = dict(zip(map(big.__rfloordiv__, points), map(big.__rmod__, points)))
+        inside = sum(reach.values())
         costs.append(
             build
             + 2 * plain(blocks, sum(last // big for last in lasts))
-            + blocks * degree * (22 + 35 * slots)
+            + blocks * degree * (22 + 35 * polys)
             + len(reach) * (1_400 * (degree + 1) + 3_600 * bases)
-            + plain(sum(reach.values()), sum(sum(farthest(ns, big).values()) for ns in by_base))
+            + plain(inside, bases * inside)
             + 43_000 * sum(map(bool, reach.values()))  # each such walk's set-up
         )
         big *= p
@@ -438,7 +424,7 @@ def s_sums_mod(points_by_base: Mapping[int, Iterable[int]], ctx: PadicCtx) -> di
     numerator and denominator units, mod p^prec.  The walk takes the block
     indices in chunks [b, e) of at most _BLOCK (cut at every block that
     holds a point), evaluates the polynomials at the whole chunk with one
-    packed running-sum pass per difference order, and forms
+    running-sum pass per polynomial and difference order, and forms
     y_j = p^v_j T_j U_e / (U_j D(j)), which do not depend on m.  A base keeps its sum as
     A / (U m^(Pj)) and updates it once per chunk,
     A <- A (U_e / U_b) m^(P(e-b)) + sum y_j NQ_m(j) m^(P(e-1-j)+1), one dot

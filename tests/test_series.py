@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asdcong import series
 from asdcong.exactcore import NotPIntegralError, p_split, vp, vp_int
 from asdcong.padic import PadicCtx, from_rational
 from asdcong.series import (
@@ -348,9 +349,10 @@ class TestSSumMod:
             assert [d % mod for d in ends] == [delta(i, size) for i in range(count)]
 
     def test_long_walks_reduce_their_state(self):
-        # A walk through many chunks with no point between: the carried
-        # differences stay in their slots only if they are reduced as the
-        # walk goes, at small and large moduli and degrees.
+        # A walk through many chunks with no point between, at small and
+        # large moduli and degrees: the carried differences are reduced once
+        # per chunk, and the residues are those of the level-0 walk.  An
+        # unreduced state would only be slower.
         for p, prec, level in ((3, 2, 1), (3, 12, 2), (5, 6, 2), (7, 20, 1)):
             far = 12 * _BLOCK * p**level
             points_by_base = {1: (far + 1,), -2: (far - 1, far // 2)}
@@ -408,6 +410,33 @@ def test_level_ignores_the_order_of_points_and_bases(stream, prec, rng):
         rng.shuffle(ns)
         shuffled[m] = ns
     assert _level(p, prec, shuffled) == _level(p, prec, stops)
+
+
+@st.composite
+def _block_walks(draw):
+    """A prime, a level and signed bases, each with points on, next to or inside block edges."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    level = draw(st.integers(1, 3))
+    big = p**level
+    offsets = st.one_of(st.sampled_from((-1, 0, 1)), st.integers(0, big - 1))
+    point = st.builds(lambda j, r: max(j * big + r, 0), st.integers(0, 9), offsets)
+    bases = draw(st.lists(st.sampled_from([m for m in range(-12, 13) if m % p]), min_size=1, max_size=4, unique=True))
+    return p, level, {m: draw(st.lists(point, max_size=5)) for m in bases}
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk=_block_walks(), prec=st.integers(1, 33), block=st.integers(1, 3))
+def test_walks_in_chunks_of_one_to_three_blocks(walk, prec, block):
+    # With _BLOCK at 1, 2 or 3 a walk above level 0 takes chunks that short,
+    # so its carried differences cross many chunk edges, each base's powers
+    # are that short, and every tail walk goes in chunks that short too.
+    # The residues are those of the level-0 walk at the default _BLOCK.
+    p, level, points_by_base = walk
+    ctx = PadicCtx(p, prec)
+    plain = _walk(points_by_base, ctx, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_BLOCK", block)
+        assert _walk(points_by_base, ctx, level) == plain
 
 
 def central_binomials_mod(p, prec, k_max):
