@@ -17,7 +17,8 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .engine import DEFAULT_SETTINGS, SUITES, EngineSelfCheckError, EngineSettings, SweepRanges, run_suite
 from .exactcore import PRIMALITY_LIMIT
@@ -26,23 +27,29 @@ from .padic import PadicCtx, describe
 from .series import apery, require_unit, s_sum_exact, s_sum_mod
 
 
-def parse_int_values(text: str) -> tuple[int, ...]:
+def parse_int_values(text: str) -> Sequence[int]:
     """Comma-separated integers and inclusive a..b spans: "1,3..5" -> (1,3,4,5).
 
-    A span with a > b is empty rather than an error, so an empty sweep is a
-    legitimate (vacuously passing) invocation.
+    A lone span stays a range, "3..5" -> range(3, 6), so a wide one costs no
+    memory.  A span with a > b is empty rather than an error, so an empty
+    sweep is a legitimate (vacuously passing) invocation.
     """
-    values: list[int] = []
+    spans: list[Sequence[int]] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         if ".." in token:
-            lo_text, hi_text = token.split("..", 1)
-            values.extend(range(int(lo_text), int(hi_text) + 1))
+            try:
+                lo, hi = map(int, token.split(".."))
+            except ValueError:
+                raise ValueError(f"malformed span {token!r}") from None
+            spans.append(range(lo, hi + 1))
         else:
-            values.append(int(token))
-    return tuple(values)
+            spans.append((int(token),))
+    if len(spans) == 1 and isinstance(spans[0], range):
+        return spans[0]
+    return tuple(chain.from_iterable(spans))
 
 
 def parse_modulus(text: str) -> tuple[int, int]:
@@ -73,12 +80,14 @@ def _int_at_least(low: int):
 def _int_values_within(low: int | None = None, below: int | None = None):
     """An argparse type for value lists whose every value is >= low and < below."""
 
-    def parse(text: str) -> tuple[int, ...]:
+    def parse(text: str) -> Sequence[int]:
         try:
             values = parse_int_values(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
-        for value in values:
+        # A span rises by one: its ends are its least and greatest values.
+        checked = (values[0], values[-1]) if isinstance(values, range) and values else values
+        for value in checked:
             if low is not None and value < low:
                 raise argparse.ArgumentTypeError(f"values must be >= {low}, got {value}")
             if below is not None and value >= below:
@@ -158,13 +167,12 @@ def _writing(noun: str) -> Iterator[None]:
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     report = _run_sweep(args)
-    text = report.to_json_text()
     with _writing("the report"):
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                report.write(handle)
         else:
-            sys.stdout.write(text)
+            report.write(sys.stdout)
     counts = report.counts()
     print(
         "verify: {total} cases, {passed} passed, {failed} failed, {errored} errored".format(**counts),

@@ -233,14 +233,19 @@ DEFAULT_SETTINGS = EngineSettings()
 
 
 class SweepRanges(NamedTuple):
-    """Parameter ranges for a sweep; None fields fall back to suite defaults."""
+    """Parameter ranges for a sweep; None fields fall back to suite defaults.
 
-    primes: tuple[int, ...] | None = None
-    m_values: tuple[int, ...] | None = None
-    n_values: tuple[int, ...] | None = None
-    alpha_values: tuple[int, ...] | None = None
-    s_values: tuple[int, ...] | None = None
-    l_values: tuple[int, ...] | None = None
+    Each is any sequence of ints: a tuple, or a `range`, which the CLI keeps
+    for a span such as `--primes 1..1000000` so that a wide one costs no
+    memory.  The report's `meta.invocation.ranges` writes either as a list.
+    """
+
+    primes: Sequence[int] | None = None
+    m_values: Sequence[int] | None = None
+    n_values: Sequence[int] | None = None
+    alpha_values: Sequence[int] | None = None
+    s_values: Sequence[int] | None = None
+    l_values: Sequence[int] | None = None
     trials: int | None = None
 
 
@@ -754,8 +759,11 @@ def _given(ranges: SweepRanges | None) -> dict:
     return {name: value for name, value in ranges._asdict().items() if value is not None}
 
 
-def _odd_primes(values: Iterable[int], cap: int) -> list[int]:
-    """The odd primes among values up to cap: no suite's index is below p."""
+def _odd_primes(values: Sequence[int], cap: int) -> list[int]:
+    """The odd primes among values up to cap: no suite's index is below p.
+    A rising range is cut at the cap before it is walked."""
+    if isinstance(values, range) and values.step > 0:
+        values = range(values.start, min(values.stop, cap + 1), values.step)
     return [p for p in values if 2 < p <= cap and is_prime(p)]
 
 

@@ -8,17 +8,19 @@ sorted.  Integers that would overflow 64-bit consumers are serialized as
 decimal strings; the infinite valuation is the string "inf".
 
 The document is `json.dumps(to_json_dict(), sort_keys=True, indent=2)`.
-With an indent CPython encodes in pure Python, so `to_json_text` writes the
-case entries itself from one template and leaves only `meta` and `summary`
-to `json.dumps`; the result is the same text.
+With an indent CPython encodes in pure Python, and it builds the whole text
+before a byte is written.  `Report.write` writes the same text as it goes:
+each case entry from one template, then `meta` and `summary` walked item by
+item, so neither the text nor a long list in `meta` is held whole.
 """
 
 from __future__ import annotations
 
-import json
+import io
 import math
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from ._version import __version__
 
@@ -39,30 +41,70 @@ def _json_safe(value):
         return value
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, range)):
         return [_json_safe(v) for v in value]
     return str(value)
 
 
-def _json_text(value, pad: str) -> str:
-    """`value` as the indented document writes it at a depth of `pad`.
-
-    Plain scalars are written here; anything else, NaN included, goes
-    through `json.dumps` as the reference does."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value) if -_I64_MAX <= value <= _I64_MAX else encode_basestring_ascii(str(value))
-    if kind is str:
+def _scalar_text(value) -> str | None:
+    """`value` as the indented document writes it, if it is no list or dict
+    with items, else None: `_json_pieces` walks those.  Values are taken
+    as `_json_safe` takes them."""
+    # Small ints first: the report is mostly those.
+    if type(value) is int and -_I64_MAX <= value <= _I64_MAX:
+        return int.__repr__(value)
+    if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
         return "null"
-    if kind is bool:
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if kind is float and value == value:
+    if isinstance(value, int):
+        return int.__repr__(value) if -_I64_MAX <= value <= _I64_MAX else encode_basestring_ascii(str(value))
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
         if math.isinf(value):
             return '"inf"' if value > 0 else '"-inf"'
         return int.__repr__(int(value)) if value.is_integer() else float.__repr__(value)
-    return json.dumps(_json_safe(value), sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    if isinstance(value, dict):
+        return None if value else "{}"
+    if isinstance(value, (list, tuple, range)):
+        return None if value else "[]"
+    return encode_basestring_ascii(str(value))
+
+
+def _json_pieces(value, pad: str) -> Iterator[str]:
+    """`value` as the indented document writes it at a depth of `pad`, in
+    pieces: a dict or list is walked item by item, keys sorted, so a long
+    one is never built as one string."""
+    text = _scalar_text(value)
+    if text is not None:
+        yield text
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = {str(k): v for k, v in value.items()}
+        pairs = ((f"{inner}{encode_basestring_ascii(key)}: ", items[key]) for key in sorted(items))
+        brackets = "{}"
+    else:
+        pairs = zip(repeat(inner), value)
+        brackets = "[]"
+    sep = brackets[0] + "\n"
+    for head, item in pairs:
+        text = _scalar_text(item)
+        if text is None:
+            yield sep + head
+            yield from _json_pieces(item, inner)
+        else:
+            yield sep + head + text
+        sep = ",\n"
+    yield f"\n{pad}{brackets[1]}"
+
+
+def _json_text(value, pad: str) -> str:
+    """`value` as the indented document writes it at a depth of `pad`."""
+    return _scalar_text(value) or "".join(_json_pieces(value, pad))
 
 
 # One case entry, keys in sorted order; `params` is filled in by _params_text.
@@ -146,7 +188,7 @@ class Report:
         return summary
 
     def to_json_dict(self) -> dict:
-        """The document as plain JSON values; the reference for to_json_text."""
+        """The document as plain JSON values; the reference for `write`."""
         return _json_safe(
             {
                 "meta": self.meta,
@@ -155,10 +197,30 @@ class Report:
             }
         )
 
+    def write(self, handle: TextIO) -> None:
+        """Write `json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`
+        and a newline to `handle` as it goes: the cases one entry at a time,
+        then `meta` and `summary` item by item, in chunks of a few hundred
+        pieces."""
+        pieces = self._pieces()
+        while chunk := "".join(islice(pieces, 256)):
+            handle.write(chunk)
+
+    def _pieces(self) -> Iterator[str]:
+        yield '{\n  "cases": ['
+        sep = "\n"
+        for r in self.results:
+            yield sep + _entry_text(r.to_json_entry())
+            sep = ",\n"
+        yield "\n  ]" if self.results else "]"
+        yield ',\n  "meta": '
+        yield from _json_pieces(self.meta, "  ")
+        yield ',\n  "summary": '
+        yield from _json_pieces(self.summary(), "  ")
+        yield "\n}\n"
+
     def to_json_text(self) -> str:
-        """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2)` and a newline."""
-        entries = [_entry_text(r.to_json_entry()) for r in self.results]
-        cases = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-        meta = _json_text(self.meta, "  ")
-        summary = _json_text(self.summary(), "  ")
-        return f'{{\n  "cases": {cases},\n  "meta": {meta},\n  "summary": {summary}\n}}\n'
+        """The text `write` writes."""
+        buffer = io.StringIO()
+        self.write(buffer)
+        return buffer.getvalue()

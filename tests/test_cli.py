@@ -15,10 +15,11 @@ from asdcong.lucas import lucas_u
 class TestParsing:
     def test_int_values(self):
         assert parse_int_values("1,2,3") == (1, 2, 3)
-        assert parse_int_values("3..6") == (3, 4, 5, 6)
-        assert parse_int_values("-2..1") == (-2, -1, 0, 1)
+        # A lone span stays a range; a list with a span in it is a tuple.
+        assert parse_int_values("3..6") == range(3, 7) and tuple(parse_int_values("3..6")) == (3, 4, 5, 6)
+        assert parse_int_values("-2..1") == range(-2, 2)
         assert parse_int_values("1,4..6,9") == (1, 4, 5, 6, 9)
-        assert parse_int_values("5..3") == ()
+        assert parse_int_values("5..3") == range(5, 4) and not parse_int_values("5..3")
         with pytest.raises(ValueError):
             parse_int_values("x")
 
@@ -134,6 +135,14 @@ class TestVerify:
             (line,) = [line for line in captured.err.splitlines() if "error:" in line]
             assert line.startswith("asdcong verify: error: argument --out: "), line
 
+    def test_malformed_span_names_the_token(self, capsys):
+        for token in ("5..", "..5", "1..2..3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--primes", token])
+            assert exc.value.code == 2
+            (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert line.endswith(f"error: argument --primes: malformed span '{token}'"), line
+
     def test_self_check_disagreement_exits_3(self, capsys, monkeypatch, pool):
         # A modular path that disagrees with the oracle is a bug: one stderr
         # line and exit 3, not a traceback and not a failed case's exit 1.
@@ -171,6 +180,11 @@ class TestVerify:
         assert main(args + ["--out", str(second)]) == 0
         assert main(args + ["--jobs", "4", "--out", str(third)]) == 0
         assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+        # A span, which stays a range, sweeps and reports as its list does.
+        spanned, listed = tmp_path / "span.json", tmp_path / "list.json"
+        assert main(["verify", "--suite", "thm-main", "--primes", "3..13", "--out", str(spanned)]) == 0
+        assert main(["verify", "--suite", "thm-main", "--primes", "3,4,5,6,7,8,9,10,11,12,13", "--out", str(listed)]) == 0
+        assert spanned.read_bytes() == listed.read_bytes()
 
     def test_lemma_2_5_seeded(self, tmp_path):
         out_a = tmp_path / "a.json"

@@ -923,6 +923,12 @@ class TestSweeps:
             assert capped and capped == enumerate_cases(suite, SweepRanges(primes=listed), max_index=60)
         assert tested and max(tested) <= 60
 
+    def test_span_sweeps_as_its_list(self):
+        # A range is cut at the cap before it is walked, so a span of 10^15
+        # candidates costs what its first fifty do.
+        cases = enumerate_cases("thm-main", SweepRanges(primes=range(1, 10**15)), max_index=50)
+        assert cases and cases == enumerate_cases("thm-main", SweepRanges(primes=tuple(range(1, 51))), max_index=50)
+
     def test_sorting_stability(self):
         cases = enumerate_cases("eq-mod-p", SweepRanges(primes=(5, 3), m_values=(2, -2, 1)))
         results = run_cases(cases)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -51,8 +52,10 @@ RESULTS = st.builds(
     achieved=ACHIEVED,
     error=st.one_of(st.none(), STRINGS),
 )
+# A span on the command line stays a range; the report writes it as a list.
+RANGES = st.builds(range, st.integers(-5, 5), st.integers(-5, 5), st.sampled_from([1, 2, -1]))
 META = st.recursive(
-    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(STRINGS, inner, max_size=3), max_leaves=8
+    SCALARS | RANGES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(STRINGS, inner, max_size=3), max_leaves=8
 )
 
 
@@ -61,7 +64,10 @@ class TestJsonText:
     @given(st.lists(RESULTS, max_size=6), st.dictionaries(STRINGS, META, max_size=4))
     def test_equals_json_dumps_of_the_dict(self, results, invocation):
         report = Report.from_results(invocation, results)
-        assert report.to_json_text() == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        written = io.StringIO()
+        report.write(written)
+        reference = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert written.getvalue() == report.to_json_text() == reference
         # A result passes exactly when its valuation reaches the required exponent.
         for result, entry in zip(results, report.to_json_dict()["cases"]):
             achieved = result.achieved
