@@ -20,9 +20,9 @@ import os
 from contextlib import AbstractContextManager, nullcontext
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, islice
+from itertools import chain
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -37,7 +37,7 @@ from .exactcore import (
     vp,
     vp_int,
 )
-from .lucas import _PERIODIC_ORBITS, _u_values, legendre, lucas_u, lucas_u_mod
+from .lucas import _PERIODIC_ORBITS, legendre, lucas_u, lucas_u_mod
 from .padic import PadicCtx, from_rational, required_guard
 from .report import Report
 from .series import apery, s_sums_exact, s_sums_mod
@@ -258,7 +258,8 @@ class SweepRanges(NamedTuple):
 #: divides; on the modular path it is a residue, or a Fraction of residues.
 Sides = Callable[[CongruenceCase, Callable, Callable], tuple]
 
-#: b^(N-1) S_N from the sweep's exact walks, by signed base b and N.
+#: An exact integer by base and N: b^(N-1) S_N from the sweep's walks at
+#: each signed base b, or lemma-2-2's right side at each m.
 Scaled = Mapping[int, Mapping[int, int]]
 
 
@@ -269,8 +270,9 @@ class _SuiteFields(NamedTuple):
     index: Callable[[CongruenceCase], int] | None = None
     cap: int = 10_000
     sides: Sides | None = None
-    #: A valuation of another kind, given the sweep's exact sums.
-    evaluate: Callable[[CongruenceCase, EngineSettings, Scaled], AchievedValuation] | None = None
+    #: A valuation of another kind, given the sweep's exact sums and
+    #: lemma-2-2's right sides.
+    evaluate: Callable[[CongruenceCase, EngineSettings, Scaled, Scaled], AchievedValuation] | None = None
     points: Callable[[CongruenceCase], tuple[int, ...]] | None = None
     #: A condition beyond the shared ones: returns why a case breaks it.
     rule: Callable[[CongruenceCase], str | None] | None = None
@@ -285,7 +287,9 @@ class Suite(_SuiteFields):
     evaluation path and is what the sweep's index cap bounds, `cap` unless
     the sweep gives one.  The verdict compares vp(lhs - rhs) from `sides`
     with `required`, unless the statement is of another kind and its own
-    `evaluate` returns the achieved valuation.  A suite with `points` reads
+    `evaluate(case, settings, scaled, right_sides)` returns the achieved valuation,
+    given the sweep's exact scaled sums and, from `sun_tauraso_table`,
+    lemma-2-2's right sides, each by base and N.  A suite with `points` reads
     S_N(m) at those term counts, and its `index` is the largest of them.
     Every `sides(case, s_sum, u)` gets S_N from the sweep's exact walk and
     `lucas_u` on the oracle path.  A series suite (`points` and no
@@ -348,14 +352,38 @@ def fermat_quotient_factor(m: int, p: int, alpha: int) -> Fraction:
     return Fraction(m ** (p**alpha - p ** (alpha - 1)) - 1, 2 * p**alpha)
 
 
+def sun_tauraso_table(points_by_base: Mapping[int, Iterable[int]]) -> dict[int, dict[int, int]]:
+    """sum_{k<n} C(2n,k) u_{n-k}(m-2, 1), an integer, for every base m and
+    every n in its points: lemma-2-2's right sides, in one n-major pass.
+
+    Each n that some base reads builds its row C(2n, k), k < n, once, by the
+    exact division C(2n,k+1) = C(2n,k) (2n-k) / (k+1), and every base that
+    reads n dots the row with u_n..u_1.  A base keeps the prefix u_0..u_n of
+    its Lucas sequence and extends it by one recurrence step per index as n
+    grows, so the pass holds one row and one prefix per base.
+    """
+    readers: dict[int, list[int]] = {}
+    for m, ns in points_by_base.items():
+        for n in set(ns):
+            readers.setdefault(n, []).append(m)
+    prefixes = {m: [0, 1] for m in points_by_base}
+    table: dict[int, dict[int, int]] = {m: {} for m in points_by_base}
+    for n in sorted(readers):
+        row = [c := 1]
+        row += [c := c * (2 * n - k) // (k + 1) for k in range(n)]
+        row.pop()  # C(2n, n) is past the sum
+        for m in readers[n]:
+            u = prefixes[m]
+            while len(u) <= n:
+                u.append((m - 2) * u[-1] - u[-2])
+            # u ends at u_n once n >= 1; at n = 0 the row is empty.
+            table[m][n] = sum(map(mul, row, reversed(u)))
+    return table
+
+
 def sun_tauraso_rhs(m: int, n: int) -> int:
-    """sum_{k<n} C(2n,k) u_{n-k}(m-2, 1), an integer."""
-    u = list(islice(_u_values(m - 2), n + 1))
-    total, c = 0, 1  # c = C(2n, k), carried by one exact division per step
-    for k in range(n):
-        total += c * u[n - k]
-        c = c * (2 * n - k) // (k + 1)
-    return total
+    """sum_{k<n} C(2n,k) u_{n-k}(m-2, 1), an integer: one point of `sun_tauraso_table`."""
+    return sun_tauraso_table({m: (n,)})[m][n]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +469,10 @@ def _lemma_2_1_iii(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     return binomial(top - 1, k), binomial(low - 1, k // p) * (-1) ** (k - k // p)
 
 
-def _evaluate_lemma_2_2(case: CongruenceCase, settings: EngineSettings, scaled: Scaled) -> AchievedValuation:
-    equal = scaled[case.m][case.n] == sun_tauraso_rhs(case.m, case.n)
+def _evaluate_lemma_2_2(
+    case: CongruenceCase, settings: EngineSettings, scaled: Scaled, right_sides: Scaled
+) -> AchievedValuation:
+    equal = scaled[case.m][case.n] == right_sides[case.m][case.n]
     return AchievedValuation(INF if equal else 0)
 
 
@@ -498,7 +528,9 @@ def synthesize_block_sequence(p: int, alpha: int, l: int, rng: Random) -> dict[i
     return seq
 
 
-def _evaluate_lemma_2_5(case: CongruenceCase, settings: EngineSettings, scaled: Scaled) -> AchievedValuation:
+def _evaluate_lemma_2_5(
+    case: CongruenceCase, settings: EngineSettings, scaled: Scaled, right_sides: Scaled
+) -> AchievedValuation:
     """One synthesized block-vanishing sequence; the weighted block sum is
     checked mod p^alpha for every m' in {1,2,3} and n' in {1,2}."""
     from random import Random  # only this suite pays for the import
@@ -676,10 +708,13 @@ def _p_divides_m(case: CongruenceCase) -> bool:
     return case.p is not None and m is not None and m % case.p == 0
 
 
-def _plan(cases: Sequence[CongruenceCase], settings: EngineSettings) -> tuple[list[Stream], dict[int, set[int]]]:
+def _plan(
+    cases: Sequence[CongruenceCase], settings: EngineSettings
+) -> tuple[list[Stream], dict[int, set[int]], dict[int, set[int]]]:
     """Where cases of suites with points read their sums, in one pass: one
-    stream per prime, most terms first, and the N each signed base's exact
-    walk reads out.  An ill-posed case reads none.
+    stream per prime, most terms first, the N each signed base's exact walk
+    reads out, and the n at which each m reads lemma-2-2's right side.  An
+    ill-posed case reads none.
 
     Every series case at p reads prefixes of S_N(m) for one signed base m,
     and the bases at p share one walk over C(2k,k) mod p^E.  It runs at the
@@ -691,6 +726,7 @@ def _plan(cases: Sequence[CongruenceCase], settings: EngineSettings) -> tuple[li
     precs: dict[int, int] = {}
     reads: dict[int, dict[int, set[int]]] = {}
     walks: dict[int, set[int]] = {}
+    right: dict[int, set[int]] = {}
     for case in cases:
         if _p_divides_m(case):
             continue
@@ -700,11 +736,13 @@ def _plan(cases: Sequence[CongruenceCase], settings: EngineSettings) -> tuple[li
             reads.setdefault(case.p, {}).setdefault(base, set()).update(points)
         if path != "modular":
             walks.setdefault(base, set()).update(points)
+        if case.suite == "lemma-2-2":
+            right.setdefault(case.m, set()).add(case.n)
     streams = [
         (p, precs[p], {base: tuple(sorted(ns)) for base, ns in reads[p].items()}) for p in precs
     ]
     streams.sort(key=lambda s: (sum(ns[-1] for ns in s[2].values()), s[0]), reverse=True)
-    return streams, walks
+    return streams, walks, right
 
 
 def _stream_sums(stream: Stream) -> dict[tuple[int, int], dict[int, int]]:
@@ -717,10 +755,12 @@ def _evaluate(
     settings: EngineSettings,
     sums: Mapping[tuple[int, int], Mapping[int, int]],
     scaled: Scaled,
+    right_sides: Scaled,
 ) -> CaseResult:
     """One case's verdict on its path.  A suite with points reads S_N there,
     by N: S_N mod p^E (E at least its working precision) from `sums` at
-    (p, b), b^(N-1) S_N from `scaled` at b, where b is the signed base."""
+    (p, b), b^(N-1) S_N from `scaled` at b, where b is the signed base.
+    lemma-2-2 reads its right side from `right_sides` at m."""
     suite = SUITES[case.suite]
     required = suite.required(case)
     path = _path(case, settings)
@@ -730,7 +770,7 @@ def _evaluate(
             m = _statement_m(case)
             raise NotPIntegralError(f"p = {case.p} divides m = {m}: series values are not p-integral")
         if suite.evaluate is not None:
-            oracle = suite.evaluate(case, settings, scaled)
+            oracle = suite.evaluate(case, settings, scaled, right_sides)
         elif path != "modular":
             base = _base(case)
             lhs, rhs = suite.sides(case, lambda N: Fraction(scaled[base][N], base ** (N - 1)), lucas_u)
@@ -848,7 +888,7 @@ def _pool(calls: Sequence[Callable[[], object]], workers: int) -> AbstractContex
 
 
 def _evaluate_batch(settings: EngineSettings, cases: Sequence[CongruenceCase]) -> list[CaseResult]:
-    return [_evaluate(case, settings, {}, {}) for case in cases]
+    return [_evaluate(case, settings, {}, {}, {}) for case in cases]
 
 
 def run_cases(
@@ -861,22 +901,26 @@ def run_cases(
 
     This is the one way to evaluate a case: a lone case is
     `run_cases([case], settings)[0]`.  A case whose suite has points reads
-    them from one stream per prime and one exact walk per signed base, in
-    this process, which holds them.  The streams run first, most terms
-    first, while this process walks; then the other cases run in contiguous
-    batches while this process evaluates the cases that read sums.
+    them from one stream per prime and one exact walk per signed base, and
+    lemma-2-2 its right sides from one pass of `sun_tauraso_table`, in this
+    process, which holds them until those cases are done.  The streams run
+    first, most terms first, while this process walks; then the other cases
+    run in contiguous batches while this process evaluates the cases that
+    read sums.
     """
     reading = [case for case in cases if SUITES[case.suite].points is not None]
     free = [case for case in cases if SUITES[case.suite].points is None]
-    streams, walks = _plan(reading, settings)
+    streams, walks, right = _plan(reading, settings)
     # Eight batches per worker: with four, one worker got lemma-2-5's heavy tail.
     size = max(1, -(-len(free) // (8 * pool_size(jobs, len(free)))))
     batches = [partial(_evaluate_batch, settings, free[i : i + size]) for i in range(0, len(free), size)]
     with _pool([partial(_stream_sums, stream) for stream in streams], pool_size(jobs, len(streams))) as streamed:
         scaled = s_sums_exact(walks)
+        right_sides = sun_tauraso_table(right)
         sums = {key: by_n for part in streamed() for key, by_n in part.items()}
     with _pool(batches, pool_size(jobs, len(batches))) as evaluated:
-        results = [_evaluate(case, settings, sums, scaled) for case in reading]
+        results = [_evaluate(case, settings, sums, scaled, right_sides) for case in reading]
+        del sums, scaled, right_sides  # no batch reads them
         results.extend(chain.from_iterable(evaluated()))
     return sorted(results, key=lambda result: result.case.sort_key())
 

@@ -122,6 +122,8 @@ def rat_congruent(x: RatLike, y: RatLike, p: int) -> int | float:
     congruence fails".
     """
     require_prime(p)
-    diff = p_integral(x, p, "left side ") - p_integral(y, p, "right side ")
-    # Both sides are p-integral, so only the numerator carries p.
-    return INF if diff == 0 else vp_int(diff.numerator, p)
+    p_integral(x, p, "left side ")
+    p_integral(y, p, "right side ")
+    # x - y is this over x.den y.den, a unit at p, so no gcd is needed.
+    diff = x.numerator * y.denominator - y.numerator * x.denominator
+    return INF if diff == 0 else vp_int(diff, p)

@@ -326,6 +326,52 @@ class TestSunTauraso:
                     for k in range(n)
                 )
 
+    @staticmethod
+    def direct_rhs(m, n):
+        return sum(math.comb(2 * n, k) * lucas_u(n - k, m - 2) for k in range(n))
+
+    @given(
+        st.dictionaries(
+            st.one_of(st.sampled_from((1, -1, 2, -2, 3, -10)), st.integers(-12, 12)),
+            st.lists(st.integers(0, 45), max_size=6),
+            max_size=5,
+        )
+    )
+    def test_table_matches_definition(self, points):
+        # One n-major pass serves every base: bases may read the same n or
+        # disjoint ones, in any order and more than once, and the prefix u
+        # of a periodic (m = 1, 2, 3) or a growing base is extended as n grows.
+        table = asdcong.engine.sun_tauraso_table(points)
+        assert table == {m: {n: self.direct_rhs(m, n) for n in ns} for m, ns in points.items()}
+
+    def test_table_examples(self):
+        points = {1: [5, 1, 5, 3], -1: (2, 4), 2: [7], -2: [1, 1], 3: [30, 6, 2], -10: [9, 40, 9]}
+        table = asdcong.engine.sun_tauraso_table(points)
+        for m, ns in points.items():
+            assert table[m] == {n: self.direct_rhs(m, n) for n in ns}
+            assert all(type(value) is int for value in table[m].values())
+        assert table[1][1] == table[-2][1] == 1
+
+    def test_sweep_reads_the_table(self, monkeypatch):
+        # The sweep compares each lemma-2-2 case with the right side the
+        # pass built for it: a wrong value at one (m, n) fails that case
+        # alone, and the other cases of a mixed sweep pass.
+        real = asdcong.engine.sun_tauraso_table
+
+        def off_by_one(points):
+            table = real(points)
+            table[2][3] += 1
+            return table
+
+        monkeypatch.setattr(asdcong.engine, "sun_tauraso_table", off_by_one)
+        lemma = enumerate_cases("lemma-2-2", SweepRanges(m_values=(-3, 1, 2), n_values=(1, 2, 3, 4)))
+        series = enumerate_cases("thm-main", SweepRanges(primes=(3, 5), n_values=(1, 2), alpha_values=(1, 2)))
+        results = run_cases(lemma + series)
+        assert len(results) == len(lemma) + len(series) and len(lemma) == 12
+        failed = [r for r in results if not r.passed]
+        assert [r.case for r in failed] == [CongruenceCase("lemma-2-2", m=2, n=3)]
+        assert failed[0].achieved == AchievedValuation(0) and failed[0].error is None
+
 
 class TestLemma23:
     def test_anchor(self):

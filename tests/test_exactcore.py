@@ -160,6 +160,38 @@ class TestRatCongruent:
         assert rat_congruent(x, y, p) == rat_congruent(y, x, p) == vp(x - y, p)
         assert rat_congruent(x, z, p) >= min(rat_congruent(x, y, p), rat_congruent(y, z, p))
 
+    @given(
+        p=st.sampled_from(SMALL_PRIMES),
+        sides=st.lists(
+            st.tuples(st.integers(-(10**25), 10**25), st.integers(1, 10**6), st.booleans()),
+            min_size=2,
+            max_size=2,
+        ),
+        same=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cross_multiplied_matches_the_difference(self, p, sides, same):
+        # rat_congruent cross-multiplies instead of building x - y as a
+        # Fraction; its value is the valuation of that difference, for ints
+        # and Fractions of either sign, and INF when x == y.  A side that is
+        # not p-integral is still named.
+        def value(num, den, as_int):
+            if as_int:
+                return num
+            while den % p == 0:
+                den //= p
+            return Fraction(num, den)
+
+        x, y = (value(*side) for side in sides)
+        if same:
+            y = Fraction(x) if type(x) is int else x
+        assert rat_congruent(x, y, p) == vp(Fraction(x) - Fraction(y), p)
+        bad = Fraction(x) / p ** (vp(x, p) + 1) if x else Fraction(1, p)
+        with pytest.raises(NotPIntegralError, match="left side"):
+            rat_congruent(bad, y, p)
+        with pytest.raises(NotPIntegralError, match="right side"):
+            rat_congruent(x, bad, p)
+
 
 class TestIntegersPassThrough:
     # An int has the numerator and denominator the checks read: it goes
