@@ -173,7 +173,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 report.write(handle)
         else:
             report.write(sys.stdout)
-    counts = report.counts()
+    counts = report.summary()  # the summary the report was written with
     print(
         "verify: {total} cases, {passed} passed, {failed} failed, {errored} errored".format(**counts),
         file=sys.stderr,

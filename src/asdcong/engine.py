@@ -23,7 +23,6 @@ from functools import cache, partial
 from itertools import chain
 from math import lcm
 from operator import attrgetter, mul
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactcore import (
@@ -123,13 +122,23 @@ class _CaseFields(NamedTuple):
     trial: int | None = None
 
 
+def _check_value(field: str, value) -> None:
+    """Raise unless a field's value is in its range or None."""
+    if field == "variant":
+        if value is not None and value not in ("corrected", "literal"):
+            raise ValueError(f"unknown variant {value!r}")
+    elif value is not None and value < (least := 0 if field in ("l", "trial") else 1):
+        raise ValueError(f"{field} must be >= {least}, got {value}")
+
+
 class CongruenceCase(_CaseFields):
     """One fully-instantiated congruence instance.
 
     Only the fields applicable to the suite may be set; construction
     validates applicability, the structural preconditions (primality,
     ranges, 0 <= k <= n p^alpha, ...) and the suite's own rule.  So do
-    `_replace`, `_make` and unpickling, which build through the constructor.
+    `_replace`, `_make` and unpickling, which build through the constructor;
+    `enumerate_cases` makes the same checks and builds its cases without it.
     """
 
     __slots__ = ()
@@ -148,16 +157,8 @@ class CongruenceCase(_CaseFields):
                 raise ValueError(f"suite {self.suite} does not take parameter {f}")
         if self.p is not None:
             require_odd_prime(self.p)
-        for f in ("n", "alpha"):
-            value = getattr(self, f)
-            if value is not None and value < 1:
-                raise ValueError(f"{f} must be >= 1, got {value}")
-        if self.l is not None and self.l < 0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
-        if self.trial is not None and self.trial < 0:
-            raise ValueError(f"trial must be >= 0, got {self.trial}")
-        if self.variant is not None and self.variant not in ("corrected", "literal"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        for f in ("n", "alpha", "l", "trial", "variant"):
+            _check_value(f, getattr(self, f))
         if self.m == 0:
             raise ValueError("m must be nonzero")
         if self.k is not None:
@@ -298,8 +299,8 @@ class Suite(_SuiteFields):
     then reduced mod the case's own p^E.
 
     `index`, `points` and `rule` read only the case's parameters: the
-    enumerator applies `index` and `rule` to a candidate's values before it
-    builds the case.
+    enumerator applies `index` and `rule` to candidates that no constructor
+    has checked, and keeps those that pass as its cases.
     """
 
     __slots__ = ()
@@ -819,6 +820,11 @@ def enumerate_cases(
     exceeded) are skipped here; they are not errors, they are simply not
     instances of the statement.  Without given values, s runs over 1..alpha,
     l over 0..2p, k over 0..n p^alpha and trial over 0..trials-1.
+
+    Each of the constructor's checks runs once, so a case is built as a
+    plain tuple: p is an odd prime by `_odd_primes`, a grid of n, alpha, l
+    or the variant is checked when the walk first reaches it, and m = 0,
+    p | m, the rule and the cap drop combinations.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -826,8 +832,9 @@ def enumerate_cases(
     r = record.defaults._replace(**_given(ranges))
     cap = record.cap if max_index is None else max_index
     values = {
-        "p": lambda c: _odd_primes(r.primes, cap),
-        "m": lambda c: r.m_values,
+        "p": lambda c: [p for p in _odd_primes(r.primes, cap) if record.m is None or record.m % p],
+        # p comes before m in every suite that takes both.
+        "m": lambda c: [m for m in r.m_values if m and (c.p is None or m % c.p)],
         "n": lambda c: r.n_values,
         "alpha": lambda c: r.alpha_values,
         "s": lambda c: range(1, c.alpha + 1) if r.s_values is None else r.s_values,
@@ -837,24 +844,25 @@ def enumerate_cases(
         "trial": lambda c: range(r.trials or 0),
         "variant": lambda c: (variant,),
     }
-    c = SimpleNamespace(suite=suite, **dict.fromkeys(_PARAMS))
+    unchecked = {"n", "alpha", "l", "variant"}
+    row = [suite] + [None] * len(_PARAMS)
+    rule, index, last = record.rule or (lambda case: None), record.index, len(record.fields) - 1
+    new = tuple.__new__
     cases: list[CongruenceCase] = []
-
-    def admitted() -> bool:
-        if c.m == 0 or _p_divides_m(c):
-            return False
-        if record.rule is not None and record.rule(c):
-            return False
-        return record.index(c) <= cap
 
     def walk(i: int) -> None:
         name = record.fields[i]
-        for value in values[name](c):
-            setattr(c, name, value)
-            if i + 1 < len(record.fields):
+        grid, at = values[name](new(CongruenceCase, row)), _CaseFields._fields.index(name)
+        if name in unchecked:
+            unchecked.remove(name)
+            for value in grid:
+                _check_value(name, value)
+        for value in grid:
+            row[at] = value
+            if i < last:
                 walk(i + 1)
-            elif admitted():
-                cases.append(CongruenceCase(**vars(c)))
+            elif not rule(case := new(CongruenceCase, row)) and index(case) <= cap:
+                cases.append(case)
 
     walk(0)
     return cases

@@ -10,8 +10,9 @@ decimal strings; the infinite valuation is the string "inf".
 The document is `json.dumps(to_json_dict(), sort_keys=True, indent=2)`.
 With an indent CPython encodes in pure Python, and it builds the whole text
 before a byte is written.  `Report.write` writes the same text as it goes:
-each case entry from one template, then `meta` and `summary` walked item by
-item, so neither the text nor a long list in `meta` is held whole.
+each case entry from a template built once per suite and params keys, then
+`meta` and `summary` walked item by item, so neither the text nor a long
+list in `meta` is held whole.
 """
 
 from __future__ import annotations
@@ -107,95 +108,77 @@ def _json_text(value, pad: str) -> str:
     return _scalar_text(value) or "".join(_json_pieces(value, pad))
 
 
-# One case entry, keys in sorted order; `params` is filled in by _params_text.
-_ENTRY = """    {{
-      "achieved_valuation": {},
-      "error": {},
-      "params": {},
-      "pass": {},
-      "required_exponent": {},
-      "suite": {}
-    }}"""
+#: Case entries by suite and params keys, each with a %s hole for every
+#: value; see `_template`.
+_TEMPLATES: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
 
 
-def _params_text(params: dict) -> str:
-    if not params:
-        return "{}"
-    lines = [f"        {encode_basestring_ascii(k)}: {_json_text(v, ' ' * 8)}" for k, v in sorted(params.items())]
-    return "{\n" + ",\n".join(lines) + "\n      }"
-
-
-def _entry_text(entry: dict) -> str:
-    return _ENTRY.format(
-        _json_text(entry["achieved_valuation"], " " * 6),
-        _json_text(entry["error"], " " * 6),
-        _params_text(entry["params"]),
-        _json_text(entry["pass"], " " * 6),
-        _json_text(entry["required_exponent"], " " * 6),
-        _json_text(entry["suite"], " " * 6),
+def _template(key: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """The entry of a case whose suite and params keys are `key`, keys in
+    sorted order, with holes for achieved_valuation, error, the params by
+    sorted key, pass and required_exponent; and those keys."""
+    suite, *keys = key
+    keys.sort()
+    params = ",\n".join(f"        {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
+    text = (
+        '    {\n      "achieved_valuation": %s,\n      "error": %s,\n      "params": '
+        + ("{\n" + params + "\n      }" if keys else "{}")
+        + ',\n      "pass": %s,\n      "required_exponent": %s,\n      "suite": '
+        + encode_basestring_ascii(suite).replace("%", "%%")
+        + "\n    }"
     )
+    _TEMPLATES[key] = text, tuple(keys)
+    return _TEMPLATES[key]
 
 
 class Report:
-    """Aggregated, deterministically ordered case results."""
+    """Aggregated, deterministically ordered case results, a tuple: they are
+    fixed once the report is built, so its summary is taken once."""
 
     def __init__(self, meta: dict, results: Iterable = ()) -> None:
         self.meta = meta
-        self.results = list(results)
+        self.results = tuple(results)
+        self._summary: dict | None = None
 
     @classmethod
     def from_results(cls, invocation: dict, results: Sequence) -> Report:
-        meta = {
-            "tool": "asdcong",
-            "version": __version__,
-            "invocation": invocation,
-        }
-        return cls(meta, results)
+        return cls({"tool": "asdcong", "version": __version__, "invocation": invocation}, results)
 
     def counts(self) -> dict:
-        passed = failed = errored = 0
-        for r in self.results:
-            if r.error is not None:
-                errored += 1
-            elif r.passed:
-                passed += 1
-            else:
-                failed += 1
-        return {
-            "total": len(self.results),
-            "passed": passed,
-            "failed": failed,
-            "errored": errored,
-        }
-
-    def min_margin_by_suite(self) -> dict:
-        """Smallest certified valuation margin per suite, errored cases aside."""
-        margins: dict[str, int | float] = {}
-        for r in self.results:
-            if r.error is not None or r.margin is None:
-                continue
-            suite = r.case.suite
-            if suite not in margins or r.margin < margins[suite]:
-                margins[suite] = r.margin
-        return margins
+        return {key: self.summary()[key] for key in ("total", "passed", "failed", "errored")}
 
     def failures(self) -> list:
         return [r for r in self.results if r.error is not None or not r.passed]
 
     def summary(self) -> dict:
-        summary = self.counts()
-        summary["min_margin_by_suite"] = self.min_margin_by_suite()
-        return summary
+        """The counts by outcome and the smallest certified valuation margin
+        per suite, errored cases aside: one walk over the results, on the
+        first call, whose dict every later call returns."""
+        if self._summary is None:
+            passed = errored = 0
+            margins: dict[str, int | float] = {}
+            for r in self.results:
+                if r.error is not None:
+                    errored += 1
+                    continue
+                passed += r.passed
+                suite, margin = r.case.suite, r.margin
+                if margin is not None and (suite not in margins or margin < margins[suite]):
+                    margins[suite] = margin
+            total = len(self.results)
+            self._summary = {
+                "total": total,
+                "passed": passed,
+                "failed": total - passed - errored,
+                "errored": errored,
+                "min_margin_by_suite": margins,
+            }
+        return self._summary
 
     def to_json_dict(self) -> dict:
         """The document as plain JSON values; the reference for `write`."""
-        return _json_safe(
-            {
-                "meta": self.meta,
-                "cases": [r.to_json_entry() for r in self.results],
-                "summary": self.summary(),
-            }
-        )
+        cases = [r.to_json_entry() for r in self.results]
+        return _json_safe({"meta": self.meta, "cases": cases, "summary": self.summary()})
 
     def write(self, handle: TextIO) -> None:
         """Write `json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`
@@ -210,7 +193,15 @@ class Report:
         yield '{\n  "cases": ['
         sep = "\n"
         for r in self.results:
-            yield sep + _entry_text(r.to_json_entry())
+            params = r.case.params_dict()
+            text, keys = _TEMPLATES.get(key := (r.case.suite, *params)) or _template(key)
+            achieved = None if r.achieved is None else r.achieved.to_json()
+            holes = (achieved, r.error, *map(params.__getitem__, keys), r.passed, r.required_exponent)
+            # A small int fills its hole as it is, since %s writes its repr.
+            # Only a params value can be a list or dict, at a depth of 8.
+            yield sep + text % tuple(
+                [v if type(v) is int and -_I64_MAX <= v <= _I64_MAX else _json_text(v, " " * 8) for v in holes]
+            )
             sep = ",\n"
         yield "\n  ]" if self.results else "]"
         yield ',\n  "meta": '

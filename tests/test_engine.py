@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asdcong.engine
@@ -574,6 +574,117 @@ def per_case_modular_valuation(case):
     if diff == 0:
         return AchievedValuation(ctx.prec, exact=False)
     return AchievedValuation(vp_int(diff, p))
+
+
+def brute_force_cases(suite, ranges=None, variant="corrected", max_index=None):
+    """`enumerate_cases` the slow way: every combination of candidate values,
+    in the grids' order, that the validating constructor accepts, with p not
+    dividing m and the index within the cap."""
+    record = SUITES[suite]
+    overrides = {} if ranges is None else {k: v for k, v in ranges._asdict().items() if v is not None}
+    r = record.defaults._replace(**overrides)
+    cap = record.cap if max_index is None else max_index
+    candidates = {
+        "p": lambda c: r.primes,
+        "m": lambda c: r.m_values,
+        "n": lambda c: r.n_values,
+        "alpha": lambda c: r.alpha_values,
+        "s": lambda c: range(1, c["alpha"] + 1) if r.s_values is None else r.s_values,
+        "l": lambda c: range(2 * c["p"] + 1) if r.l_values is None else r.l_values,
+        # The index n p^alpha is at least k, so no k above the cap passes.
+        "k": lambda c: range(min(c["n"] * c["p"] ** c["alpha"], cap) + 1),
+        "trial": lambda c: range(r.trials),
+        "variant": lambda c: (variant,),
+    }
+
+    def combinations(i, chosen):
+        if i == len(record.fields):
+            yield dict(chosen)
+            return
+        for value in candidates[record.fields[i]](chosen):
+            chosen[record.fields[i]] = value
+            yield from combinations(i + 1, chosen)
+
+    found = []
+    for params in combinations(0, {}):
+        try:
+            case = CongruenceCase(suite, **params)
+        except ValueError:
+            continue
+        m = record.m if case.m is None else case.m
+        if case.p is not None and m is not None and m % case.p == 0:
+            continue
+        if record.index(case) <= cap:
+            found.append(case)
+    return found
+
+
+# Small grids: primes and m with the values every suite skips (non-primes,
+# even 2, m = 0 and multiples of p), and caps that cut inside the grids.
+SMALL_GRIDS = st.builds(
+    SweepRanges,
+    primes=st.none() | st.lists(st.integers(1, 60) | st.sampled_from([3, 5, 7]), min_size=1, max_size=5).map(tuple),
+    m_values=st.none() | st.lists(st.integers(-12, 12) | st.sampled_from([1, 2, 3]), min_size=1, max_size=4).map(tuple),
+    n_values=st.none() | st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    alpha_values=st.none() | st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    s_values=st.none() | st.lists(st.integers(-1, 4), max_size=3).map(tuple),
+    l_values=st.none() | st.lists(st.integers(0, 6), max_size=3).map(tuple),
+    trials=st.none() | st.integers(0, 3),
+)
+
+
+class TestEnumeration:
+    """`enumerate_cases` checks each grid value and each combination once and
+    builds cases without the constructor: they must be the cases the
+    constructor would build, and every case it would accept."""
+
+    @pytest.mark.parametrize("variant", ["corrected", "literal"])
+    def test_default_grids(self, variant):
+        for suite, record in SUITES.items():
+            cases = enumerate_cases(suite, variant=variant)
+            assert cases and all(type(case) is CongruenceCase for case in cases)
+            assert cases == [CongruenceCase(*case) for case in cases] == brute_force_cases(suite, variant=variant)
+            # The walk filters m by p, so p must be set first.
+            if {"p", "m"} <= set(record.fields):
+                assert record.fields.index("p") < record.fields.index("m")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(sorted(SUITES)),
+        SMALL_GRIDS,
+        st.sampled_from(["corrected", "literal"]),
+        st.integers(0, 600),
+    )
+    def test_small_grids(self, suite, ranges, variant, max_index):
+        cases = enumerate_cases(suite, ranges, variant, max_index)
+        assert all(type(case) is CongruenceCase for case in cases)
+        assert cases == [CongruenceCase(*case) for case in cases]
+        assert cases == brute_force_cases(suite, ranges, variant, max_index)
+
+    @pytest.mark.parametrize(
+        ("suite", "ranges", "variant", "message"),
+        [
+            ("thm-nonsense", None, "corrected", "unknown suite 'thm-nonsense'"),
+            ("thm-main", SweepRanges(n_values=(0,)), "corrected", "n must be >= 1, got 0"),
+            ("thm-main", SweepRanges(alpha_values=(0, 1)), "corrected", "alpha must be >= 1, got 0"),
+            ("lemma-2-4", SweepRanges(l_values=(-1,)), "corrected", "l must be >= 0, got -1"),
+            ("thm-main", None, "bogus", "unknown variant 'bogus'"),
+            # A grid is checked when the walk first reaches it, even if the
+            # rule would drop every combination: s runs over 1..alpha.
+            ("lemma-2-3", SweepRanges(alpha_values=(0,)), "corrected", "alpha must be >= 1, got 0"),
+        ],
+    )
+    def test_grid_errors(self, suite, ranges, variant, message):
+        with pytest.raises(ValueError) as raised:
+            enumerate_cases(suite, ranges, variant)
+        assert str(raised.value) == message
+
+    def test_unreached_grids_are_not_checked(self):
+        # No prime, or no m that p leaves, so the walk never reaches n or the variant.
+        assert enumerate_cases("thm-main", SweepRanges(primes=(), n_values=(0,))) == []
+        assert enumerate_cases("thm-main", SweepRanges(primes=(3,), m_values=(3, 0)), "bogus") == []
+        # The variant is no field of lemma-2-2.
+        assert len(enumerate_cases("lemma-2-2", variant="bogus")) == 2000
 
 
 class TestSweeps:

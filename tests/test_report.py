@@ -3,10 +3,11 @@ import json
 import math
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asdcong.engine import AchievedValuation, CaseResult
+from asdcong.engine import SUITES, AchievedValuation, CaseResult, CongruenceCase, SweepRanges, enumerate_cases, run_cases
 from asdcong.exactcore import INF
 from asdcong.report import Report
 
@@ -23,8 +24,11 @@ class StubCase:
 
 
 # Strings a hand-written encoder gets wrong first: quotes, backslashes,
-# control characters and characters outside ASCII.
-AWKWARD = st.sampled_from(['say "no"', "a\\b", "line\nbreak\ttab", "p = 3 ∤ m: ∞ ≠ 0", "\x00\x1f", "😀"])
+# control characters, characters outside ASCII, and the marks of format
+# strings, which reach an entry's template as suite names and params keys.
+AWKWARD = st.sampled_from(
+    ['say "no"', "a\\b", "line\nbreak\ttab", "p = 3 ∤ m: ∞ ≠ 0", "\x00\x1f", "😀", "100%", "%s %(p)d %%", "{", "}", "{0} {p}}{"]
+)
 STRINGS = st.one_of(st.text(max_size=12), AWKWARD)
 # Both sides of 2^63, where an int becomes a decimal string.
 INTS = st.one_of(
@@ -77,3 +81,18 @@ class TestJsonText:
         text = Report.from_results({}, []).to_json_text()
         assert '\n  "cases": [],\n' in text
         assert json.loads(text)["summary"]["total"] == 0
+
+
+class TestRealResults:
+    @pytest.mark.parametrize("variant", ["corrected", "literal"])
+    def test_every_suite_equals_json_dumps(self, variant):
+        # Real cases of every suite, failing ones too at the literal variant,
+        # and one case errored because p divides m.
+        ranges = SweepRanges(primes=(3, 5), m_values=(-3, 1, 2, 3), n_values=(1,), alpha_values=(1,), trials=1)
+        cases = [case for suite in SUITES for case in enumerate_cases(suite, ranges, variant, max_index=30)]
+        results = run_cases([*cases, CongruenceCase("eq-mod-p", p=5, m=5, variant="corrected")])
+        assert {r.case.suite for r in results} == set(SUITES)
+        assert [r.case for r in results if r.error is not None] == [CongruenceCase("eq-mod-p", p=5, m=5, variant="corrected")]
+        assert variant == "corrected" or any(r.error is None and not r.passed for r in results)
+        report = Report.from_results({"suite": "all", "variant": variant}, results)
+        assert report.to_json_text() == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
