@@ -33,7 +33,6 @@ from .exactcore import (
     is_prime,
     rat_congruent,
     require_odd_prime,
-    vp,
     vp_int,
 )
 from .lucas import _PERIODIC_ORBITS, legendre, lucas_u, lucas_u_mod
@@ -177,8 +176,13 @@ class CongruenceCase(_CaseFields):
     def sort_key(self) -> tuple:
         return _SORT_KEY(self)
 
+    @property
+    def param_slots(self) -> tuple[tuple[str, int], ...]:
+        """Each of the suite's params with the position of its value in the case."""
+        return _PARAM_SLOTS[self.suite]
+
     def params_dict(self) -> dict:
-        return {f: getattr(self, f) for f in SUITES[self.suite].fields}
+        return {f: self[at] for f, at in _PARAM_SLOTS[self.suite]}
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params_dict().items())
@@ -484,30 +488,35 @@ def _lemma_2_3_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     )
 
 
+#: A multiple of 2 and of every orbit length (3, 4 and 6) of lemma-2-4's
+#: Lucas sequences, so (-1)^k u_{N-k} depends only on k mod it.
+_BLOCK_PERIOD = 12
+
+
 @cache
-def _block_weights(p: int, s: int, l: int, period: int) -> tuple[int, tuple[int, ...]]:
+def _block_weights(p: int, s: int, l: int) -> tuple[int, tuple[int, ...]]:
     """L, the lcm of the k in [l p^s, (l+1) p^s) prime to p, and for each
-    r < period the sum of L/k over those k with k = r mod period."""
+    r < `_BLOCK_PERIOD` the sum of L/k over those k with k = r mod it: one
+    table per block, for every m, n and alpha that reads it."""
     ks = [k for k in range(l * p**s, (l + 1) * p**s) if k % p]
     common = lcm(*ks)
-    weights = [0] * period
+    weights = [0] * _BLOCK_PERIOD
     for k in ks:
-        weights[k % period] += common // k
+        weights[k % _BLOCK_PERIOD] += common // k
     return common, tuple(weights)
 
 
 def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
     p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
     # For m in {1,2,3}, u_j(m-2, 1) runs through a period-T orbit (negative j
-    # too), so (-1)^k u_{N-k} depends only on k mod lcm(2, T): the block sum
-    # is one weighted sum over the residues, with weights shared by every
-    # case on the same block.
+    # too), and T divides the block period, so the block sum is one weighted
+    # sum over the residues, with weights shared by every case on the block.
     orbit = _PERIODIC_ORBITS[m - 2]
-    top, period = p**a * n, lcm(2, len(orbit))
-    common, weights = _block_weights(p, s, l, period)
+    top = p**a * n
+    common, weights = _block_weights(p, s, l)
     lhs = Fraction(sum((-1) ** r * orbit[(top - r) % len(orbit)] * w for r, w in enumerate(weights)), common)
     tail = u(p ** (a - s) * n - l, m - 2) + u(p ** (a - s) * n - l - 1, m - 2)
-    rhs = _symbol(case) ** s * -fermat_quotient_factor(m, p, a) * (-1) ** l * tail
+    rhs = -fermat_quotient_factor(m, p, a) * (_symbol(case) ** s * (-1) ** l * tail)
     return lhs, rhs
 
 
@@ -532,21 +541,31 @@ def synthesize_block_sequence(p: int, alpha: int, l: int, rng: Random) -> dict[i
 def _evaluate_lemma_2_5(
     case: CongruenceCase, settings: EngineSettings, scaled: Scaled, right_sides: Scaled
 ) -> AchievedValuation:
-    """One synthesized block-vanishing sequence; the weighted block sum is
-    checked mod p^alpha for every m' in {1,2,3} and n' in {1,2}."""
+    """One synthesized block-vanishing sequence a_k; the weighted block sum
+    sum_k a_k (-1)^k C(t, k), t = m' p^alpha n' - 1, is checked mod p^alpha
+    for every m' in {1,2,3} and n' in {1,2}.
+
+    The six pairs give five rows, m' n' in {1, 2, 3, 4, 6}.  Each is walked
+    across the block by its ratio from one binomial at the block's first
+    index: the signed weight w_k = (-1)^k C(t, k) steps to
+    w_{k+1} = w_k (k - t) / (k + 1), an exact division.  No row is held, so
+    memory stays that of the block."""
     from random import Random  # only this suite pays for the import
 
     p, a, l = case.p, case.alpha, case.l
     rng = Random(f"{settings.seed}:{p}:{a}:{l}:{case.trial}")
     seq = synthesize_block_sequence(p, a, l, rng)
+    lo = l * p**a
     worst: int | float = INF
-    for mm in (1, 2, 3):
-        for nn in (1, 2):
-            total = sum(
-                value * binomial(mm * p**a * nn - 1, k) * (-1) ** k
-                for k, value in seq.items()
-            )
-            worst = min(worst, vp(total, p))
+    for product in (1, 2, 3, 4, 6):
+        t = product * p**a - 1
+        weight = (-1) ** lo * binomial(t, lo)
+        total = 0
+        for k, value in seq.items():
+            total += value * weight
+            weight = weight * (k - t) // (k + 1)
+        if total:
+            worst = min(worst, vp_int(total, p))
     return AchievedValuation(worst)
 
 
@@ -677,6 +696,11 @@ SUITES: dict[str, Suite] = {
         defaults=SweepRanges(primes=(3, 5), alpha_values=(1, 2), l_values=(0,), trials=100),
         evaluate=_evaluate_lemma_2_5,
     ),
+}
+
+#: Each suite's params, with the position of each one's value in a case.
+_PARAM_SLOTS = {
+    name: tuple((f, _CaseFields._fields.index(f)) for f in suite.fields) for name, suite in SUITES.items()
 }
 
 

@@ -10,9 +10,9 @@ decimal strings; the infinite valuation is the string "inf".
 The document is `json.dumps(to_json_dict(), sort_keys=True, indent=2)`.
 With an indent CPython encodes in pure Python, and it builds the whole text
 before a byte is written.  `Report.write` writes the same text as it goes:
-each case entry from a template built once per suite and params keys, then
-`meta` and `summary` walked item by item, so neither the text nor a long
-list in `meta` is held whole.
+each case entry from a template built once per suite and param names and
+filled by position from the case, then `meta` and `summary` walked item by
+item, so neither the text nor a long list in `meta` is held whole.
 """
 
 from __future__ import annotations
@@ -108,32 +108,37 @@ def _json_text(value, pad: str) -> str:
     return _scalar_text(value) or "".join(_json_pieces(value, pad))
 
 
-#: Case entries by suite and params keys, each with a %s hole for every
+#: Case entries by suite and param slots, each with a %s hole for every
 #: value; see `_template`.
-_TEMPLATES: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
+_TEMPLATES: dict[tuple, tuple[str, tuple[int, ...]]] = {}
 
 
-def _template(key: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
-    """The entry of a case whose suite and params keys are `key`, keys in
-    sorted order, with holes for achieved_valuation, error, the params by
-    sorted key, pass and required_exponent; and those keys."""
-    suite, *keys = key
-    keys.sort()
-    params = ",\n".join(f"        {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
+def _template(key: tuple[str, tuple[tuple[str, int], ...]]) -> tuple[str, tuple[int, ...]]:
+    """The entry of a case whose suite and `param_slots` are `key`, params
+    keys in sorted order, with holes for achieved_valuation, error, the
+    params by sorted key, pass and required_exponent; and the position in
+    the case of each param's value, in that order."""
+    suite, slots = key
+    slots = sorted(slots)
+    params = ",\n".join(f"        {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k, _ in slots)
     text = (
         '    {\n      "achieved_valuation": %s,\n      "error": %s,\n      "params": '
-        + ("{\n" + params + "\n      }" if keys else "{}")
+        + ("{\n" + params + "\n      }" if slots else "{}")
         + ',\n      "pass": %s,\n      "required_exponent": %s,\n      "suite": '
         + encode_basestring_ascii(suite).replace("%", "%%")
         + "\n    }"
     )
-    _TEMPLATES[key] = text, tuple(keys)
+    _TEMPLATES[key] = text, tuple(at for _, at in slots)
     return _TEMPLATES[key]
 
 
 class Report:
     """Aggregated, deterministically ordered case results, a tuple: they are
-    fixed once the report is built, so its summary is taken once."""
+    fixed once the report is built, so its summary is taken once.
+
+    A result's case gives its `suite`, its `param_slots` (each param's name
+    and the position of its value in the case), its values by position, and
+    `params_dict()`, the params by name, which `to_json_dict` reads."""
 
     def __init__(self, meta: dict, results: Iterable = ()) -> None:
         self.meta = meta
@@ -193,10 +198,10 @@ class Report:
         yield '{\n  "cases": ['
         sep = "\n"
         for r in self.results:
-            params = r.case.params_dict()
-            text, keys = _TEMPLATES.get(key := (r.case.suite, *params)) or _template(key)
+            case = r.case
+            text, positions = _TEMPLATES.get(key := (case.suite, case.param_slots)) or _template(key)
             achieved = None if r.achieved is None else r.achieved.to_json()
-            holes = (achieved, r.error, *map(params.__getitem__, keys), r.passed, r.required_exponent)
+            holes = (achieved, r.error, *map(case.__getitem__, positions), r.passed, r.required_exponent)
             # A small int fills its hole as it is, since %s writes its repr.
             # Only a params value can be a list or dict, at a depth of 8.
             yield sep + text % tuple(

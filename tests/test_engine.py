@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import asdcong.engine
@@ -492,6 +492,28 @@ class TestLemma25:
             results = report.results
             assert len(results) == 25
             assert all(r.passed for r in results)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        p=st.sampled_from([3, 5, 7]),
+        alpha=st.integers(1, 3),
+        l=st.integers(0, 3),
+        trial=st.integers(0, 200),
+    )
+    @example(seed=0, p=3, alpha=1, l=3, trial=0)
+    def test_matches_definition(self, seed, p, alpha, l, trial):
+        # The same sequence from the same Random string, and all six weighted
+        # sums from math.comb.  From l = 1 on, the rows with m' n' <= l start
+        # past their top, where every weight is 0.
+        seq = synthesize_block_sequence(p, alpha, l, random.Random(f"{seed}:{p}:{alpha}:{l}:{trial}"))
+        worst = min(
+            vp(sum(value * (-1) ** k * math.comb(mm * p**alpha * nn - 1, k) for k, value in seq.items()), p)
+            for mm in (1, 2, 3)
+            for nn in (1, 2)
+        )
+        case = CongruenceCase("lemma-2-5", p=p, alpha=alpha, l=l, trial=trial)
+        assert run_cases([case], EngineSettings(seed=seed)) == [CaseResult(case, alpha, AchievedValuation(worst))]
 
     def test_seed_determinism(self):
         ranges = SweepRanges(primes=(3,), alpha_values=(2,), trials=5)

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +11,21 @@ from asdcong.exactcore import INF
 from asdcong.report import Report
 
 
-@dataclass(frozen=True)
-class StubCase:
-    """A case whose parameters need not pass CongruenceCase's validation."""
+class StubCase(tuple):
+    """A case whose parameters need not pass CongruenceCase's validation: the
+    tuple (suite, *values), its params in the order given."""
 
-    suite: str
-    params: dict
+    def __new__(cls, suite: str, params: dict) -> "StubCase":
+        self = super().__new__(cls, (suite, *params.values()))
+        self.param_slots = tuple((name, at) for at, name in enumerate(params, 1))
+        return self
+
+    @property
+    def suite(self) -> str:
+        return self[0]
 
     def params_dict(self) -> dict:
-        return self.params
+        return {name: self[at] for name, at in self.param_slots}
 
 
 # Strings a hand-written encoder gets wrong first: quotes, backslashes,
