@@ -294,7 +294,10 @@ class Suite(_SuiteFields):
     with `required`, unless the statement is of another kind and its own
     `evaluate(case, settings, scaled, right_sides)` returns the achieved valuation,
     given the sweep's exact scaled sums and, from `sun_tauraso_table`,
-    lemma-2-2's right sides, each by base and N.  A suite with `points` reads
+    lemma-2-2's right sides, each by base and N.  The two sides may share a
+    factor that is a unit at p, which leaves vp(lhs - rhs) as it is:
+    lemma-2-4's come times 2L, L the lcm of its block's k, as lemma-2-2
+    compares m^(n-1) S_n in place of S_n.  A suite with `points` reads
     S_N(m) at those term counts, and its `index` is the largest of them.
     Every `sides(case, s_sum, u)` gets S_N from the sweep's exact walk and
     `lucas_u` on the oracle path.  A series suite (`points` and no
@@ -492,6 +495,16 @@ def _lemma_2_3_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
 #: Lucas sequences, so (-1)^k u_{N-k} depends only on k mod it.
 _BLOCK_PERIOD = 12
 
+#: For each m in {1, 2, 3} and N mod `_BLOCK_PERIOD`, the signed orbit
+#: coefficient (-1)^r u_{N-r}(m-2, 1) of each residue r mod the period.
+_ORBIT_COEFFICIENTS = {
+    a + 2: tuple(
+        tuple((-1) ** r * orbit[(top - r) % len(orbit)] for r in range(_BLOCK_PERIOD))
+        for top in range(_BLOCK_PERIOD)
+    )
+    for a, orbit in _PERIODIC_ORBITS.items()
+}
+
 
 @cache
 def _block_weights(p: int, s: int, l: int) -> tuple[int, tuple[int, ...]]:
@@ -506,17 +519,22 @@ def _block_weights(p: int, s: int, l: int) -> tuple[int, tuple[int, ...]]:
     return common, tuple(weights)
 
 
-def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
+def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[int, int]:
+    """Both sides times 2L, L from `_block_weights`: integers, and 2L is a
+    unit at p, so vp(lhs - rhs) is that of the statement's sides."""
     p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
     # For m in {1,2,3}, u_j(m-2, 1) runs through a period-T orbit (negative j
     # too), and T divides the block period, so the block sum is one weighted
     # sum over the residues, with weights shared by every case on the block.
-    orbit = _PERIODIC_ORBITS[m - 2]
     top = p**a * n
     common, weights = _block_weights(p, s, l)
-    lhs = Fraction(sum((-1) ** r * orbit[(top - r) % len(orbit)] * w for r, w in enumerate(weights)), common)
+    lhs = 2 * sum(map(mul, _ORBIT_COEFFICIENTS[m][top % _BLOCK_PERIOD], weights))
+    # 2L times -F(m, p, alpha), F = (m^phi(p^alpha) - 1) / (2 p^alpha).
+    quotient, rest = divmod(m ** (p**a - p ** (a - 1)) - 1, p**a)
+    if rest:
+        raise NotPIntegralError(f"right side is not p-integral at p = {p}: {p}^{a} does not divide {m}^phi - 1")
     tail = u(p ** (a - s) * n - l, m - 2) + u(p ** (a - s) * n - l - 1, m - 2)
-    rhs = -fermat_quotient_factor(m, p, a) * (_symbol(case) ** s * (-1) ** l * tail)
+    rhs = -(_symbol(case) ** s * (-1) ** l * tail) * quotient * common
     return lhs, rhs
 
 
@@ -526,16 +544,19 @@ def synthesize_block_sequence(p: int, alpha: int, l: int, rng: Random) -> dict[i
 
     Adjustment goes innermost level first; at level s the excess is already a
     multiple of p^(s-1), so fixing one entry per block preserves the finer
-    levels.
+    levels.  Each level's block sums are those of p adjusted blocks of the
+    level below, taken in one pass over them.
     """
-    lo = l * p**alpha
-    seq = {k: rng.randrange(-999, 1000) for k in range(lo, lo + p**alpha)}
+    seq = [rng.randrange(-999, 1000) for _ in range(p**alpha)]
+    sums = seq
     for s in range(1, alpha + 1):
         size = p**s
-        for b0 in range(lo, lo + p**alpha, size):
-            excess = sum(seq[k] for k in range(b0, b0 + size)) % p**s
-            seq[b0 + size - 1] -= excess
-    return seq
+        sums = [sum(sums[i : i + p]) for i in range(0, len(sums), p)]
+        for b, total in enumerate(sums):
+            excess = total % size
+            seq[(b + 1) * size - 1] -= excess
+            sums[b] = total - excess
+    return dict(enumerate(seq, l * p**alpha))
 
 
 def _evaluate_lemma_2_5(

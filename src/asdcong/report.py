@@ -10,9 +10,10 @@ decimal strings; the infinite valuation is the string "inf".
 The document is `json.dumps(to_json_dict(), sort_keys=True, indent=2)`.
 With an indent CPython encodes in pure Python, and it builds the whole text
 before a byte is written.  `Report.write` writes the same text as it goes:
-each case entry from a template built once per suite and param names and
-filled by position from the case, then `meta` and `summary` walked item by
-item, so neither the text nor a long list in `meta` is held whole.
+each case entry from a template with its suite and outcome written in,
+built once per write for each suite, param slots and outcome and filled by
+position from the case, then `meta` and `summary` walked item by item, so
+neither the text nor a long list in `meta` is held whole.
 """
 
 from __future__ import annotations
@@ -108,28 +109,25 @@ def _json_text(value, pad: str) -> str:
     return _scalar_text(value) or "".join(_json_pieces(value, pad))
 
 
-#: Case entries by suite and param slots, each with a %s hole for every
-#: value; see `_template`.
-_TEMPLATES: dict[tuple, tuple[str, tuple[int, ...]]] = {}
-
-
-def _template(key: tuple[str, tuple[tuple[str, int], ...]]) -> tuple[str, tuple[int, ...]]:
-    """The entry of a case whose suite and `param_slots` are `key`, params
-    keys in sorted order, with holes for achieved_valuation, error, the
-    params by sorted key, pass and required_exponent; and the position in
-    the case of each param's value, in that order."""
-    suite, slots = key
-    slots = sorted(slots)
+def _entry(result) -> tuple[str, tuple[int, ...]]:
+    """The entry of `result` with its suite and outcome written in, params
+    keys in sorted order, and a %s hole for each param's value; and the
+    position in the case of each param's value, in that order.  Every `%`
+    of the text written in is doubled."""
+    case = result.case
+    slots = sorted(case.param_slots)
+    achieved = None if result.achieved is None else result.achieved.to_json()
+    achieved, error, passed, required, suite = (
+        _json_text(v, " " * 8).replace("%", "%%")
+        for v in (achieved, result.error, result.passed, result.required_exponent, case.suite)
+    )
     params = ",\n".join(f"        {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k, _ in slots)
     text = (
-        '    {\n      "achieved_valuation": %s,\n      "error": %s,\n      "params": '
+        f'    {{\n      "achieved_valuation": {achieved},\n      "error": {error},\n      "params": '
         + ("{\n" + params + "\n      }" if slots else "{}")
-        + ',\n      "pass": %s,\n      "required_exponent": %s,\n      "suite": '
-        + encode_basestring_ascii(suite).replace("%", "%%")
-        + "\n    }"
+        + f',\n      "pass": {passed},\n      "required_exponent": {required},\n      "suite": {suite}\n    }}'
     )
-    _TEMPLATES[key] = text, tuple(at for _, at in slots)
-    return _TEMPLATES[key]
+    return text, tuple(at for _, at in slots)
 
 
 class Report:
@@ -197,15 +195,22 @@ class Report:
     def _pieces(self) -> Iterator[str]:
         yield '{\n  "cases": ['
         sep = "\n"
+        # Entries by suite, param slots and outcome, for this write only: the
+        # default report has under a hundred of them.
+        entries: dict[tuple, tuple[str, tuple[int, ...]]] = {}
         for r in self.results:
             case = r.case
-            text, positions = _TEMPLATES.get(key := (case.suite, case.param_slots)) or _template(key)
-            achieved = None if r.achieved is None else r.achieved.to_json()
-            holes = (achieved, r.error, *map(case.__getitem__, positions), r.passed, r.required_exponent)
+            key = (case.suite, case.param_slots, r.achieved, r.error, r.required_exponent)
+            if (entry := entries.get(key)) is None:
+                entry = entries[key] = _entry(r)
+            text, positions = entry
             # A small int fills its hole as it is, since %s writes its repr.
             # Only a params value can be a list or dict, at a depth of 8.
             yield sep + text % tuple(
-                [v if type(v) is int and -_I64_MAX <= v <= _I64_MAX else _json_text(v, " " * 8) for v in holes]
+                [
+                    v if type(v) is int and -_I64_MAX <= v <= _I64_MAX else _json_text(v, " " * 8)
+                    for v in map(case.__getitem__, positions)
+                ]
             )
             sep = ",\n"
         yield "\n  ]" if self.results else "]"

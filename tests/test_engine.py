@@ -30,7 +30,7 @@ from asdcong.engine import (
     sun_tauraso_rhs,
     synthesize_block_sequence,
 )
-from asdcong.exactcore import INF, is_prime, vp, vp_int
+from asdcong.exactcore import INF, NotPIntegralError, is_prime, rat_congruent, vp, vp_int
 from asdcong.lucas import legendre, lucas_u
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.report import Report
@@ -398,6 +398,16 @@ class TestLemma23:
         assert fermat_quotient_factor(1, 7, 3) == 0
 
 
+@st.composite
+def _lemma_2_4_cases(draw) -> CongruenceCase:
+    """p up to 13 and m in {1, 2, 3} prime to it, n <= 4, s <= alpha <= 3, l <= 2p."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    m = draw(st.sampled_from([m for m in (1, 2, 3) if m % p]))
+    n, alpha = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    s, l = draw(st.integers(1, alpha)), draw(st.integers(0, 2 * p))
+    return CongruenceCase("lemma-2-4", p=p, m=m, n=n, alpha=alpha, s=s, l=l)
+
+
 class TestLemma24:
     def test_anchor_two_term_sum(self):
         result = check("lemma-2-4", m=2, p=3, n=1, l=0, alpha=1, s=1)
@@ -416,7 +426,10 @@ class TestLemma24:
 
     def test_p_divides_m(self):
         result = check("lemma-2-4", m=3, p=3, n=1, l=0, alpha=1, s=1)
-        assert result.error is not None
+        assert result.error == "p = 3 divides m = 3: series values are not p-integral"
+        # The sides alone find the Fermat quotient is not p-integral.
+        with pytest.raises(NotPIntegralError, match="right side is not p-integral at p = 3"):
+            oracle_sides(result.case)
 
     def test_block_sum_matches_definition(self):
         for p in (3, 5, 7):
@@ -448,9 +461,31 @@ class TestLemma24:
                 blocks[p, s, l] = ks, math.lcm(*ks)
             ks, common = blocks[p, s, l]
             negative += ks[-1] > top
-            direct = Fraction(sum((-1) ** k * lucas_u(top - k, case.m - 2) * (common // k) for k in ks), common)
+            # The side is scaled by 2L: 2L times the sum of the terms over L.
+            direct = 2 * sum((-1) ** k * lucas_u(top - k, case.m - 2) * (common // k) for k in ks)
             assert asdcong.engine._lemma_2_4_sides(case, None, lucas_u)[0] == direct, case
         assert negative > 1000  # blocks reaching past N, where the Lucas index is negative
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lemma_2_4_cases())
+    @example(CongruenceCase("lemma-2-4", p=3, m=2, n=1, alpha=1, s=1, l=0))
+    @example(CongruenceCase("lemma-2-4", p=13, m=3, n=4, alpha=3, s=1, l=26))
+    def test_integer_sides_match_definition(self, case):
+        # The sides over Q, term by term, with fermat_quotient_factor: their
+        # valuation is that of the integer sides, which share the unit 2L.
+        p, m, n, alpha, s, l = case.p, case.m, case.n, case.alpha, case.s, case.l
+        lhs = sum(
+            Fraction((-1) ** k * lucas_u(p**alpha * n - k, m - 2), k)
+            for k in range(l * p**s, (l + 1) * p**s)
+            if k % p
+        )
+        reduced = p ** (alpha - s) * n - l
+        tail = lucas_u(reduced, m - 2) + lucas_u(reduced - 1, m - 2)
+        rhs = -fermat_quotient_factor(m, p, alpha) * legendre(m * (m - 4), p) ** s * (-1) ** l * tail
+        sides = asdcong.engine._lemma_2_4_sides(case, None, lucas_u)
+        assert all(type(side) is int for side in sides)
+        assert rat_congruent(*sides, p) == rat_congruent(lhs, rhs, p)
+        assert run_cases([case])[0].achieved == AchievedValuation(rat_congruent(lhs, rhs, p))
 
 
 class TestLemma25:

@@ -82,6 +82,19 @@ class TestJsonText:
             achieved = result.achieved
             assert entry["pass"] == (achieved is not None and achieved.satisfies(result.required_exponent))
 
+    def test_same_outcome_other_param_slots(self):
+        # One suite and one outcome, with params at other positions or of
+        # other names: an entry written for one must not serve the others.
+        outcome = {"required_exponent": 2, "achieved": AchievedValuation(3), "error": "100% %s"}
+        results = [
+            CaseResult(StubCase("lemma-2-4", {"p": 3, "m": 1}), **outcome),
+            CaseResult(StubCase("lemma-2-4", {"m": 1, "p": 3}), **outcome),
+            CaseResult(StubCase("lemma-2-4", {"q": 3, "m": 1}), **outcome),
+            CaseResult(StubCase("lemma-2-4", {"p": 5, "m": 2}), **outcome),
+        ]
+        report = Report.from_results({}, results)
+        assert report.to_json_text() == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
     def test_empty_sweep(self):
         text = Report.from_results({}, []).to_json_text()
         assert '\n  "cases": [],\n' in text
