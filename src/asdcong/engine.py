@@ -2,9 +2,10 @@
 
 Every congruence statement the package knows about is a suite of cases,
 described by one `Suite` record in `SUITES`.  A series statement is one
-`sides` function of S_N and u_n(a, 1), read two ways: over Q from the exact
-walk and the exact Lucas numbers (the oracle path), and as residues mod p^E
-from the modular stream and fast doubling (the modular path).  A case takes
+`sides` function of S_N and u_n(a, 1), read two ways: as exact integers, S_N
+times a unit at p, from the exact walk and the exact Lucas numbers (the
+oracle path), and as residues mod p^E from the modular stream and fast
+doubling (the modular path).  A case takes
 either path or both; when both run they must agree (disagreement is a bug
 detector and aborts the sweep, it is never reported as a mere failure).
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import os
 from contextlib import AbstractContextManager, nullcontext
-from fractions import Fraction
 from functools import cache, partial
 from itertools import chain
 from math import lcm
@@ -28,15 +28,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 from .exactcore import (
     INF,
     NotPIntegralError,
-    RatLike,
     binomial,
     is_prime,
-    rat_congruent,
     require_odd_prime,
     vp_int,
 )
 from .lucas import _PERIODIC_ORBITS, legendre, lucas_u, lucas_u_mod
-from .padic import PadicCtx, from_rational, required_guard
+from .padic import PadicCtx, required_guard
 from .report import Report
 from .series import apery, s_sums_exact, s_sums_mod
 
@@ -79,6 +77,10 @@ class AchievedValuation(NamedTuple):
 
     def __str__(self) -> str:
         return str(self.to_json())
+
+
+def _exact_achieved(diff: int, p: int) -> AchievedValuation:
+    return AchievedValuation(vp_int(diff, p) if diff else INF)
 
 
 def _modular_achieved(diff: int, ctx: PadicCtx) -> AchievedValuation:
@@ -258,10 +260,11 @@ class SweepRanges(NamedTuple):
 # Suite records
 # ---------------------------------------------------------------------------
 
-#: (lhs, rhs) of a case, as read from S_N by N and u_n(a, 1) by (n, a).  On
-#: the oracle path each side is an exact rational, an int unless the side
-#: divides; on the modular path it is a residue, or a Fraction of residues.
-Sides = Callable[[CongruenceCase, Callable, Callable], tuple]
+#: (lhs, rhs) of a case, as read from S_N by N, u_n(a, 1) by (n, a) and the
+#: unit `one` that every read of S_N carries: two integers, the statement's
+#: sides times one p-unit that both share.  On the oracle path they are
+#: exact; on the modular path they are residues to reduce mod p^E.
+Sides = Callable[[CongruenceCase, Callable, Callable, int], tuple[int, int]]
 
 #: An exact integer by base and N: b^(N-1) S_N from the sweep's walks at
 #: each signed base b, or lemma-2-2's right side at each m.
@@ -294,16 +297,20 @@ class Suite(_SuiteFields):
     with `required`, unless the statement is of another kind and its own
     `evaluate(case, settings, scaled, right_sides)` returns the achieved valuation,
     given the sweep's exact scaled sums and, from `sun_tauraso_table`,
-    lemma-2-2's right sides, each by base and N.  The two sides may share a
-    factor that is a unit at p, which leaves vp(lhs - rhs) as it is:
-    lemma-2-4's come times 2L, L the lcm of its block's k, as lemma-2-2
-    compares m^(n-1) S_n in place of S_n.  A suite with `points` reads
-    S_N(m) at those term counts, and its `index` is the largest of them.
-    Every `sides(case, s_sum, u)` gets S_N from the sweep's exact walk and
-    `lucas_u` on the oracle path.  A series suite (`points` and no
-    `evaluate`) is checked on either path or both: on the modular path it
-    gets S_N mod p^E from its stream and `lucas_u_mod`, and each side is
-    then reduced mod the case's own p^E.
+    lemma-2-2's right sides, each by base and N.  The sides are integers:
+    the statement's two sides times a factor that is a unit at p, which
+    leaves vp(lhs - rhs) as it is, as lemma-2-2 compares m^(n-1) S_n in
+    place of S_n.  lemma-2-1-ii's come times k, lemma-2-3's and
+    eq-sun-asd's times 2, and lemma-2-4's times 2L, L the lcm of its
+    block's k.  A suite with `points` reads S_N(m) at those term counts,
+    and its `index` T is the largest of them.  Every
+    `sides(case, s_sum, u, one)` gets `lucas_u` and, from the sweep's exact
+    walk at the signed base b, b^(T-1) S_N, integers that share the unit
+    one = b^(T-1), on the oracle path; a constant term is multiplied by
+    `one`.  A series suite (`points` and no `evaluate`) is checked on
+    either path or both: on the modular path it gets S_N mod p^E from its
+    stream, `lucas_u_mod` and one = 1, and the difference of the sides is
+    reduced mod the case's own p^E.
 
     `index`, `points` and `rule` read only the case's parameters: the
     enumerator applies `index` and `rule` to candidates that no constructor
@@ -350,14 +357,15 @@ def _s_at_most_alpha(case) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def fermat_quotient_factor(m: int, p: int, alpha: int) -> Fraction:
-    """(m^(p^alpha - p^(alpha-1)) - 1) / (2 p^alpha), p-integral for p not dividing m."""
-    require_odd_prime(p)
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    return Fraction(m ** (p**alpha - p ** (alpha - 1)) - 1, 2 * p**alpha)
+def _fermat_quotient(m: int, p: int, a: int) -> int:
+    """(m^phi(p^a) - 1) / p^a, an exact division when p does not divide m,
+    twice the paper's F(m, p, a); NotPIntegralError when it is not exact,
+    named for lemma-2-4's right side, the one side that meets it: elsewhere
+    p | m errors the case first."""
+    quotient, rest = divmod(m ** (p**a - p ** (a - 1)) - 1, p**a)
+    if rest:
+        raise NotPIntegralError(f"right side is not p-integral at p = {p}: {p}^{a} does not divide {m}^phi - 1")
+    return quotient
 
 
 def sun_tauraso_table(points_by_base: Mapping[int, Iterable[int]]) -> dict[int, dict[int, int]]:
@@ -395,7 +403,7 @@ def sun_tauraso_rhs(m: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Series suites: sides over Q or mod p^E, as the S_N and u_n they are given
+# Series suites: exact or modular sides, as the S_N and u_n they are given
 # ---------------------------------------------------------------------------
 
 
@@ -421,28 +429,29 @@ def _lucas_term(case: CongruenceCase) -> tuple[int, int]:
     return case.p - _symbol(case), _statement_m(case) - 2
 
 
-def _scaling(multiplier: Callable[[CongruenceCase], int], case, s_sum, u) -> tuple:
+def _scaling(multiplier: Callable[[CongruenceCase], int], case, s_sum, u, one) -> tuple[int, int]:
     hi, lo = _scaled(case)
     return s_sum(hi), multiplier(case) * s_sum(lo)
 
 
-def _mod_p(case, s_sum, u) -> tuple:
-    return s_sum(case.p), _symbol(case)
+def _mod_p(case, s_sum, u, one) -> tuple[int, int]:
+    return s_sum(case.p), _symbol(case) * one
 
 
-def _mod_p2(case, s_sum, u) -> tuple:
-    return s_sum(case.p), _symbol(case) + u(*_lucas_term(case))
+def _mod_p2(case, s_sum, u, one) -> tuple[int, int]:
+    return s_sum(case.p), (_symbol(case) + u(*_lucas_term(case))) * one
 
 
-def _sun_asd(case, s_sum, u) -> tuple:
+def _sun_asd(case, s_sum, u, one) -> tuple[int, int]:
+    """Both sides times 2, which clears the half in the correction term."""
     hi, M = _scaled(case)
-    lhs = s_sum(hi) - _symbol(case) * s_sum(M)
+    lhs = 2 * (s_sum(hi) - _symbol(case) * s_sum(M))
     # Term M of the series is sign^M C(2M,M) / m^M and C(2M-1, M-1) is half
     # of C(2M, M), so M C(2M-1, M-1) / m^(M-1) = M m sign^M (S_{M+1} - S_M) / 2,
     # where m sign^M is the signed base b for odd M and m for even M.  Unlike
     # the binomial form, this one reads the same mod p^E as over Q.
     m_sign = _base(case) if M % 2 else _statement_m(case)
-    rhs = Fraction(M * m_sign, 2) * (s_sum(M + 1) - s_sum(M)) * u(*_lucas_term(case))
+    rhs = M * m_sign * (s_sum(M + 1) - s_sum(M)) * u(*_lucas_term(case))
     return lhs, rhs
 
 
@@ -456,23 +465,23 @@ def _sun_asd_points(case: CongruenceCase) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _apery_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
+def _apery_sides(case: CongruenceCase, s_sum, u, one) -> tuple[int, int]:
     top, low = _scaled(case)
     return apery(top - 1), apery(low - 1)
 
 
-def _lemma_2_1_i(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
+def _lemma_2_1_i(case: CongruenceCase, s_sum, u, one) -> tuple[int, int]:
     top, low = _scaled(case)
     return binomial(top, case.k), binomial(low, case.k // case.p)
 
 
-def _lemma_2_1_ii(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
+def _lemma_2_1_ii(case: CongruenceCase, s_sum, u, one) -> tuple[int, int]:
+    """Both sides times k, a unit at p by the suite's rule."""
     (top, low), p, k = _scaled(case), case.p, case.k
-    rhs = Fraction(top, k) * binomial(low - 1, (k - 1) // p) * (-1) ** (k - 1 - (k - 1) // p)
-    return binomial(top, k), rhs
+    return k * binomial(top, k), top * binomial(low - 1, (k - 1) // p) * (-1) ** (k - 1 - (k - 1) // p)
 
 
-def _lemma_2_1_iii(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
+def _lemma_2_1_iii(case: CongruenceCase, s_sum, u, one) -> tuple[int, int]:
     (top, low), p, k = _scaled(case), case.p, case.k
     return binomial(top - 1, k), binomial(low - 1, k // p) * (-1) ** (k - k // p)
 
@@ -484,11 +493,9 @@ def _evaluate_lemma_2_2(
     return AchievedValuation(INF if equal else 0)
 
 
-def _lemma_2_3_sides(case: CongruenceCase, s_sum, u) -> tuple[RatLike, RatLike]:
-    return (
-        fermat_quotient_factor(case.m, case.p, case.alpha),
-        fermat_quotient_factor(case.m, case.p, case.s),
-    )
+def _lemma_2_3_sides(case: CongruenceCase, s_sum, u, one) -> tuple[int, int]:
+    """Both sides times 2: the integer Fermat quotients at alpha and s."""
+    return _fermat_quotient(case.m, case.p, case.alpha), _fermat_quotient(case.m, case.p, case.s)
 
 
 #: A multiple of 2 and of every orbit length (3, 4 and 6) of lemma-2-4's
@@ -519,7 +526,7 @@ def _block_weights(p: int, s: int, l: int) -> tuple[int, tuple[int, ...]]:
     return common, tuple(weights)
 
 
-def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[int, int]:
+def _lemma_2_4_sides(case: CongruenceCase, s_sum, u, one) -> tuple[int, int]:
     """Both sides times 2L, L from `_block_weights`: integers, and 2L is a
     unit at p, so vp(lhs - rhs) is that of the statement's sides."""
     p, m, n, l, a, s = case.p, case.m, case.n, case.l, case.alpha, case.s
@@ -530,9 +537,7 @@ def _lemma_2_4_sides(case: CongruenceCase, s_sum, u) -> tuple[int, int]:
     common, weights = _block_weights(p, s, l)
     lhs = 2 * sum(map(mul, _ORBIT_COEFFICIENTS[m][top % _BLOCK_PERIOD], weights))
     # 2L times -F(m, p, alpha), F = (m^phi(p^alpha) - 1) / (2 p^alpha).
-    quotient, rest = divmod(m ** (p**a - p ** (a - 1)) - 1, p**a)
-    if rest:
-        raise NotPIntegralError(f"right side is not p-integral at p = {p}: {p}^{a} does not divide {m}^phi - 1")
+    quotient = _fermat_quotient(m, p, a)
     tail = u(p ** (a - s) * n - l, m - 2) + u(p ** (a - s) * n - l - 1, m - 2)
     rhs = -(_symbol(case) ** s * (-1) ** l * tail) * quotient * common
     return lhs, rhs
@@ -796,6 +801,25 @@ def _stream_sums(stream: Stream) -> dict[tuple[int, int], dict[int, int]]:
     return {(p, base): by_n for base, by_n in s_sums_mod(points_by_base, PadicCtx(p, prec)).items()}
 
 
+def _exact_sides(case: CongruenceCase, scaled: Scaled) -> tuple[int, int]:
+    """The sides from exact values.  A series case at the signed base b with
+    top point T reads S_N as b^(N-1) S_N from `scaled` at b times b^(T-N),
+    so every read and `one` carry the unit b^(T-1); any other takes one = 1."""
+    suite = SUITES[case.suite]
+    if suite.points is None:
+        return suite.sides(case, None, lucas_u, 1)
+    base, top = _base(case), suite.index(case)
+    sums = scaled[base]
+    return suite.sides(case, lambda N: sums[N] * base ** (top - N), lucas_u, base ** (top - 1))
+
+
+def _modular_sides(
+    case: CongruenceCase, sums: Mapping[tuple[int, int], Mapping[int, int]], ctx: PadicCtx
+) -> tuple[int, int]:
+    """The sides from the residues of S_N in `sums` at (p, b) and `lucas_u_mod`, with one = 1."""
+    return SUITES[case.suite].sides(case, sums[case.p, _base(case)].__getitem__, partial(lucas_u_mod, ctx=ctx), 1)
+
+
 def _evaluate(
     case: CongruenceCase,
     settings: EngineSettings,
@@ -818,15 +842,14 @@ def _evaluate(
         if suite.evaluate is not None:
             oracle = suite.evaluate(case, settings, scaled, right_sides)
         elif path != "modular":
-            base = _base(case)
-            lhs, rhs = suite.sides(case, lambda N: Fraction(scaled[base][N], base ** (N - 1)), lucas_u)
-            oracle = AchievedValuation(rat_congruent(lhs, rhs, case.p))
+            lhs, rhs = _exact_sides(case, scaled)
+            oracle = _exact_achieved(lhs - rhs, case.p)
         if path != "oracle":
             ctx = PadicCtx(case.p, _working_precision(case))
-            lhs, rhs = suite.sides(case, sums[case.p, _base(case)].__getitem__, partial(lucas_u_mod, ctx=ctx))
+            lhs, rhs = _modular_sides(case, sums, ctx)
             # The shared stream may carry more digits than this case.
-            modular = _modular_achieved(from_rational(lhs, ctx) - from_rational(rhs, ctx), ctx)
-    except (NotPIntegralError, ZeroDivisionError) as exc:
+            modular = _modular_achieved(lhs - rhs, ctx)
+    except NotPIntegralError as exc:
         return CaseResult(case, required, None, str(exc))
     if oracle is not None and modular is not None:
         _check_paths_agree(case, oracle, modular)

@@ -1,17 +1,21 @@
 """Exact arithmetic primitives: binomials, primality, p-adic valuations.
 
 Everything in this module is ground truth for the rest of the package: plain
-Python integers (arbitrary precision) and ``fractions.Fraction`` (always in
-lowest terms, positive denominator), no floating point anywhere.
+Python integers (arbitrary precision), no floating point anywhere.  The
+valuations of rationals take an int or a ``fractions.Fraction`` (always in
+lowest terms, positive denominator) as a caller gives it; a sweep passes
+only integers, so this module never imports ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-RatLike = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RatLike = Union[int, "Fraction"]
 
 #: Valuation of zero.
 INF = math.inf

@@ -10,13 +10,15 @@ signs), is kept as a falsification target for the scan command.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .exactcore import NotPIntegralError, binomial
 from .padic import PadicCtx
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 #: Terms per chunk of the exact walk in `s_sums_exact`, and block indices
@@ -61,7 +63,10 @@ def s_sums_exact(points_by_base: Mapping[int, Iterable[int]]) -> dict[int, dict[
 
 def s_sum_exact(N: int, b: int) -> Fraction:
     """Exact S_N(b) at the signed base b: the sum of the first N terms (empty
-    sum for N = 0), one point of `s_sums_exact`."""
+    sum for N = 0), one point of `s_sums_exact`.  It serves `eval` and the
+    public API; a sweep reads the integers, so only this imports `fractions`."""
+    from fractions import Fraction
+
     scaled = s_sums_exact({b: (N,)})[b][N]
     return Fraction(scaled, b ** (N - 1)) if N else Fraction(0)
 

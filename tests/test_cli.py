@@ -407,3 +407,16 @@ class TestProgram:
         )
         code, out, err = _run_python("-S", "-c", script)
         assert (code, out, err) == (0, "[]\n", _ONE_CASE_SUMMARY)
+
+    def test_sweep_loads_no_fractions(self):
+        # Every suite takes its verdict from integer sides, so the default
+        # sweep over every suite's grid never imports `fractions`, nor the
+        # `decimal` it loads: only `s_sum_exact`, for `eval`, does.
+        loaded = "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        runs = [
+            (["verify", "--out", os.devnull], "[]\n"),
+            (["eval", "--series", "s", "--m", "5", "--N", "3"], "41/25\n['decimal', 'fractions']\n"),
+        ]
+        for argv, expected in runs:
+            code, out, err = _run_python("-S", "-c", f"import sys, asdcong.cli; asdcong.cli.main({argv}); {loaded}")
+            assert (code, out) == (0, expected), err

@@ -23,7 +23,6 @@ from asdcong.engine import (
     EngineSettings,
     SweepRanges,
     enumerate_cases,
-    fermat_quotient_factor,
     pool_size,
     run_cases,
     run_suite,
@@ -34,8 +33,8 @@ from asdcong.exactcore import INF, NotPIntegralError, is_prime, rat_congruent, v
 from asdcong.lucas import legendre, lucas_u
 from asdcong.padic import PadicCtx, from_rational, required_guard
 from asdcong.report import Report
-from asdcong.series import _level, s_sum_mod, s_sums_exact
-from sides import check, oracle_sides
+from asdcong.series import _level, s_sum_exact, s_sum_mod, s_sums_exact, s_sums_mod
+from sides import check, fermat_quotient_factor, oracle_one, oracle_sides, unit
 
 ORACLE_ONLY = EngineSettings(oracle_cutoff=10**9, crosscheck_cutoff=0)
 MODULAR_ONLY = EngineSettings(oracle_cutoff=0, crosscheck_cutoff=0)
@@ -260,7 +259,11 @@ class TestSunAsd:
         for c in cases:
             b = -c.m if c.variant == "literal" else c.m
             M = c.n * c.p ** (c.alpha - 1)
-            _, rhs = asdcong.engine._sun_asd(c, lambda N: Fraction(sums[b][N], b ** (N - 1)), lucas_u)
+            # The sides read S_N times the unit one = b^(T-1) and come times 2 one.
+            top = SUITES[c.suite].index(c)
+            one = b ** (top - 1)
+            _, rhs = asdcong.engine._sun_asd(c, lambda N: sums[b][N] * b ** (top - N), lucas_u, one)
+            rhs = Fraction(rhs, 2 * one)
             paper = Fraction(M, c.m ** (M - 1)) * math.comb(2 * M - 1, M - 1) * lucas_u(*asdcong.engine._lucas_term(c))
             assert rhs == paper, c
 
@@ -463,7 +466,7 @@ class TestLemma24:
             negative += ks[-1] > top
             # The side is scaled by 2L: 2L times the sum of the terms over L.
             direct = 2 * sum((-1) ** k * lucas_u(top - k, case.m - 2) * (common // k) for k in ks)
-            assert asdcong.engine._lemma_2_4_sides(case, None, lucas_u)[0] == direct, case
+            assert asdcong.engine._lemma_2_4_sides(case, None, lucas_u, 1)[0] == direct, case
         assert negative > 1000  # blocks reaching past N, where the Lucas index is negative
 
     @settings(max_examples=200, deadline=None)
@@ -482,7 +485,7 @@ class TestLemma24:
         reduced = p ** (alpha - s) * n - l
         tail = lucas_u(reduced, m - 2) + lucas_u(reduced - 1, m - 2)
         rhs = -fermat_quotient_factor(m, p, alpha) * legendre(m * (m - 4), p) ** s * (-1) ** l * tail
-        sides = asdcong.engine._lemma_2_4_sides(case, None, lucas_u)
+        sides = asdcong.engine._lemma_2_4_sides(case, None, lucas_u, 1)
         assert all(type(side) is int for side in sides)
         assert rat_congruent(*sides, p) == rat_congruent(lhs, rhs, p)
         assert run_cases([case])[0].achieved == AchievedValuation(rat_congruent(lhs, rhs, p))
@@ -554,6 +557,86 @@ class TestLemma25:
         ranges = SweepRanges(primes=(3,), alpha_values=(2,), trials=5)
         a, b = (run_suite("lemma-2-5", ranges, settings=EngineSettings(seed=9)).results for _ in range(2))
         assert [r.achieved for r in a] == [r.achieved for r in b]
+
+
+def paper_sides(case):
+    """A case's two sides over Q as the paper writes them, from `s_sum_exact`
+    and `lucas_u`: the reference for the engine's integer sides."""
+    p, k = case.p, case.k
+    if case.suite == "lemma-2-3":
+        return fermat_quotient_factor(case.m, p, case.alpha), fermat_quotient_factor(case.m, p, case.s)
+    if case.suite == "lemma-2-1-ii":
+        top, low = case.n * p**case.alpha, case.n * p ** (case.alpha - 1)
+        return math.comb(top, k), Fraction(top, k) * math.comb(low - 1, (k - 1) // p) * (-1) ** (k - 1 - (k - 1) // p)
+    m = 4 if case.suite == "thm-m4" else case.m
+    b = -m if case.variant == "literal" else m
+    sym = legendre(m * (m - 4), p)
+    u = lucas_u(p - sym, m - 2)
+    if case.suite == "eq-mod-p":
+        return s_sum_exact(p, b), sym
+    if case.suite == "eq-mod-p2":
+        return s_sum_exact(p, b), sym + u
+    hi, lo = case.n * p**case.alpha, case.n * p ** (case.alpha - 1)
+    if case.suite == "eq-sun-asd":
+        correction = Fraction(lo, m ** (lo - 1)) * math.comb(2 * lo - 1, lo - 1) * u
+        return s_sum_exact(hi, b) - sym * s_sum_exact(lo, b), correction
+    factor = p if case.suite == "thm-m4" else sym
+    return s_sum_exact(hi, b), factor * s_sum_exact(lo, b)
+
+
+@st.composite
+def _scaled_side_cases(draw) -> CongruenceCase:
+    """Cases of every suite whose sides carry a unit: p up to 13, m in
+    -12..12 prime to p (in {1, 2, 3} on thm-main), n <= 3, alpha <= 3."""
+    suite = draw(st.sampled_from(["thm-main", "thm-m4", "eq-mod-p", "eq-mod-p2", "eq-sun-asd", "lemma-2-1-ii", "lemma-2-3"]))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    fields = SUITES[suite].fields
+    params = {"p": p}
+    if "m" in fields:
+        ms = (1, 2, 3) if suite == "thm-main" else range(-12, 13)
+        params["m"] = draw(st.sampled_from([m for m in ms if m % p]))
+    if "n" in fields:
+        params["n"] = draw(st.integers(1, 3))
+    if "alpha" in fields:
+        params["alpha"] = draw(st.integers(1, 3))
+    if "variant" in fields:
+        params["variant"] = draw(st.sampled_from(["corrected", "literal"]))
+    if "k" in fields:
+        top = params["n"] * p ** params["alpha"]
+        params["k"] = draw(st.integers(1, top).filter(lambda k: k % p))
+    if "s" in fields:
+        params["s"] = draw(st.integers(1, params["alpha"]))
+    return CongruenceCase(suite, **params)
+
+
+class TestScaledSides:
+    @settings(max_examples=300, deadline=None)
+    @given(_scaled_side_cases())
+    @example(CongruenceCase("eq-mod-p", p=3, m=2, variant="corrected"))
+    @example(CongruenceCase("eq-mod-p2", p=5, m=-7, variant="literal"))
+    @example(CongruenceCase("eq-sun-asd", p=3, m=5, n=1, alpha=2, variant="literal"))
+    @example(CongruenceCase("thm-m4", p=13, n=3, alpha=3, variant="corrected"))
+    @example(CongruenceCase("lemma-2-1-ii", p=5, n=2, alpha=2, k=7))
+    @example(CongruenceCase("lemma-2-3", p=3, m=2, alpha=2, s=1))
+    def test_integer_sides_are_the_paper_sides_times_a_unit(self, case):
+        # The oracle's sides are integers, the paper's times the unit
+        # `unit` names, so their difference has the paper's valuation; the
+        # modular sides differ by that unit with one = 1, mod p^E.
+        p, suite = case.p, SUITES[case.suite]
+        lhs, rhs = paper_sides(case)
+        points = suite.points and suite.points(case)
+        b = asdcong.engine._base(case)
+        sides = asdcong.engine._exact_sides(case, s_sums_exact({b: points}) if points else {})
+        assert all(type(side) is int for side in sides)
+        common = unit(case, oracle_one(case))
+        assert sides == (common * lhs, common * rhs)
+        achieved = asdcong.engine._exact_achieved(sides[0] - sides[1], p)
+        assert achieved == AchievedValuation(rat_congruent(lhs, rhs, p))
+        if points:
+            ctx = PadicCtx(p, asdcong.engine._working_precision(case))
+            residues = asdcong.engine._modular_sides(case, {(p, b): s_sums_mod({b: points}, ctx)[b]}, ctx)
+            expected = unit(case, 1) * (from_rational(lhs, ctx) - from_rational(rhs, ctx))
+            assert (residues[0] - residues[1] - expected) % ctx.modulus == 0
 
 
 class TestDualPath:
